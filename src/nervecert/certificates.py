@@ -12,6 +12,7 @@ from .complexes import SimplicialComplex, is_remote
 from .convex import crossing, hulls_intersect, polytope_is_empty
 from .errors import ParseError
 from .fileio import (
+    _int_field,
     _int_list,
     _require,
     complex_from_doc,
@@ -83,7 +84,7 @@ def _pieces_to_doc(piece) -> list[list[str]]:
 
 def _pieces_from_doc(raw, what: str):
     _require(isinstance(raw, list) and raw, f"{what} must be a nonempty list of points")
-    return [parse_point(p) for p in raw]
+    return [parse_point(p, f"{what} point") for p in raw]
 
 
 # -- builders ----------------------------------------------------------------
@@ -201,11 +202,12 @@ def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
 
 def _recheck_witness_violation(doc) -> tuple[bool, str]:
     F = family_from_doc(doc["family"])
-    point = parse_point(doc["point"])
-    label = doc["body_label"]
-    row = doc["row"]
+    point = parse_point(doc["point"], "'point'")
+    label = _int_field(doc["body_label"], "'body_label'")
+    _require(label in F.labels(), f"'body_label' {label} names no body of the family")
     body = F.body(label)
-    _require(isinstance(row, int) and 0 <= row < body.n_rows, "row index out of range")
+    row = _int_field(doc["row"], "'row'")
+    _require(0 <= row < body.n_rows, f"'row' {row} is out of range")
     lhs = sum(a * x for a, x in zip(body.A[row], point))
     if lhs > body.b[row]:
         return True, "witness point violates the named constraint row"
@@ -229,8 +231,8 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
     mode = doc.get("mode")
     gamma = tuple(_int_list(doc["gamma"], "gamma"))
     delta = tuple(_int_list(doc["delta"], "delta"))
-    d = doc["d"]
-    _require(isinstance(d, int) and d >= 1, "'d' must be a positive integer")
+    d = _int_field(doc["d"], "'d'")
+    _require(d >= 1, "'d' must be a positive integer")
     if set(gamma) & set(delta):
         return False, "simplices share a vertex"
     if len(gamma) != d + 1 or len(delta) != d + 1:
@@ -249,7 +251,7 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
         if not (K.has_face(gamma) and K.has_face(delta)):
             return False, "pair is not a pair of complex faces"
         placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
-        point = parse_point(doc["point"])
+        point = parse_point(doc["point"], "'point'")
         result = crossing(
             [placement.point(v) for v in gamma],
             [placement.point(v) for v in delta],
@@ -264,8 +266,8 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
 
 def _recheck_obstruction(doc) -> tuple[bool, str]:
     K, _ = complex_from_doc(doc["complex"])
-    d = doc["d"]
-    _require(isinstance(d, int) and d >= 1, "'d' must be a positive integer")
+    d = _int_field(doc["d"], "'d'")
+    _require(d >= 1, "'d' must be a positive integer")
     placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
     cocycle = intersection_cocycle(K, d, placement)
     if len(cocycle.index) != doc["n_pairs"]:
@@ -317,7 +319,7 @@ def recheck_certificate(doc) -> tuple[bool, str]:
     """Re-run the exact predicate behind a certificate document."""
     _require(isinstance(doc, dict), "certificate must be an object")
     kind = doc.get("kind")
-    if kind not in _RECHECKERS:
+    if not isinstance(kind, str) or kind not in _RECHECKERS:
         raise ParseError(f"unknown certificate kind {kind!r}")
     try:
         return _RECHECKERS[kind](doc)

@@ -42,8 +42,8 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def parse_point(values) -> Point:
-    return tuple(parse_rational(v) for v in values)
+def parse_point(values, what: str = "point") -> Point:
+    return tuple(_rational_list(values, what))
 
 
 def format_point(p) -> list[str]:
@@ -55,6 +55,11 @@ def _require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _int_field(value, what: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
+    return value
+
+
 def _int_list(values, what: str) -> list[int]:
     _require(isinstance(values, list), f"{what} must be a list")
     out = []
@@ -62,6 +67,11 @@ def _int_list(values, what: str) -> list[int]:
         _require(isinstance(v, int) and not isinstance(v, bool), f"{what} entries must be integers")
         out.append(v)
     return out
+
+
+def _rational_list(values, what: str) -> list[Fraction]:
+    _require(isinstance(values, list), f"{what} must be a list of rationals")
+    return [parse_rational(v) for v in values]
 
 
 # -- complexes ---------------------------------------------------------------
@@ -127,21 +137,21 @@ def family_to_doc(F: ConvexFamily) -> dict:
 def _body_from_doc(entry, ambient: int) -> tuple[int, HPolytope]:
     _require(isinstance(entry, dict), "body entry must be an object")
     _require("label" in entry, "body entry needs a 'label'")
-    label = entry["label"]
-    _require(isinstance(label, int) and not isinstance(label, bool), "'label' must be an integer")
+    label = _int_field(entry["label"], "'label'")
     kinds = [k for k in ("box", "hpoly") if k in entry]
     _require(len(kinds) == 1, "body entry needs exactly one of 'box' or 'hpoly'")
     if kinds[0] == "box":
         box = entry["box"]
         _require(isinstance(box, dict) and "lo" in box and "hi" in box, "'box' needs 'lo' and 'hi'")
-        lo = [parse_rational(v) for v in box["lo"]]
-        hi = [parse_rational(v) for v in box["hi"]]
+        lo = _rational_list(box["lo"], "box 'lo'")
+        hi = _rational_list(box["hi"], "box 'hi'")
         _require(len(lo) == ambient and len(hi) == ambient, "box corner length must equal ambient")
         return label, HPolytope.box(lo, hi)
     hp = entry["hpoly"]
     _require(isinstance(hp, dict) and "A" in hp and "b" in hp, "'hpoly' needs 'A' and 'b'")
-    A = [[parse_rational(v) for v in row] for row in hp["A"]]
-    b = [parse_rational(v) for v in hp["b"]]
+    _require(isinstance(hp["A"], list), "hpoly 'A' must be a list of rows")
+    A = [_rational_list(row, "hpoly row") for row in hp["A"]]
+    b = _rational_list(hp["b"], "hpoly 'b'")
     _require(all(len(row) == ambient for row in A), "hpoly rows must have ambient many columns")
     _require(len(A) == len(b), "hpoly 'A' and 'b' lengths disagree")
     return label, HPolytope.from_rows(A, b, ambient=ambient)

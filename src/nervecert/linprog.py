@@ -1,9 +1,19 @@
 """Exact linear programming and linear solving over the rationals.
 
-A two-phase primal simplex on dense Fraction tableaus, pivoting with Bland's
-rule, so termination is guaranteed, every verdict is exact, and every run is
-bit-for-bit deterministic.  No tolerances exist anywhere.  Also houses the
-exact Gauss solver used for square crossing systems.
+A two-phase primal simplex pivoting with Bland's rule, so termination is
+guaranteed, every verdict is exact, and every run is bit-for-bit
+deterministic.  No tolerances exist anywhere.  Also houses the exact Gauss
+solver used for square crossing systems.
+
+Both cores pivot fraction-free on rows of Python ints (Edmonds 1967;
+Bareiss 1968).  Each integer row is kept a positive multiple of the row a
+rational tableau would hold at the same step: the whole initial tableau is
+scaled by one common denominator, a pivot row with a negative pivot is
+negated, a row update is ``p * row - f * pivot_row`` followed by division
+by the row's gcd, and a value is read back as ``Fraction(rhs, diagonal)``.
+Signs, ratio comparisons (by cross-multiplication) and zero tests are thus
+those of the rational tableau, so Bland's rule takes the same pivots and
+returns the same optimum.
 
 The standard-form core minimizes c.x subject to A x = b, x >= 0.  The public
 wrapper accepts free variables (split internally), inequality rows (slacked
@@ -14,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,46 +47,62 @@ class LPResult:
     x: tuple[Fraction, ...] | None
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = T[row][col]
-    if piv != ONE:
-        inv = ONE / piv
-        T[row] = [v * inv for v in T[row]]
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """The rational rows times the lcm of all their denominators, and that lcm."""
+    ratios = [
+        [(v if type(v) in (int, Fraction) else frac(v)).as_integer_ratio() for v in row]
+        for row in rows
+    ]
+    scale = lcm(*(den for row in ratios for _, den in row))
+    return [[num * (scale // den) for num, den in row] for row in ratios], scale
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a positive multiple)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _pivot(T: list[list[int]], basis: list[int], row: int, col: int) -> None:
     prow = T[row]
-    for i in range(len(T)):
+    p = prow[col]
+    if p < 0:
+        prow = T[row] = [-v for v in prow]
+        p = -p
+    for i, r in enumerate(T):
         if i == row:
             continue
-        f = T[i][col]
+        f = r[col]
         if f:
-            T[i] = [a - f * b for a, b in zip(T[i], prow)]
+            T[i] = _primitive([p * a - f * b for a, b in zip(r, prow)])
     basis[row] = col
 
 
-def _bland_entering(obj: list[Fraction], ncols: int) -> int | None:
+def _bland_entering(obj: list[int], ncols: int) -> int | None:
     for j in range(ncols):
         if obj[j] < 0:
             return j
     return None
 
 
-def _bland_leaving(T: list[list[Fraction]], basis: list[int], col: int, m: int) -> int | None:
-    best_ratio = None
-    best_row = None
+def _bland_leaving(T: list[list[int]], basis: list[int], col: int, m: int) -> int | None:
+    # Ratios rhs/a with a > 0 are compared as rhs_i * a_k against rhs_k * a_i.
+    best_rhs = best_a = best_row = None
     for i in range(m):
         a = T[i][col]
         if a > 0:
-            ratio = T[i][-1] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
+            rhs = T[i][-1]
+            if best_row is None:
+                better = True
+            else:
+                lhs, rhs_k = rhs * best_a, best_rhs * a
+                better = lhs < rhs_k or (lhs == rhs_k and basis[i] < basis[best_row])
+            if better:
+                best_rhs, best_a, best_row = rhs, a, i
     return best_row
 
 
-def _run_simplex(T: list[list[Fraction]], basis: list[int]) -> str:
+def _run_simplex(T: list[list[int]], basis: list[int]) -> str:
     """Pivot to optimality; T's last row is the reduced-cost row."""
     m = len(T) - 1
     ncols = len(T[0]) - 1
@@ -90,35 +117,33 @@ def _run_simplex(T: list[list[Fraction]], basis: list[int]) -> str:
 
 
 def _solve_standard(
-    A: list[list[Fraction]], b: list[Fraction], c: list[Fraction]
+    A: list[list[int]], b: list[int], c: list[int], scale: int
 ) -> tuple[str, list[Fraction] | None]:
-    """min c.x subject to A x = b, x >= 0; returns (status, x)."""
+    """min c.x subject to A x = b, x >= 0; returns (status, x).
+
+    A and b are ``scale`` times a rational system, so the artificial
+    columns carry ``scale`` on the diagonal; c is any positive multiple of
+    the rational costs.
+    """
     m = len(A)
     n = len(c)
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-v for v in A[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(A[i]))
-            rhs.append(b[i])
 
     # Phase 1: one artificial per row, minimize their sum.
-    T: list[list[Fraction]] = []
+    T: list[list[int]] = []
     for i in range(m):
-        art = [ZERO] * m
-        art[i] = ONE
-        T.append(rows[i] + art + [rhs[i]])
+        art = [0] * m
+        art[i] = scale
+        if b[i] < 0:
+            T.append([-v for v in A[i]] + art + [-b[i]])
+        else:
+            T.append(A[i] + art + [b[i]])
     basis = [n + i for i in range(m)]
-    obj = [ZERO] * (n + m + 1)
-    for j in range(n):
-        obj[j] = -sum(T[i][j] for i in range(m))
-    obj[-1] = -sum(rhs)
-    T.append(obj)
+    obj = [-sum(col) for col in zip(*T)] if T else [0] * (n + m + 1)
+    obj[n : n + m] = [0] * m
+    T = [_primitive(row) for row in T]
+    T.append(_primitive(obj))
     _run_simplex(T, basis)  # bounded below by zero, never unbounded
-    if T[-1][-1] != ZERO:
+    if T[-1][-1] != 0:
         return INFEASIBLE, None
 
     # Drive artificials out of the (degenerate) basis; drop redundant rows.
@@ -131,23 +156,28 @@ def _solve_standard(
             else:
                 _pivot(T, basis, i, col)
     keep = [i for i in range(m) if i not in drop]
-    T = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in keep]
+    T = [_primitive(T[i][:n] + [T[i][-1]]) for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: true objective, reduced against the current basis.
+    # Phase 2: true objective, reduced against the current basis.  Row i
+    # stands for itself divided by its diagonal entry T[i][basis[i]] > 0.
     m2 = len(T)
-    obj = list(c) + [ZERO]
+    diag = [T[i][basis[i]] for i in range(m2)]
+    D = lcm(*(diag[i] for i in range(m2) if c[basis[i]]))
+    obj = [D * v for v in c] + [0]
     for i in range(m2):
         cb = c[basis[i]]
         if cb:
-            obj = [a - cb * t for a, t in zip(obj, T[i])]
-    T.append(obj)
+            f = cb * (D // diag[i])
+            obj = [a - f * t for a, t in zip(obj, T[i])]
+    T.append(_primitive(obj))
     status = _run_simplex(T, basis)
     if status != OPTIMAL:
         return status, None
     x = [ZERO] * n
     for i in range(m2):
-        x[basis[i]] = T[i][-1]
+        if T[i][-1]:
+            x[basis[i]] = Fraction(T[i][-1], T[i][basis[i]])
     return OPTIMAL, x
 
 
@@ -168,15 +198,15 @@ def solve_lp(
     """
     c = [frac(v) for v in c]
     n = len(c)
-    A_ub = [[frac(v) for v in row] for row in A_ub]
-    b_ub = [frac(v) for v in b_ub]
-    A_eq = [[frac(v) for v in row] for row in A_eq]
-    b_eq = [frac(v) for v in b_eq]
+    A_ub = [list(row) for row in A_ub]
+    b_ub = list(b_ub)
+    A_eq = [list(row) for row in A_eq]
+    b_eq = list(b_eq)
     if nonneg is None:
         nonneg = [False] * n
     if len(nonneg) != n:
         raise ValueError(f"nonneg has {len(nonneg)} flags for {n} variables")
-    for row in list(A_ub) + list(A_eq):
+    for row in A_ub + A_eq:
         if len(row) != n:
             raise ValueError(f"constraint row has {len(row)} entries, expected {n}")
     if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
@@ -191,66 +221,61 @@ def solve_lp(
             cols.append((j, -1))
     nslack = len(A_ub)
 
-    def widen(row: list[Fraction]) -> list[Fraction]:
-        return [row[j] * s for j, s in cols]
-
-    A_std: list[list[Fraction]] = []
-    b_std: list[Fraction] = []
-    for i, row in enumerate(A_ub):
-        slack = [ZERO] * nslack
-        slack[i] = ONE
-        A_std.append(widen(row) + slack)
-        b_std.append(b_ub[i])
-    for i, row in enumerate(A_eq):
-        A_std.append(widen(row) + [ZERO] * nslack)
-        b_std.append(b_eq[i])
+    # One common scale turns every constraint into integers, slacks included.
+    rows, scale = _integer_rows(
+        row + [b] for row, b in zip(A_ub + A_eq, b_ub + b_eq)
+    )
+    A_std: list[list[int]] = []
+    for i, row in enumerate(rows):
+        slack = [0] * nslack
+        if i < nslack:
+            slack[i] = scale
+        A_std.append([row[j] * s for j, s in cols] + slack)
+    b_std = [row[-1] for row in rows]
 
     sense = -1 if maximize else 1
-    c_std = [sense * c[j] * s for j, s in cols] + [ZERO] * nslack
-    status, xs = _solve_standard(A_std, b_std, c_std)
+    c_ints = _integer_rows([c])[0][0]
+    c_std = [sense * c_ints[j] * s for j, s in cols] + [0] * nslack
+    status, xs = _solve_standard(A_std, b_std, c_std, scale)
     if status != OPTIMAL:
         return LPResult(status, None, None)
     x = [ZERO] * n
     for (j, s), v in zip(cols, xs):
-        x[j] += s * v
-    objective = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
+        if v:
+            x[j] += v if s > 0 else -v
+    objective = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), ZERO)
     return LPResult(OPTIMAL, objective, tuple(x))
 
 
 def gauss_solve(
     M, rhs
 ) -> tuple[str, list[Fraction] | None]:
-    """Exact Gaussian elimination for M x = rhs.
+    """Exact Gauss-Jordan elimination for M x = rhs.
 
     Returns ("unique", x), ("inconsistent", None), or ("underdetermined",
     None); the latter means consistent with more than one solution.
     """
     if len(M) != len(rhs):
         raise ValueError("row count and right-hand side length disagree")
-    A = [[frac(v) for v in row] + [frac(r)] for row, r in zip(M, rhs)]
+    A = _integer_rows(list(row) + [r] for row, r in zip(M, rhs))[0]
     nrows = len(A)
     ncols = len(A[0]) - 1 if nrows else 0
-    pivot_of_col: dict[int, int] = {}
-    r = 0
+    pivot_col: list[int] = []  # pivot_col[i] is the column pivoted in row i
     for col in range(ncols):
+        r = len(pivot_col)
         piv = next((i for i in range(r, nrows) if A[i][col] != 0), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = ONE / A[r][col]
-        A[r] = [v * inv for v in A[r]]
-        for i in range(nrows):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivot_of_col[col] = r
-        r += 1
+        pivot_col.append(col)
+        _pivot(A, pivot_col, r, col)
+    r = len(pivot_col)
     for i in range(r, nrows):
         if A[i][-1] != 0:
             return "inconsistent", None
     if r < ncols:
         return "underdetermined", None
     x = [ZERO] * ncols
-    for col, row in pivot_of_col.items():
-        x[col] = A[row][-1]
+    for row, col in enumerate(pivot_col):
+        x[col] = Fraction(A[row][-1], A[row][col])
     return "unique", x

@@ -7,12 +7,14 @@ lines; every criterion asserts its stated budget and exact expected values.
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
+import nervecert
 from nervecert import (
     barycentric_subdivision,
     build_witness_map,
@@ -236,29 +238,33 @@ def test_criterion_8_byte_identical_runs(tmp_path):
     edge = tmp_path / "edge.json"
     edge.write_text(document_to_text(EDGE_DOC))
 
-    battery = [
-        ["build", "skeleton", "6", "2"],
-        ["build", "sd", str(path)],
-        ["build", "sd2", str(edge)],
-        ["nerve", str(fam_path)],
-        ["nerve", str(fam_path), "--mode", "exhaustive"],
-        ["vk", str(path), "-d", "1"],
-        ["vkf-demo", "-d", "1"],
-        ["vkf-demo", "-d", "2"],
-        ["certificate", str(fam_tri), str(edge), "-d", "1"],
-        ["certificate", str(fam_path), str(path), "-d", "1"],
-        ["certificate", str(fam_path), str(path), "-d", "1", "--corrupt-witness", "0:37/2,1/2"],
+    battery = [  # (argv, expected exit code)
+        (["build", "skeleton", "6", "2"], 0),
+        (["build", "sd", str(path)], 0),
+        (["build", "sd2", str(edge)], 0),
+        (["nerve", str(fam_path)], 0),
+        (["nerve", str(fam_path), "--mode", "exhaustive"], 0),
+        (["vk", str(path), "-d", "1"], 0),
+        (["vkf-demo", "-d", "1"], 3),
+        (["vkf-demo", "-d", "2"], 3),
+        (["certificate", str(fam_tri), str(edge), "-d", "1"], 2),
+        (["certificate", str(fam_path), str(path), "-d", "1"], 0),
+        (["certificate", str(fam_path), str(path), "-d", "1", "--corrupt-witness", "0:37/2,1/2"], 2),
     ]
+    # The subprocesses get a minimal environment, so point them at this package.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(nervecert.__file__)))
 
     def run_all(hash_seed: str) -> bytes:
         blob = b""
-        for argv in battery:
+        for argv, expected in battery:
             proc = subprocess.run(
                 [sys.executable, "-m", "nervecert.cli", *argv],
                 capture_output=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
                 cwd=str(tmp_path),
             )
+            assert proc.returncode == expected, (argv, proc.returncode, proc.stderr)
+            assert proc.stdout.strip(), (argv, proc.stderr)
             blob += b"====\n" + proc.stdout + str(proc.returncode).encode() + b"\n"
         return blob
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from nervecert.certificates import recheck_certificate
 from nervecert.cli import main
 from nervecert.fileio import document_to_text
@@ -227,6 +229,77 @@ def test_recheck_cli_confirms_and_refutes(tmp_path, capsys):
     assert code == 5
     assert "REFUTED" in stdout
     assert run(capsys, "recheck", str(tmp_path / "missing.json"))[0] == 1
+
+
+def _corrupt_witness_cert(tmp_path, capsys) -> dict:
+    fam = write(tmp_path / "fam.json", PATH_FAMILY)
+    path = write(tmp_path / "path.json", PATH)
+    out = tmp_path / "cert.json"
+    run(
+        capsys,
+        "certificate", fam, path, "-d", "1",
+        "--corrupt-witness", "0:37/2,1/2", "--corrupt-stage", "witness",
+        "-o", str(out),
+    )
+    return load(out)
+
+
+def _vk_cert(tmp_path, capsys) -> dict:
+    k4 = tmp_path / "k4.json"
+    run(capsys, "build", "skeleton", "3", "1", "-o", str(k4))
+    out = tmp_path / "vk.json"
+    run(capsys, "vk", str(k4), "-d", "1", "-o", str(out))
+    return load(out)
+
+
+def _demo_cert(tmp_path, capsys) -> dict:
+    out = tmp_path / "demo.json"
+    run(capsys, "vkf-demo", "-d", "1", "-o", str(out))
+    return load(out)
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _set_first_hpoly_rows(doc):
+    doc["family"]["bodies"][0]["hpoly"]["A"] = [5]
+
+
+@pytest.mark.parametrize(
+    "make, mutate, message",
+    [
+        (_corrupt_witness_cert, _set("kind", []), "unknown certificate kind []"),
+        (_corrupt_witness_cert, _set("point", 5), "'point' must be a list"),
+        (_corrupt_witness_cert, _set_first_hpoly_rows, "hpoly row must be a list"),
+        (_corrupt_witness_cert, _set("body_label", 7), "'body_label' 7 names no body"),
+        (_corrupt_witness_cert, _set("body_label", True), "'body_label' must be an integer"),
+        (_corrupt_witness_cert, _set("row", True), "'row' must be an integer"),
+        (_demo_cert, _set("d", True), "'d' must be an integer"),
+        (_vk_cert, _set("d", True), "'d' must be an integer"),
+    ],
+    ids=[
+        "kind-list",
+        "point-int",
+        "hpoly-row-int",
+        "unknown-body-label",
+        "bool-body-label",
+        "bool-row",
+        "bool-d-vkf",
+        "bool-d-obstruction",
+    ],
+)
+def test_recheck_rejects_malformed_fields(tmp_path, capsys, make, mutate, message):
+    doc = make(tmp_path, capsys)
+    assert recheck_certificate(doc)[0]  # the untouched certificate confirms
+    mutate(doc)
+    bad = write(tmp_path / "bad.json", doc)
+    assert main(["recheck", bad]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_stdout_runs_are_byte_identical(tmp_path, capsys):

@@ -5,6 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nervecert.linprog import (
     INFEASIBLE,
     OPTIMAL,
@@ -129,3 +133,186 @@ def test_gauss_matches_random_products():
             assert sol == x
         else:
             assert kind == "underdetermined"  # constructed systems are consistent
+
+
+# -- the integer core: pinned pivot paths and oracle properties ---------------
+
+# LPs whose optimum is not unique or whose vertex is degenerate, so the
+# returned x records the pivot path; the values are those of the earlier
+# Fraction-tableau solver, which took the same Bland pivots.
+PINNED = [
+    (
+        dict(c=[0, 0], A_ub=[[1, 1], [-1, 0], [0, -1], [2, 2]], b_ub=[1, 0, 0, 2]),
+        (1, 0),
+    ),
+    (
+        dict(c=[1, 1], A_ub=[[1, 1]], b_ub=[1], nonneg=[True, True], maximize=True),
+        (1, 0),
+    ),
+    (
+        dict(
+            c=[0, 0, 1],
+            A_ub=[[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+            b_ub=[2, 2, 2, 2, 2, 2],
+            A_eq=[[1, 2, 3], [2, 4, 6], [1, 0, -1]],  # second row is redundant
+            b_eq=[6, 12, 0],
+        ),
+        (Fraction(1, 2), 2, Fraction(1, 2)),
+    ),
+    (
+        dict(c=[0, 0], A_ub=[[1, 0], [-1, 0], [0, 1], [0, -1]], b_ub=[2, 1, Fraction(1, 2), 3]),
+        (-1, -3),
+    ),
+    (
+        dict(
+            c=[1, 0, 0],
+            A_ub=[[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]],
+            b_ub=[0, 0, 0, 0, 0, Fraction(1, 3), Fraction(1, 3)],
+            maximize=True,
+        ),
+        (0, 0, Fraction(-1, 3)),
+    ),
+    (
+        # conv{(0,0),(2,0),(1,0)} against conv{(1,0),(1,1)}: a segment of weights
+        dict(
+            c=[0] * 5,
+            A_eq=[[0, 2, 1, -1, -1], [0, 0, 0, 0, -1], [1, 1, 1, 0, 0], [0, 0, 0, 1, 1]],
+            b_eq=[0, 0, 1, 1],
+            nonneg=[True] * 5,
+        ),
+        (Fraction(1, 2), Fraction(1, 2), 0, 1, 0),
+    ),
+    (
+        dict(
+            c=[1, 2, 0],
+            A_ub=[[-1, 0, 0], [0, -1, 0], [1, 1, 1], [Fraction(1, 2), Fraction(1, 3), 0]],
+            b_ub=[0, 0, 4, 1],
+            maximize=True,
+            nonneg=[False, False, True],
+        ),
+        (0, 3, 1),
+    ),
+    (
+        # Fractional and integer rows share one scale, so some rows reduce by
+        # a common factor; the phase-1 costs must be formed before they do.
+        dict(
+            c=[0, 0, 0],
+            A_ub=[
+                [Fraction(1, 2), -1, Fraction(1, 2)],
+                [-1, Fraction(1, 2), Fraction(1, 2)],
+                [Fraction(-1, 2), Fraction(-1, 2), 0],
+                [0, -2, 1],
+            ],
+            b_ub=[Fraction(-1, 2), 0, 1, 3],
+            A_eq=[[-1, 1, 0]],
+            b_eq=[2],
+            nonneg=[True, True, False],
+        ),
+        (2, 4, 0),
+    ),
+    (
+        # An artificial stays basic at level zero, and the drive-out step
+        # pivots on a negative entry.
+        dict(
+            c=[0, 1],
+            A_ub=[[-4, 2], [1, 1], [4, -4], [-4, 4], [2, 2]],
+            b_ub=[4, Fraction(-1, 2), 2, 0, 2],
+            nonneg=[True, False],
+        ),
+        (0, Fraction(-1, 2)),
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, expected", PINNED)
+def test_degenerate_optima_keep_their_pivot_path(kwargs, expected):
+    res = solve_lp(**kwargs)
+    assert res.status == OPTIMAL
+    assert res.x == tuple(Fraction(v) for v in expected)
+    assert all(type(v) is Fraction for v in res.x)
+
+
+small_rationals = st.builds(
+    Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3])
+)
+
+
+@st.composite
+def lp_instances(draw):
+    n = draw(st.integers(1, 3))
+    row = st.lists(small_rationals, min_size=n, max_size=n)
+    A_ub = draw(st.lists(row, max_size=4))
+    b_ub = draw(st.lists(small_rationals, min_size=len(A_ub), max_size=len(A_ub)))
+    A_eq = draw(st.lists(row, max_size=2))
+    b_eq = draw(st.lists(small_rationals, min_size=len(A_eq), max_size=len(A_eq)))
+    if A_eq and draw(st.booleans()):  # a redundant equality row
+        k = draw(st.sampled_from([Fraction(-2), Fraction(1, 2), Fraction(3)]))
+        A_eq.append([k * v for v in A_eq[0]])
+        b_eq.append(k * b_eq[0])
+    return dict(
+        c=draw(row),
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        nonneg=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        maximize=draw(st.booleans()),
+    )
+
+
+def _as_inequalities(lp) -> tuple[list, list]:
+    rows, rhs = list(lp["A_ub"]), list(lp["b_ub"])
+    for a, b in zip(lp["A_eq"], lp["b_eq"]):
+        rows += [a, [-v for v in a]]
+        rhs += [b, -b]
+    n = len(lp["c"])
+    for j, flag in enumerate(lp["nonneg"]):
+        if flag:
+            rows.append([-1 if k == j else 0 for k in range(n)])
+            rhs.append(0)
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lp_instances())
+def test_lp_status_and_optimum_agree_with_fourier_motzkin(lp):
+    res = solve_lp(**lp)
+    rows, rhs = _as_inequalities(lp)
+    assert (res.status != INFEASIBLE) == fm_feasible(rows, rhs)
+    if res.status == OPTIMAL:
+        for a, b in zip(lp["A_ub"], lp["b_ub"]):
+            assert sum(v * x for v, x in zip(a, res.x)) <= b
+        for a, b in zip(lp["A_eq"], lp["b_eq"]):
+            assert sum(v * x for v, x in zip(a, res.x)) == b
+        assert all(x >= 0 for x, flag in zip(res.x, lp["nonneg"]) if flag)
+        assert sum(c * x for c, x in zip(lp["c"], res.x)) == res.objective
+    # Minimizing sign * c.x: no feasible point beats an optimum by a margin,
+    # and an unbounded objective really falls past any bound.
+    sign = -1 if lp["maximize"] else 1
+    better = [sign * v for v in lp["c"]]
+    if res.status == OPTIMAL:
+        margin = sign * res.objective - Fraction(1, 10**6)
+        assert not fm_feasible(rows + [better], rhs + [margin])
+    if res.status == UNBOUNDED:
+        assert fm_feasible(rows + [better], rhs + [-(10**6)])
+
+
+@st.composite
+def linear_systems(draw):
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(small_rationals, min_size=ncols, max_size=ncols)
+    M = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    rhs = draw(st.lists(small_rationals, min_size=nrows, max_size=nrows))
+    return M, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linear_systems())
+def test_gauss_unique_solutions_satisfy_the_system(system):
+    M, rhs = system
+    kind, x = gauss_solve(M, rhs)
+    assert kind in ("unique", "inconsistent", "underdetermined")
+    if kind == "unique":
+        for row, b in zip(M, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b
