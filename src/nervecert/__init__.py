@@ -53,6 +53,7 @@ from .obstruction import (
     ObstructionCertificate,
     Placement,
     coboundary_matrix,
+    gf2_rank,
     gf2_solve,
     intersection_cocycle,
     moment_curve_placement,

@@ -1,0 +1,8 @@
+"""Run the command line as ``python -m nervecert``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

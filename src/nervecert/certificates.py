@@ -8,6 +8,8 @@ rationals as exact strings.
 
 from __future__ import annotations
 
+import re
+
 from .complexes import SimplicialComplex, is_remote
 from .convex import crossing, hulls_intersect, polytope_is_empty
 from .errors import ParseError
@@ -29,6 +31,7 @@ from .obstruction import (
     ObstructionCertificate,
     Placement,
     coboundary_matrix,
+    gf2_rank,
     intersection_cocycle,
     moment_curve_placement,
 )
@@ -50,16 +53,28 @@ KINDS = (
 )
 
 
+# the only form _bits_to_hex writes: lowercase, no prefix, no leading zeros
+_HEX_RE = re.compile(r"0|[1-9a-f][0-9a-f]*")
+
+
 def _bits_to_hex(bits: int) -> str:
     return format(bits, "x")
 
 
-def _hex_to_bits(text) -> int:
-    _require(isinstance(text, str), "bit vector must be a hex string")
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise ParseError(f"not a hex bit vector: {text!r}") from None
+def _hex_to_bits(text, what: str) -> int:
+    _require(isinstance(text, str), f"{what} must be a hex string")
+    _require(
+        _HEX_RE.fullmatch(text) is not None,
+        f"{what} is not a canonical hex bit vector: {text!r}",
+    )
+    return int(text, 16)
+
+
+def _bits_field(doc, key: str, required: bool) -> int | None:
+    raw = doc.get(key)
+    if raw is None and not required:
+        return None
+    return _hex_to_bits(raw, f"'{key}'")
 
 
 def _params_to_doc(placement: Placement) -> dict:
@@ -268,29 +283,28 @@ def _recheck_obstruction(doc) -> tuple[bool, str]:
     K, _ = complex_from_doc(doc["complex"])
     d = _int_field(doc["d"], "'d'")
     _require(d >= 1, "'d' must be a positive integer")
-    placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
-    cocycle = intersection_cocycle(K, d, placement)
-    if len(cocycle.index) != doc["n_pairs"]:
-        return False, "pair index size disagrees"
-    if cocycle.bits != _hex_to_bits(doc["cocycle"]):
-        return False, "recomputed cocycle disagrees"
-    M = coboundary_matrix(K, d)
-    if M.n_rows != doc["n_rows"]:
-        return False, "coboundary row count disagrees"
+    n_pairs = _int_field(doc["n_pairs"], "'n_pairs'")
+    n_rows = _int_field(doc["n_rows"], "'n_rows'")
+    rank = _int_field(doc["rank"], "'rank'")
     vanishes = doc["vanishes"]
     _require(isinstance(vanishes, bool), "'vanishes' must be a boolean")
-    combination = doc.get("combination")
-    witness = doc.get("witness")
-    cert = ObstructionCertificate(
-        vanishes,
-        cocycle,
-        doc["rank"],
-        M.n_rows,
-        None if combination is None else _hex_to_bits(combination),
-        None if witness is None else _hex_to_bits(witness),
-    )
+    stated_cocycle = _hex_to_bits(doc["cocycle"], "'cocycle'")
+    combination = _bits_field(doc, "combination", required=vanishes)
+    witness = _bits_field(doc, "witness", required=not vanishes)
+    placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
+    cocycle = intersection_cocycle(K, d, placement)
+    if len(cocycle.index) != n_pairs:
+        return False, "pair index size disagrees"
+    if cocycle.bits != stated_cocycle:
+        return False, "recomputed cocycle disagrees"
+    M = coboundary_matrix(K, d)
+    if M.n_rows != n_rows:
+        return False, "coboundary row count disagrees"
+    cert = ObstructionCertificate(vanishes, cocycle, rank, n_rows, combination, witness)
     if not cert.verify(M):
         return False, "certificate fails against the rebuilt system"
+    if gf2_rank(M) != rank:
+        return False, "stated rank disagrees with the rebuilt system"
     return True, "obstruction verdict confirmed"
 
 

@@ -10,6 +10,12 @@ cochain.
 
 Unordered-pair indexing bakes the swap symmetry of the deleted product into
 the data; bit rows are plain ints, so elimination is ordinary integer xor.
+The coboundary rows are built from a coface index (the d-faces over each
+(d-1)-face), and elimination keeps an echelon basis keyed by each pivot
+row's lowest set bit: a row is reduced only while that bit hits a stored
+pivot.  The rank, the combination over the pivot rows and the witness
+supported on the pivot columns plus one free column are each unique, so
+they do not depend on the elimination order.
 """
 
 from __future__ import annotations
@@ -140,20 +146,25 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> GF2Matrix:
     col_pos = {pair: i for i, pair in enumerate(columns)}
     rhos = K.faces_of_dim(d - 1)
     taus = K.faces_of_dim(d)
+    # cofaces[rho]: the d-faces containing rho, each with its vertex set
+    cofaces: dict[Face, list[tuple[Face, frozenset]]] = {}
+    for sigma in taus:
+        sigma_set = frozenset(sigma)
+        for v in sigma:
+            rho = tuple(u for u in sigma if u != v)
+            cofaces.setdefault(rho, []).append((sigma, sigma_set))
+    tau_sets = [(tau, frozenset(tau)) for tau in taus]
     row_keys = []
     rows = []
     for rho in rhos:
-        rho_set = set(rho)
-        for tau in taus:
-            if rho_set & set(tau):
+        for tau, tau_set in tau_sets:
+            if tau_set.intersection(rho):
                 continue
             bits = 0
-            for sigma in taus:
-                if sigma == tau or not rho_set < set(sigma):
+            for sigma, sigma_set in cofaces.get(rho, ()):
+                if sigma_set & tau_set:
                     continue
-                if set(sigma) & set(tau):
-                    continue
-                key = (sigma, tau) if (len(sigma), sigma) <= (len(tau), tau) else (tau, sigma)
+                key = (sigma, tau) if sigma < tau else (tau, sigma)
                 bits ^= 1 << col_pos[key]
             row_keys.append((rho, tau))
             rows.append(bits)
@@ -184,33 +195,52 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def _echelon_basis(rows) -> dict[int, tuple[int, int]]:
+    """Echelon basis of the row space, keyed by each pivot row's lowest set bit.
+
+    A row is reduced only while its lowest bit hits a stored pivot; what
+    remains, if nonzero, becomes the pivot for its new lowest bit.  Each entry
+    is ``(row, combination)``, the combination a bitmask over the input rows
+    that xors to the pivot row.  The rows that become pivots are exactly those
+    outside the span of the rows before them.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for idx, row in enumerate(rows):
+        r, c = row, 1 << idx
+        while r:
+            col = _low_bit(r)
+            hit = pivots.get(col)
+            if hit is None:
+                pivots[col] = (r, c)
+                break
+            r ^= hit[0]
+            c ^= hit[1]
+    return pivots
+
+
+def gf2_rank(M: GF2Matrix) -> int:
+    """Dimension of M's row space."""
+    return len(_echelon_basis(M.rows))
+
+
 def gf2_solve(M: GF2Matrix, v: Cochain2) -> GF2Solution | GF2Infeasible:
-    """Express v over M's rows, or certify that this is impossible."""
+    """Express v over M's rows, or certify that this is impossible.
+
+    The combination is the unique one over the pivot rows (the rows outside
+    the span of earlier rows).  The witness is the unique functional
+    orthogonal to every row whose support lies in the pivot columns plus the
+    lowest column the reduced cochain keeps.
+    """
     if v.index != M.columns:
         raise ValueError("cochain index disagrees with the matrix columns")
-    # Gauss-Jordan with combination tracking; pivots[col] = (row, combo).
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, row in enumerate(M.rows):
-        r, c = row, 1 << idx
-        for col in sorted(pivots):
-            if (r >> col) & 1:
-                pr, pc = pivots[col]
-                r ^= pr
-                c ^= pc
-        if r == 0:
-            continue
-        col = _low_bit(r)
-        for other, (pr, pc) in list(pivots.items()):
-            if (pr >> col) & 1:
-                pivots[other] = (pr ^ r, pc ^ c)
-        pivots[col] = (r, c)
-
+    pivots = _echelon_basis(M.rows)
     target, combo = v.bits, 0
-    for col in sorted(pivots):
-        if (target >> col) & 1:
-            pr, pc = pivots[col]
-            target ^= pr
-            combo ^= pc
+    while target:
+        hit = pivots.get(_low_bit(target))
+        if hit is None:
+            break
+        target ^= hit[0]
+        combo ^= hit[1]
     if target == 0:
         acc = 0
         for i, row in enumerate(M.rows):
@@ -220,10 +250,13 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> GF2Solution | GF2Infeasible:
             raise AssertionError("row combination failed to reproduce the cochain")
         return GF2Solution(combo, len(pivots))
 
+    # Back-substitution: pivot row p has no bit below p, so solving the
+    # pivots in descending order fixes the witness bit at p from the bits
+    # above it; pivots above the free column get 0.
     free_col = _low_bit(target)
     witness = 1 << free_col
-    for col, (pr, _) in pivots.items():
-        if (pr >> free_col) & 1:
+    for col in sorted((c for c in pivots if c < free_col), reverse=True):
+        if (pivots[col][0] & witness).bit_count() & 1:
             witness |= 1 << col
     for row in M.rows:
         if (row & witness).bit_count() & 1:

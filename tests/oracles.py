@@ -3,14 +3,18 @@
 Everything here deliberately avoids the library's engines: chain faces are
 enumerated by brute force over subsets, feasibility goes through
 Fourier-Motzkin elimination instead of simplex pivoting, segment crossing
-uses orientation signs instead of a linear solve, and moment-curve crossing
-parity reduces to a parameter-interleaving count.
+uses orientation signs instead of a linear solve, moment-curve crossing
+parity reduces to a parameter-interleaving count, coboundary rows are read
+off the definition column by column, and GF(2) systems go through the dense
+Gauss-Jordan pass the echelon solver replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from nervecert.obstruction import GF2Infeasible, GF2Solution
 
 
 def brute_force_chain_faces(faces) -> set[frozenset]:
@@ -107,3 +111,92 @@ def fm_hulls_intersect(a_pts, b_pts) -> bool:
         row[j] = Fraction(-1)
         add(row, 0)
     return fm_feasible(rows, rhs)
+
+
+def brute_force_coboundary_rows(facets, d: int):
+    """(row_keys, columns, rows) of the elementary coboundary rows, by definition.
+
+    Faces are every subset of a facet.  Columns are the unordered pairs of
+    vertex-disjoint d-faces, each pair and the pair list in lexicographic
+    order.  Row (rho, tau), for a (d-1)-face rho disjoint from a d-face tau,
+    has a one in column {sigma, tau} exactly when the d-face sigma contains
+    rho; every column is tested against every row.
+    """
+    faces = {sub for f in facets for k in (d, d + 1) for sub in combinations(sorted(f), k)}
+    rhos = sorted(f for f in faces if len(f) == d)
+    taus = sorted(f for f in faces if len(f) == d + 1)
+    columns = [
+        (g, h) for i, g in enumerate(taus) for h in taus[i + 1:] if not set(g) & set(h)
+    ]
+    row_keys, rows = [], []
+    for rho in rhos:
+        for tau in taus:
+            if set(rho) & set(tau):
+                continue
+            bits = 0
+            for j, (g, h) in enumerate(columns):
+                if tau not in (g, h):
+                    continue
+                sigma = h if g == tau else g
+                if set(rho) < set(sigma):
+                    bits |= 1 << j
+            row_keys.append((rho, tau))
+            rows.append(bits)
+    return tuple(row_keys), tuple(columns), tuple(rows)
+
+
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def dense_gauss_jordan_gf2(M, v):
+    """Express v over M's rows by a full Gauss-Jordan pass, or certify it cannot.
+
+    This is the solver ``gf2_solve`` used before the echelon rewrite, kept as
+    the reference its outputs must equal.
+    """
+    if v.index != M.columns:
+        raise ValueError("cochain index disagrees with the matrix columns")
+    # Gauss-Jordan with combination tracking; pivots[col] = (row, combo).
+    pivots: dict[int, tuple[int, int]] = {}
+    for idx, row in enumerate(M.rows):
+        r, c = row, 1 << idx
+        for col in sorted(pivots):
+            if (r >> col) & 1:
+                pr, pc = pivots[col]
+                r ^= pr
+                c ^= pc
+        if r == 0:
+            continue
+        col = _low_bit(r)
+        for other, (pr, pc) in list(pivots.items()):
+            if (pr >> col) & 1:
+                pivots[other] = (pr ^ r, pc ^ c)
+        pivots[col] = (r, c)
+
+    target, combo = v.bits, 0
+    for col in sorted(pivots):
+        if (target >> col) & 1:
+            pr, pc = pivots[col]
+            target ^= pr
+            combo ^= pc
+    if target == 0:
+        acc = 0
+        for i, row in enumerate(M.rows):
+            if (combo >> i) & 1:
+                acc ^= row
+        if acc != v.bits:
+            raise AssertionError("row combination failed to reproduce the cochain")
+        return GF2Solution(combo, len(pivots))
+
+    free_col = _low_bit(target)
+    witness = 1 << free_col
+    for col, (pr, _) in pivots.items():
+        if (pr >> free_col) & 1:
+            witness |= 1 << col
+    for row in M.rows:
+        if (row & witness).bit_count() & 1:
+            raise AssertionError("infeasibility witness is not orthogonal to the rows")
+    if not (v.bits & witness).bit_count() & 1:
+        raise AssertionError("infeasibility witness does not separate the cochain")
+    return GF2Infeasible(len(pivots), witness)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nervecert
 from nervecert.certificates import recheck_certificate
 from nervecert.cli import main
 from nervecert.fileio import document_to_text
@@ -244,12 +248,17 @@ def _corrupt_witness_cert(tmp_path, capsys) -> dict:
     return load(out)
 
 
-def _vk_cert(tmp_path, capsys) -> dict:
-    k4 = tmp_path / "k4.json"
-    run(capsys, "build", "skeleton", "3", "1", "-o", str(k4))
+def _vk_cert(tmp_path, capsys, n: int = 3) -> dict:
+    """The `vk -d 1` certificate of the complete graph on n + 1 vertices."""
+    graph = tmp_path / "graph.json"
+    run(capsys, "build", "skeleton", str(n), "1", "-o", str(graph))
     out = tmp_path / "vk.json"
-    run(capsys, "vk", str(k4), "-d", "1", "-o", str(out))
+    run(capsys, "vk", str(graph), "-d", "1", "-o", str(out))
     return load(out)
+
+
+def _vk_k5_cert(tmp_path, capsys) -> dict:
+    return _vk_cert(tmp_path, capsys, n=4)
 
 
 def _demo_cert(tmp_path, capsys) -> dict:
@@ -261,6 +270,12 @@ def _demo_cert(tmp_path, capsys) -> dict:
 def _set(key, value):
     def mutate(doc):
         doc[key] = value
+    return mutate
+
+
+def _edit(key, change):
+    def mutate(doc):
+        doc[key] = change(doc[key])
     return mutate
 
 
@@ -279,6 +294,17 @@ def _set_first_hpoly_rows(doc):
         (_corrupt_witness_cert, _set("row", True), "'row' must be an integer"),
         (_demo_cert, _set("d", True), "'d' must be an integer"),
         (_vk_cert, _set("d", True), "'d' must be an integer"),
+        (_vk_cert, _set("combination", None), "'combination' must be a hex string"),
+        (_vk_k5_cert, _set("witness", None), "'witness' must be a hex string"),
+        (_vk_cert, _set("n_pairs", [3]), "'n_pairs' must be an integer"),
+        (_vk_cert, _set("n_rows", [1]), "'n_rows' must be an integer"),
+        (_vk_k5_cert, _set("rank", "14"), "'rank' must be an integer"),
+        (_vk_cert, _edit("combination", "0x{}".format), "'combination' is not a canonical hex"),
+        (_vk_k5_cert, _edit("witness", "-{}".format), "'witness' is not a canonical hex"),
+        (_vk_k5_cert, _edit("cocycle", "0_{}".format), "'cocycle' is not a canonical hex"),
+        (_vk_k5_cert, _edit("cocycle", " {} ".format), "'cocycle' is not a canonical hex"),
+        (_vk_k5_cert, _edit("witness", "0{}".format), "'witness' is not a canonical hex"),
+        (_vk_k5_cert, _edit("witness", str.upper), "'witness' is not a canonical hex"),
     ],
     ids=[
         "kind-list",
@@ -289,6 +315,17 @@ def _set_first_hpoly_rows(doc):
         "bool-row",
         "bool-d-vkf",
         "bool-d-obstruction",
+        "null-combination",
+        "null-witness",
+        "list-n-pairs",
+        "list-n-rows",
+        "string-rank",
+        "0x-combination",
+        "negative-witness",
+        "underscore-cocycle",
+        "spaced-cocycle",
+        "leading-zero-witness",
+        "uppercase-witness",
     ],
 )
 def test_recheck_rejects_malformed_fields(tmp_path, capsys, make, mutate, message):
@@ -300,6 +337,30 @@ def test_recheck_rejects_malformed_fields(tmp_path, capsys, make, mutate, messag
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("rank", [999, 13, 15])
+def test_recheck_refutes_a_wrong_rank(tmp_path, capsys, rank):
+    doc = _vk_k5_cert(tmp_path, capsys)
+    assert doc["rank"] == 14
+    doc["rank"] = rank
+    code, stdout = run(capsys, "recheck", write(tmp_path / "bad.json", doc))
+    assert code == 5
+    assert "REFUTED: stated rank disagrees" in stdout
+
+
+def test_module_entry_point_runs_vk(tmp_path, capsys):
+    k4 = tmp_path / "k4.json"
+    run(capsys, "build", "skeleton", "3", "1", "-o", str(k4))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(nervecert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nervecert", "vk", str(k4), "-d", "1"],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
+        cwd=str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"vanishes" in proc.stdout
 
 
 def test_stdout_runs_are_byte_identical(tmp_path, capsys):
