@@ -82,6 +82,8 @@ def _params_to_doc(placement: Placement) -> dict:
 
 
 def _params_from_doc(raw) -> dict:
+    """Vertex -> parameter map; repeated values are a malformed document,
+    not a placement to reseed, since `recheck` has no parameters to pass."""
     _require(isinstance(raw, dict), "'params' must be an object")
     out = {}
     for key, val in raw.items():
@@ -89,7 +91,13 @@ def _params_from_doc(raw) -> dict:
             v = int(key)
         except ValueError:
             raise ParseError(f"params key {key!r} is not an integer") from None
-        out[v] = parse_rational(val)
+        _require(v not in out, f"'params' names vertex {v} twice")
+        t = parse_rational(val)
+        _require(
+            t not in out.values(),
+            f"'params' repeats the value {format_rational(t)}; parameters must be distinct",
+        )
+        out[v] = t
     return out
 
 

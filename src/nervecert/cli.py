@@ -35,7 +35,7 @@ from .complexes import (
     skeleton_complex,
 )
 from .convex import crossing, hulls_intersect
-from .errors import GenericityError, NerveCertError, ParseError
+from .errors import GenericityError, NerveCertError, NerveMismatchError, ParseError
 from .fileio import (
     complex_from_doc,
     complex_to_doc,
@@ -46,7 +46,7 @@ from .fileio import (
     parse_rational,
     sd_to_doc,
 )
-from .nerve import nerve_exhaustive, nerve_helly, nerve_matches
+from .nerve import nerve_exhaustive, nerve_helly
 from .obstruction import moment_curve_placement, obstruction_vanishes
 from .witness import (
     assemble_witness_map,
@@ -181,14 +181,14 @@ def cmd_certificate(args) -> int:
     sdL = barycentric_subdivision(L)
     K = sdL.complex
 
-    match = nerve_matches(F, K)
-    if not match.is_equal:
+    try:  # the nerve check inside witness_points is the only one
+        points = witness_points(F, K)
+    except NerveMismatchError as exc:
+        match = exc.match
         doc = nerve_mismatch_cert(match, F, K)
         print(f"NERVE_MISMATCH: {match.verdict} {list(match.face)}")
         _emit(doc, args.out)
         return _CERT_EXIT[NERVE_MISMATCH]
-
-    points = witness_points(F, K)
     if corruption and args.corrupt_stage == "witness":
         face, pt = corruption
         if face not in K.faces:
@@ -258,21 +258,26 @@ def cmd_vkf_demo(args) -> int:
     verts = range(1, n_vertices + 1)
     K = complex_from_facets(list(combinations(verts, d + 1)))
     placement = moment_curve_placement(K, d, _parse_params(args.params))
-    for gamma, delta in disjoint_simplex_pairs(K, d):
-        result = crossing(
-            [placement.point(v) for v in gamma],
-            [placement.point(v) for v in delta],
-        )
-        if result.parity == 1:
-            doc = vkf_demo_cert(gamma, delta, d, placement, result.point, K)
-            print(
-                f"VKF_CERTIFICATE: {list(gamma)} and {list(delta)} cross at "
-                f"({', '.join(doc['point'])})"
-            )
-            _emit(doc, args.out)
-            return _CERT_EXIT[VKF_CERTIFICATE]
-    # unreachable: the total crossing parity of this complex is odd
-    raise AssertionError("no crossing pair found; the parity invariant is broken")
+    pair = next(
+        (p for p in disjoint_simplex_pairs(K, d) if placement.crossing_parity(*p)),
+        None,
+    )
+    if pair is None:  # unreachable: the total crossing parity of this complex is odd
+        raise AssertionError("no crossing pair found; the parity invariant is broken")
+    gamma, delta = pair
+    # one exact solve, for the intersection point the certificate names
+    result = crossing(
+        [placement.point(v) for v in gamma], [placement.point(v) for v in delta]
+    )
+    if result.parity != 1:
+        raise AssertionError(f"interleaving pair {list(gamma)}, {list(delta)} does not cross")
+    doc = vkf_demo_cert(gamma, delta, d, placement, result.point, K)
+    print(
+        f"VKF_CERTIFICATE: {list(gamma)} and {list(delta)} cross at "
+        f"({', '.join(doc['point'])})"
+    )
+    _emit(doc, args.out)
+    return _CERT_EXIT[VKF_CERTIFICATE]
 
 
 def cmd_recheck(args) -> int:

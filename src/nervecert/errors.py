@@ -38,7 +38,15 @@ class LabelMismatchError(NerveCertError, ValueError):
 
 
 class NerveMismatchError(NerveCertError):
-    """Witness construction refused because the claimed nerve is wrong."""
+    """Witness construction refused because the claimed nerve is wrong.
+
+    ``match`` is the `NerveMatch` that names the mismatch, so a caller can
+    certify it without computing the nerve again.
+    """
+
+    def __init__(self, message: str, match=None) -> None:
+        super().__init__(message)
+        self.match = match
 
 
 class SourceLabelingError(NerveCertError, ValueError):

@@ -107,15 +107,17 @@ class ContainmentReport:
 def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
     """Canonical witness point for every face of the verified nerve K.
 
-    Refuses to fabricate witnesses when the family's nerve is not K; the
-    chosen point of a face is the canonical point of the stacked body
-    system, re-verified against every member body exactly.
+    Refuses to fabricate witnesses when the family's nerve is not K, with a
+    `NerveMismatchError` that carries the mismatch; the chosen point of a
+    face is the canonical point of the stacked body system, re-verified
+    against every member body exactly.
     """
     match = nerve_matches(F, K)
     if not match.is_equal:
         raise NerveMismatchError(
             f"family nerve disagrees with the claimed complex: "
-            f"{match.verdict} {match.face}"
+            f"{match.verdict} {match.face}",
+            match,
         )
     points: dict[Face, Point] = {}
     for face in canonical_faces(K.faces):

@@ -1,12 +1,14 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the library's engines: chain faces are
+Everything here deliberately avoids the engine it checks: chain faces are
 enumerated by brute force over subsets, feasibility goes through
 Fourier-Motzkin elimination instead of simplex pivoting, segment crossing
 uses orientation signs instead of a linear solve, moment-curve crossing
-parity reduces to a parameter-interleaving count, coboundary rows are read
-off the definition column by column, and GF(2) systems go through the dense
-Gauss-Jordan pass the echelon solver replaced.
+parity reduces to a parameter-interleaving count, the crossing cocycle
+goes through one exact barycentric solve per pair (the engine the
+interleaving rule replaced), coboundary rows are read off the definition
+column by column, and GF(2) systems go through the dense Gauss-Jordan pass
+the echelon solver replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from nervecert.complexes import disjoint_simplex_pairs
+from nervecert.convex import crossing
+from nervecert.errors import GenericityError
 from nervecert.obstruction import GF2Infeasible, GF2Solution
 
 
@@ -84,6 +89,23 @@ def moment_interleaving_parity(sigma_params, tau_params) -> int:
     sides = [side for _, side in tagged]
     alternates = all(a != b for a, b in zip(sides, sides[1:]))
     return 1 if alternates else 0
+
+
+def gauss_crossing_cocycle_bits(K, d, placement) -> int:
+    """Crossing cocycle bits by a `convex.crossing` solve for every pair."""
+    index = tuple(disjoint_simplex_pairs(K, d))
+    bits = 0
+    for pos, (gamma, delta) in enumerate(index):
+        try:
+            parity = crossing(
+                [placement.point(v) for v in gamma],
+                [placement.point(v) for v in delta],
+            ).parity
+        except GenericityError as exc:
+            raise GenericityError(f"pair ({gamma}, {delta}): {exc}") from exc
+        if parity:
+            bits |= 1 << pos
+    return bits
 
 
 def fm_hulls_intersect(a_pts, b_pts) -> bool:

@@ -199,6 +199,33 @@ def test_certificate_corruption_at_witness_stage(tmp_path, capsys):
     assert recheck_certificate(doc)[0]
 
 
+@pytest.mark.parametrize(
+    "family, complex_doc, code",
+    [(PATH_FAMILY, PATH, 0), (TRIANGLE_FAMILY, EDGE, 2)],
+    ids=["clean", "mismatch"],
+)
+def test_certificate_computes_the_nerve_once(
+    tmp_path, capsys, monkeypatch, family, complex_doc, code
+):
+    import nervecert.cli
+    import nervecert.nerve
+    import nervecert.witness
+
+    real = nervecert.nerve.nerve_matches
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (nervecert.nerve, nervecert.witness, nervecert.cli):
+        monkeypatch.setattr(module, "nerve_matches", counted, raising=False)
+    fam = write(tmp_path / "fam.json", family)
+    src = write(tmp_path / "src.json", complex_doc)
+    assert run(capsys, "certificate", fam, src, "-d", "1")[0] == code
+    assert len(calls) == 1
+
+
 def test_certificate_validation_errors(tmp_path, capsys):
     fam = write(tmp_path / "fam.json", INTERVAL_FAMILY)  # ambient 1, need 2
     edge = write(tmp_path / "edge.json", EDGE)
@@ -283,6 +310,16 @@ def _set_first_hpoly_rows(doc):
     doc["family"]["bodies"][0]["hpoly"]["A"] = [5]
 
 
+def _repeat_first_param(doc):
+    first, second = sorted(doc["params"], key=int)[:2]
+    doc["params"][second] = doc["params"][first]
+
+
+def _alias_first_param(doc):
+    first = min(doc["params"], key=int)
+    doc["params"]["0" + first] = "99"
+
+
 @pytest.mark.parametrize(
     "make, mutate, message",
     [
@@ -305,6 +342,9 @@ def _set_first_hpoly_rows(doc):
         (_vk_k5_cert, _edit("cocycle", " {} ".format), "'cocycle' is not a canonical hex"),
         (_vk_k5_cert, _edit("witness", "0{}".format), "'witness' is not a canonical hex"),
         (_vk_k5_cert, _edit("witness", str.upper), "'witness' is not a canonical hex"),
+        (_vk_cert, _repeat_first_param, "'params' repeats the value 1"),
+        (_demo_cert, _repeat_first_param, "'params' repeats the value 1"),
+        (_vk_cert, _alias_first_param, "'params' names vertex 0 twice"),
     ],
     ids=[
         "kind-list",
@@ -326,6 +366,9 @@ def _set_first_hpoly_rows(doc):
         "spaced-cocycle",
         "leading-zero-witness",
         "uppercase-witness",
+        "repeated-params-obstruction",
+        "repeated-params-vkf-demo",
+        "aliased-params-key",
     ],
 )
 def test_recheck_rejects_malformed_fields(tmp_path, capsys, make, mutate, message):

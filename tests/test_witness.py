@@ -87,6 +87,13 @@ def test_witness_points_refuse_wrong_nerve():
         witness_points(F, complex_from_facets([[1], [2]]))
 
 
+def test_witness_refusal_carries_the_mismatch():
+    F, _ = two_intervals()
+    with pytest.raises(NerveMismatchError) as refused:
+        witness_points(F, complex_from_facets([[1], [2]]))
+    assert (refused.value.match.verdict, refused.value.match.face) == ("extra_face", (1, 2))
+
+
 def test_image_of_face_shapes():
     F, K = two_intervals()
     g = build_witness_map(F, K)
