@@ -63,6 +63,7 @@ from .witness import (
     WitnessMap,
     build_witness_map,
     corrupt_witness,
+    first_meeting_pieces,
     image_of_face,
     image_of_source_simplex,
     verify_containment,

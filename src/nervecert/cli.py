@@ -34,7 +34,9 @@ from .complexes import (
     disjoint_simplex_pairs,
     skeleton_complex,
 )
-from .convex import crossing, hulls_intersect
+# hulls_intersect stays bound here: bench/test_bench.py checks that the layer
+# trace wraps and restores this binding.
+from .convex import crossing, hulls_intersect  # noqa: F401
 from .errors import GenericityError, NerveCertError, NerveMismatchError, ParseError
 from .fileio import (
     complex_from_doc,
@@ -51,6 +53,7 @@ from .obstruction import moment_curve_placement, obstruction_vanishes
 from .witness import (
     assemble_witness_map,
     corrupt_witness,
+    first_meeting_pieces,
     image_of_source_simplex,
     verify_remote_disjointness,
     verify_witness_membership,
@@ -222,16 +225,15 @@ def cmd_certificate(args) -> int:
             images[gamma] = image_of_source_simplex(g, sdL, gamma).pieces
         if delta not in images:
             images[delta] = image_of_source_simplex(g, sdL, delta).pieces
-        for pa in images[gamma]:
-            for pb in images[delta]:
-                if hulls_intersect(pa, pb):
-                    doc = vkf_pipeline_cert(gamma, delta, pa, pb, L, d)
-                    print(
-                        f"VKF_CERTIFICATE: images of disjoint {list(gamma)}, "
-                        f"{list(delta)} intersect"
-                    )
-                    _emit(doc, args.out)
-                    return _CERT_EXIT[VKF_CERTIFICATE]
+        meeting = first_meeting_pieces(images[gamma], images[delta])
+        if meeting is not None:
+            doc = vkf_pipeline_cert(gamma, delta, *meeting, L, d)
+            print(
+                f"VKF_CERTIFICATE: images of disjoint {list(gamma)}, "
+                f"{list(delta)} intersect"
+            )
+            _emit(doc, args.out)
+            return _CERT_EXIT[VKF_CERTIFICATE]
 
     placement = moment_curve_placement(L, d)
     obs = obstruction_vanishes(L, d, placement)

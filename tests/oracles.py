@@ -7,8 +7,9 @@ uses orientation signs instead of a linear solve, moment-curve crossing
 parity reduces to a parameter-interleaving count, the crossing cocycle
 goes through one exact barycentric solve per pair (the engine the
 interleaving rule replaced), coboundary rows are read off the definition
-column by column, and GF(2) systems go through the dense Gauss-Jordan pass
-the echelon solver replaced.
+column by column, GF(2) systems go through the dense Gauss-Jordan pass
+the echelon solver replaced, and the remote-face audit scans every piece
+pair of every remote pair (the loop the coarse-to-fine filter replaced).
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from nervecert.complexes import disjoint_simplex_pairs
-from nervecert.convex import crossing
+from nervecert.complexes import canonical_faces, disjoint_simplex_pairs, is_remote
+from nervecert.convex import crossing, hulls_intersect
 from nervecert.errors import GenericityError
 from nervecert.obstruction import GF2Infeasible, GF2Solution
+from nervecert.witness import image_of_face
 
 
 def brute_force_chain_faces(faces) -> set[frozenset]:
@@ -134,6 +136,24 @@ def fm_hulls_intersect(a_pts, b_pts) -> bool:
         add(row, 0)
     return fm_feasible(rows, rhs)
 
+
+def piecewise_remote_violation(g):
+    """First (alpha, beta, piece_a, piece_b) of the plain piece-by-piece audit, or None."""
+    faces = canonical_faces(g.nerve.faces)
+    pieces = {}
+    for i, alpha in enumerate(faces):
+        for beta in faces[i + 1:]:
+            if not is_remote(g.nerve, alpha, beta):
+                continue
+            if alpha not in pieces:
+                pieces[alpha] = image_of_face(g, alpha).pieces
+            if beta not in pieces:
+                pieces[beta] = image_of_face(g, beta).pieces
+            for pa in pieces[alpha]:
+                for pb in pieces[beta]:
+                    if hulls_intersect(pa, pb):
+                        return alpha, beta, pa, pb
+    return None
 
 def brute_force_coboundary_rows(facets, d: int):
     """(row_keys, columns, rows) of the elementary coboundary rows, by definition.
