@@ -226,6 +226,10 @@ def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
 def _recheck_witness_violation(doc) -> tuple[bool, str]:
     F = family_from_doc(doc["family"])
     point = parse_point(doc["point"], "'point'")
+    _require(
+        len(point) == F.ambient,
+        f"'point' has {len(point)} coordinates, ambient is {F.ambient}",
+    )
     label = _int_field(doc["body_label"], "'body_label'")
     _require(label in F.labels(), f"'body_label' {label} names no body of the family")
     body = F.body(label)

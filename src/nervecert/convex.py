@@ -4,12 +4,20 @@ intersection, and generic straight-line crossing parity.
 Every predicate here is exact; there are no tolerance parameters.  Convex
 sets are H-polytopes {x : Ax <= b} with Fraction entries (boxes are sugar),
 which keeps nerve membership and disjointness verification decidable.
+
+The canonical point of a polytope is the lex-least centre of its largest
+inscribed L-infinity ball, which is unique.  It comes from one integer
+tableau: the radius and then each coordinate are minimized in turn, each
+over the optimal face of the ones before, from a start that one pivot makes
+feasible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -17,7 +25,17 @@ from .errors import (
     GenericityError,
     UnboundedPolytopeError,
 )
-from .linprog import INFEASIBLE, ONE, OPTIMAL, UNBOUNDED, ZERO, frac, gauss_solve, solve_lp
+from .linprog import (
+    INFEASIBLE,
+    ONE,
+    OPTIMAL,
+    UNBOUNDED,
+    ZERO,
+    frac,
+    gauss_solve,
+    lex_minimize,
+    solve_lp,
+)
 
 Point = tuple[Fraction, ...]
 
@@ -95,6 +113,16 @@ class HPolytope:
     def contains(self, point) -> bool:
         return self.violated_row(point) is None
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each (row, rhs) times the lcm of its denominators, as ints."""
+        out = []
+        for row, bi in zip(self.A, self.b):
+            scale = lcm(bi.denominator, *(a.denominator for a in row))
+            ints = tuple(a.numerator * (scale // a.denominator) for a in row)
+            out.append((ints, bi.numerator * (scale // bi.denominator)))
+        return tuple(out)
+
     def violated_row(self, point) -> int | None:
         """Index of the first constraint the point breaks, or None."""
         p = make_point(point)
@@ -102,8 +130,12 @@ class HPolytope:
             raise DimensionMismatchError(
                 f"point has {len(p)} coordinates, ambient is {self.ambient}"
             )
-        for i, (row, bi) in enumerate(zip(self.A, self.b)):
-            if sum((a * x for a, x in zip(row, p)), ZERO) > bi:
+        # Exact in integers: the point over a common denominator D, each row
+        # scaled by a positive factor.
+        D = lcm(*(x.denominator for x in p))
+        nums = [x.numerator * (D // x.denominator) for x in p]
+        for i, (row, bi) in enumerate(self.integer_rows):
+            if sum(a * v for a, v in zip(row, nums)) > bi * D:
                 return i
         return None
 
@@ -117,43 +149,63 @@ def polytope_is_empty(P: HPolytope) -> bool:
 def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
     """Largest inscribed L-infinity ball, then the lex-least center.
 
-    Stage 1 maximizes r subject to A x + r * ||a_i||_1 <= b.  Stage 2 walks
-    the coordinates in order, minimizing each over the stage-1 optimal face,
-    which makes the result unique even for degenerate polytopes.  Raises for
-    empty or unbounded input.
+    The radius LP maximizes r subject to A x + r * ||a_i||_1 <= b; then the
+    coordinates, in order, are minimized over the optimal face of everything
+    before, which makes the result unique even for degenerate polytopes.
+    Those m + 1 objectives run on one integer tableau (`linprog.lex_minimize`)
+    whose start needs no phase 1: from the all-slack basis, one pivot of r's
+    negative part into the row with the least b_i / ||a_i||_1 makes every
+    slack nonnegative.  Rows are first brought to primitive integer form and
+    each direction keeps only its least right-hand side; a zero row with
+    b_i < 0 makes the polytope empty, and so does a negative radius, which is
+    checked before any coordinate stage.  Raises for empty or unbounded input.
     """
     m = P.ambient
-    norms = [sum(abs(a) for a in row) for row in P.A]
-    rows = [list(row) + [norm] for row, norm in zip(P.A, norms)]
-    res = solve_lp(
-        [ZERO] * m + [ONE], A_ub=rows, b_ub=P.b, maximize=True
-    )
-    if res.status == INFEASIBLE:
-        raise EmptyPolytopeError("polytope is empty")
-    if res.status == UNBOUNDED:
+    least: dict[tuple[int, ...], Fraction] = {}  # primitive row -> least rhs
+    for ints, bi in P.integer_rows:
+        g = gcd(*ints)
+        if g == 0:
+            if bi < 0:
+                raise EmptyPolytopeError("polytope is empty")
+            continue
+        key = tuple(v // g for v in ints)
+        rhs = Fraction(bi, g)
+        if key not in least or rhs < least[key]:
+            least[key] = rhs
+    k = len(least)
+    b = list(least.values())
+    norms = [sum(map(abs, row)) for row in least]
+    # Columns: x_j^+ and x_j^- at 2j and 2j+1, r^+ and r^- at 2m and 2m+1,
+    # then one slack per row.
+    A = []
+    for i, (row, norm) in enumerate(zip(least, norms)):
+        std = [0] * (2 * m + 2 + k)
+        std[0 : 2 * m : 2] = row
+        std[1 : 2 * m : 2] = [-a for a in row]
+        std[2 * m] = norm
+        std[2 * m + 1] = -norm
+        std[2 * m + 2 + i] = 1
+        A.append(std)
+    basis = [2 * m + 2 + i for i in range(k)]
+    if k:
+        tight = min(range(k), key=lambda i: b[i] / norms[i])
+        if b[tight] < 0:
+            basis[tight] = 2 * m + 1
+    costs = [[0] * (2 * m + 2 + k) for _ in range(m + 1)]
+    costs[0][2 * m], costs[0][2 * m + 1] = -1, 1
+    for j in range(m):
+        costs[j + 1][2 * j], costs[j + 1][2 * j + 1] = 1, -1
+    stages = lex_minimize(A, b, basis, costs)
+    status, x = next(stages)
+    if status == UNBOUNDED:
         raise UnboundedPolytopeError("inscribed radius is unbounded")
-    radius = res.objective
+    radius = x[2 * m] - x[2 * m + 1]
     if radius < 0:
         raise EmptyPolytopeError("polytope is empty")
-    shrunk_b = [bi - radius * ni for bi, ni in zip(P.b, norms)]
-    fixed: list[Fraction] = []
-    for j in range(m):
-        cost = [ZERO] * m
-        cost[j] = ONE
-        A_eq = []
-        b_eq = []
-        for i, v in enumerate(fixed):
-            row = [ZERO] * m
-            row[i] = ONE
-            A_eq.append(row)
-            b_eq.append(v)
-        step = solve_lp(cost, A_ub=P.A, b_ub=shrunk_b, A_eq=A_eq, b_eq=b_eq)
-        if step.status == UNBOUNDED:
+    for j, (status, x) in enumerate(stages):
+        if status == UNBOUNDED:
             raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
-        if step.status != OPTIMAL:
-            raise AssertionError("stage-2 restriction of a nonempty polytope went infeasible")
-        fixed.append(step.objective)
-    point = tuple(fixed)
+    point = tuple(x[2 * j] - x[2 * j + 1] for j in range(m))
     if not P.contains(point):
         raise AssertionError("canonical point escaped its polytope")
     return radius, point

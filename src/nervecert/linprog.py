@@ -18,6 +18,13 @@ returns the same optimum.
 The standard-form core minimizes c.x subject to A x = b, x >= 0.  The public
 wrapper accepts free variables (split internally), inequality rows (slacked
 internally), and either optimization sense.
+
+A lexicographic driver (`lex_minimize`) minimizes several objectives in
+turn on one tableau: once a stage is optimal, every column with a nonzero
+(hence positive) reduced cost is deleted, which leaves exactly the optimal
+face, and the next cost row is reduced against the current basis.  It starts
+from a feasible basis the caller names, so it has no phase 1.  `solve_lp`'s
+phase 2 is the same driver with a single objective.
 """
 
 from __future__ import annotations
@@ -159,26 +166,82 @@ def _solve_standard(
     T = [_primitive(T[i][:n] + [T[i][-1]]) for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: true objective, reduced against the current basis.  Row i
-    # stands for itself divided by its diagonal entry T[i][basis[i]] > 0.
-    m2 = len(T)
-    diag = [T[i][basis[i]] for i in range(m2)]
-    D = lcm(*(diag[i] for i in range(m2) if c[basis[i]]))
+    # Phase 2: the true objective from the phase-1 basis.
+    return next(_lex_stages(T, basis, [c]))
+
+
+def _cost_row(T: list[list[int]], basis: list[int], c: list[int]) -> list[int]:
+    """The reduced-cost row of c against the basis, as a positive multiple.
+
+    Row i stands for itself divided by its diagonal entry T[i][basis[i]] > 0.
+    """
+    m = len(T)
+    diag = [T[i][basis[i]] for i in range(m)]
+    D = lcm(*(diag[i] for i in range(m) if c[basis[i]]))
     obj = [D * v for v in c] + [0]
-    for i in range(m2):
+    for i in range(m):
         cb = c[basis[i]]
         if cb:
             f = cb * (D // diag[i])
             obj = [a - f * t for a, t in zip(obj, T[i])]
-    T.append(_primitive(obj))
-    status = _run_simplex(T, basis)
-    if status != OPTIMAL:
-        return status, None
-    x = [ZERO] * n
-    for i in range(m2):
-        if T[i][-1]:
-            x[basis[i]] = Fraction(T[i][-1], T[i][basis[i]])
-    return OPTIMAL, x
+    return _primitive(obj)
+
+
+def _lex_stages(T: list[list[int]], basis: list[int], costs: list[list[int]]):
+    """Minimize each cost in turn over the optimal face of the ones before.
+
+    T holds the constraint rows of a feasible tableau in canonical form for
+    ``basis`` (no objective row); both are consumed.  After a stage reaches
+    its optimum, every column with a nonzero reduced cost is deleted: those
+    reduced costs are positive, so the optimal face is exactly the feasible
+    set with those columns at zero.  Yields ``(OPTIMAL, x)`` per stage, x
+    being the basic solution over all the original columns, or
+    ``(UNBOUNDED, None)`` once and stops.
+    """
+    n = len(costs[0])
+    cols = list(range(n))  # original index of each remaining column
+    for stage, c in enumerate(costs):
+        if stage:
+            obj = T.pop()
+            keep = [j for j in range(len(cols)) if obj[j] == 0]
+            if len(keep) < len(cols):
+                where = {j: k for k, j in enumerate(keep)}
+                T = [_primitive([row[j] for j in keep] + [row[-1]]) for row in T]
+                basis[:] = [where[j] for j in basis]
+                cols = [cols[j] for j in keep]
+        T.append(_cost_row(T, basis, [c[j] for j in cols]))
+        if _run_simplex(T, basis) != OPTIMAL:
+            yield UNBOUNDED, None
+            return
+        x = [ZERO] * n
+        for i in range(len(T) - 1):
+            if T[i][-1]:
+                x[cols[basis[i]]] = Fraction(T[i][-1], T[i][basis[i]])
+        yield OPTIMAL, x
+
+
+def lex_minimize(A, b, basis, costs):
+    """Lexicographic minimization over {x : A x = b, x >= 0} in one tableau.
+
+    Stage k minimizes costs[k].x over the optimal face of stages 0..k-1
+    (sequential lexicographic simplex, Isermann 1982), pivoting with Bland's
+    rule from the previous stage's basis.  ``basis`` names one column per row;
+    it must be nonsingular and feasible, which spares phase 1.  A generator:
+    it yields ``(OPTIMAL, x)`` after each stage, or ``(UNBOUNDED, None)`` and
+    stops, and a stage runs only when the caller asks for it.
+    """
+    rows = _integer_rows(list(row) + [bi] for row, bi in zip(A, b))[0]
+    T = [_primitive(row) for row in rows]
+    start = list(basis)
+    if len(start) != len(T):
+        raise ValueError(f"basis names {len(start)} columns for {len(T)} rows")
+    for i, col in enumerate(basis):
+        if T[i][col] == 0:
+            raise ValueError(f"basis column {col} has no pivot in row {i}")
+        _pivot(T, start, i, col)
+    if any(row[-1] < 0 for row in T):
+        raise ValueError("starting basis is infeasible")
+    yield from _lex_stages(T, start, [_integer_rows([c])[0][0] for c in costs])
 
 
 def solve_lp(

@@ -8,8 +8,10 @@ parity reduces to a parameter-interleaving count, the crossing cocycle
 goes through one exact barycentric solve per pair (the engine the
 interleaving rule replaced), coboundary rows are read off the definition
 column by column, GF(2) systems go through the dense Gauss-Jordan pass
-the echelon solver replaced, and the remote-face audit scans every piece
-pair of every remote pair (the loop the coarse-to-fine filter replaced).
+the echelon solver replaced, the remote-face audit scans every piece
+pair of every remote pair (the loop the coarse-to-fine filter replaced), and
+the inscribed ball goes through one two-phase solve per lexicographic stage
+(the solves the one-tableau driver replaced).
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from nervecert.complexes import canonical_faces, disjoint_simplex_pairs, is_remote
-from nervecert.convex import crossing, hulls_intersect
-from nervecert.errors import GenericityError
+from nervecert.convex import HPolytope, Point, crossing, hulls_intersect
+from nervecert.errors import EmptyPolytopeError, GenericityError, UnboundedPolytopeError
+from nervecert.linprog import INFEASIBLE, ONE, OPTIMAL, UNBOUNDED, ZERO, solve_lp
 from nervecert.obstruction import GF2Infeasible, GF2Solution
 from nervecert.witness import image_of_face
 
@@ -135,6 +138,51 @@ def fm_hulls_intersect(a_pts, b_pts) -> bool:
         row[j] = Fraction(-1)
         add(row, 0)
     return fm_feasible(rows, rhs)
+
+
+def staged_inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
+    """Largest inscribed L-infinity ball, then the lex-least center.
+
+    Stage 1 maximizes r subject to A x + r * ||a_i||_1 <= b.  Stage 2 walks
+    the coordinates in order, minimizing each over the stage-1 optimal face,
+    which makes the result unique even for degenerate polytopes.  Raises for
+    empty or unbounded input.
+    """
+    m = P.ambient
+    norms = [sum(abs(a) for a in row) for row in P.A]
+    rows = [list(row) + [norm] for row, norm in zip(P.A, norms)]
+    res = solve_lp(
+        [ZERO] * m + [ONE], A_ub=rows, b_ub=P.b, maximize=True
+    )
+    if res.status == INFEASIBLE:
+        raise EmptyPolytopeError("polytope is empty")
+    if res.status == UNBOUNDED:
+        raise UnboundedPolytopeError("inscribed radius is unbounded")
+    radius = res.objective
+    if radius < 0:
+        raise EmptyPolytopeError("polytope is empty")
+    shrunk_b = [bi - radius * ni for bi, ni in zip(P.b, norms)]
+    fixed: list[Fraction] = []
+    for j in range(m):
+        cost = [ZERO] * m
+        cost[j] = ONE
+        A_eq = []
+        b_eq = []
+        for i, v in enumerate(fixed):
+            row = [ZERO] * m
+            row[i] = ONE
+            A_eq.append(row)
+            b_eq.append(v)
+        step = solve_lp(cost, A_ub=P.A, b_ub=shrunk_b, A_eq=A_eq, b_eq=b_eq)
+        if step.status == UNBOUNDED:
+            raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
+        if step.status != OPTIMAL:
+            raise AssertionError("stage-2 restriction of a nonempty polytope went infeasible")
+        fixed.append(step.objective)
+    point = tuple(fixed)
+    if not P.contains(point):
+        raise AssertionError("canonical point escaped its polytope")
+    return radius, point
 
 
 def piecewise_remote_violation(g):

@@ -226,6 +226,29 @@ def test_certificate_computes_the_nerve_once(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "stage, code", [(None, 0), ("witness", 2)], ids=["clean", "witness-stage"]
+)
+def test_certificate_audits_membership_once(tmp_path, capsys, monkeypatch, stage, code):
+    import nervecert.cli
+    import nervecert.witness
+
+    real = nervecert.witness.verify_witness_membership
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (nervecert.witness, nervecert.cli):
+        monkeypatch.setattr(module, "verify_witness_membership", counted)
+    fam = write(tmp_path / "fam.json", PATH_FAMILY)
+    path = write(tmp_path / "path.json", PATH)
+    extra = ["--corrupt-witness", "0:37/2,1/2", "--corrupt-stage", stage] if stage else []
+    assert run(capsys, "certificate", fam, path, "-d", "1", *extra)[0] == code
+    assert len(calls) == 1
+
+
 def test_certificate_validation_errors(tmp_path, capsys):
     fam = write(tmp_path / "fam.json", INTERVAL_FAMILY)  # ambient 1, need 2
     edge = write(tmp_path / "edge.json", EDGE)
@@ -379,6 +402,23 @@ def test_recheck_rejects_malformed_fields(tmp_path, capsys, make, mutate, messag
     assert main(["recheck", bad]) == 1
     captured = capsys.readouterr()
     assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "point",
+    [["37/2"], [], ["37/2", "1/2", "0"]],
+    ids=["too-short", "empty", "too-long"],
+)
+def test_recheck_rejects_a_witness_point_of_the_wrong_length(tmp_path, capsys, point):
+    doc = _corrupt_witness_cert(tmp_path, capsys)
+    assert doc["point"] == ["37/2", "1/2"]
+    doc["point"] = point
+    bad = write(tmp_path / "bad.json", doc)
+    assert main(["recheck", bad]) == 1
+    captured = capsys.readouterr()
+    assert f"'point' has {len(point)} coordinates, ambient is 2" in captured.err
+    assert "confirmed" not in captured.out
     assert "Traceback" not in captured.err
 
 
