@@ -270,6 +270,12 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
             return False, "pair is not a pair of source faces"
         piece_a = _pieces_from_doc(doc["piece_a"], "piece_a")
         piece_b = _pieces_from_doc(doc["piece_b"], "piece_b")
+        for what, piece in (("piece_a", piece_a), ("piece_b", piece_b)):
+            for p in piece:
+                _require(
+                    len(p) == 2 * d,
+                    f"'{what}' point has {len(p)} coordinates, ambient is 2d = {2 * d}",
+                )
         if not hulls_intersect(piece_a, piece_b):
             return False, "image pieces do not intersect"
         return True, "intersecting image pieces of disjoint simplices confirmed"

@@ -1,6 +1,10 @@
 """Command-line surface: builders, nerve computation, obstruction verdicts,
 and the end-to-end certificate pipeline.
 
+The pipeline proves the remote-face lemma by containment and runs the
+hull-test audit only on a map that fails it; `VKF_CERTIFICATE` comes only
+from `vkf-demo`.
+
 Exit codes are a stable contract: 0 ok/vanishes, 1 parse or validation
 error, 2 mismatch-class certificates, 3 nonvanishing or contradiction
 certificates, 4 genericity failure, 5 consistency failure.
@@ -25,7 +29,6 @@ from .certificates import (
     obstruction_report_cert,
     recheck_certificate,
     vkf_demo_cert,
-    vkf_pipeline_cert,
     witness_violation_cert,
 )
 from .complexes import (
@@ -53,8 +56,7 @@ from .obstruction import moment_curve_placement, obstruction_vanishes
 from .witness import (
     assemble_witness_map,
     corrupt_witness,
-    first_meeting_pieces,
-    image_of_source_simplex,
+    verify_containment,
     verify_remote_disjointness,
     verify_witness_membership,
     witness_points,
@@ -177,13 +179,12 @@ def cmd_certificate(args) -> int:
         raise ParseError(f"source complex has dimension {L.dim}, expected {d}")
     if F.ambient != 2 * d:
         raise ParseError(f"family ambient is {F.ambient}, expected 2d = {2 * d}")
-    corruption = None
+    face = pt = stage = None
     if args.corrupt_witness:
-        corruption = _parse_corruption(args.corrupt_witness, F.ambient)
+        face, pt = _parse_corruption(args.corrupt_witness, F.ambient)
+        stage = args.corrupt_stage
 
-    sdL = barycentric_subdivision(L)
-    K = sdL.complex
-
+    K = barycentric_subdivision(L).complex
     try:  # the nerve check inside witness_points is the only one
         points = witness_points(F, K)
     except NerveMismatchError as exc:
@@ -192,10 +193,9 @@ def cmd_certificate(args) -> int:
         print(f"NERVE_MISMATCH: {match.verdict} {list(match.face)}")
         _emit(doc, args.out)
         return _CERT_EXIT[NERVE_MISMATCH]
-    if corruption and args.corrupt_stage == "witness":
-        face, pt = corruption
-        if face not in K.faces:
-            raise ParseError(f"corruption face {face} is not a face of the subdivision")
+    if face is not None and face not in K.faces:
+        raise ParseError(f"corruption face {face} is not a face of the subdivision")
+    if stage == "witness":
         points[face] = pt
     membership = verify_witness_membership(F, points)
     if not membership.ok:
@@ -206,34 +206,20 @@ def cmd_certificate(args) -> int:
         return _CERT_EXIT[WITNESS_VIOLATION]
 
     g = assemble_witness_map(K, points, F.ambient)
-    if corruption and args.corrupt_stage == "lemma":
-        face, pt = corruption
-        if face not in K.faces:
-            raise ParseError(f"corruption face {face} is not a face of the subdivision")
+    if stage == "lemma":
         g = corrupt_witness(g, face, pt)
-    disjointness = verify_remote_disjointness(g)
-    if not disjointness.ok:
-        v = disjointness.violation
-        doc = lemma_violation_cert(v, K)
-        print(f"LEMMA_VIOLATION: remote pair {list(v.alpha)}, {list(v.beta)} has intersecting images")
-        _emit(doc, args.out)
-        return _CERT_EXIT[LEMMA_VIOLATION]
-
-    images = {}
-    for gamma, delta in disjoint_simplex_pairs(L, d):
-        if gamma not in images:
-            images[gamma] = image_of_source_simplex(g, sdL, gamma).pieces
-        if delta not in images:
-            images[delta] = image_of_source_simplex(g, sdL, delta).pieces
-        meeting = first_meeting_pieces(images[gamma], images[delta])
-        if meeting is not None:
-            doc = vkf_pipeline_cert(gamma, delta, *meeting, L, d)
+    # containment proves the lemma; the audit only names the violating pair
+    if not verify_containment(g, F).ok:
+        disjointness = verify_remote_disjointness(g)
+        if not disjointness.ok:
+            v = disjointness.violation
+            doc = lemma_violation_cert(v, K)
             print(
-                f"VKF_CERTIFICATE: images of disjoint {list(gamma)}, "
-                f"{list(delta)} intersect"
+                f"LEMMA_VIOLATION: remote pair {list(v.alpha)}, {list(v.beta)} "
+                "has intersecting images"
             )
             _emit(doc, args.out)
-            return _CERT_EXIT[VKF_CERTIFICATE]
+            return _CERT_EXIT[LEMMA_VIOLATION]
 
     placement = moment_curve_placement(L, d)
     obs = obstruction_vanishes(L, d, placement)

@@ -11,8 +11,9 @@ only a hit falls through to the per-piece hull tests.
 
 The map can also be pushed through a second subdivision: when the nerve is
 itself the subdivision of some source complex, the image of a source simplex
-is a union of pieces indexed by maximal chains, which is what the
-certificate pipeline tests pairwise.
+is a union of pieces indexed by maximal chains.  The certificate pipeline
+does not test those images: pieces of disjoint source simplices are pieces
+of remote faces, and `verify_containment` proves the lemma for all of them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .complexes import (
     Face,
     SdComplex,
     SimplicialComplex,
-    barycentric_subdivision,
     canonical_faces,
     is_remote,
     subdivided_subcomplex,
@@ -44,12 +44,8 @@ class WitnessMap:
     """A linear map on the subdivided nerve, stored as its vertex images."""
 
     nerve: SimplicialComplex
-    sd_nerve: SdComplex
     witness: dict[Face, Point]
     ambient: int
-
-    def point_of(self, face) -> Point:
-        return self.witness[tuple(face)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def assemble_witness_map(
             )
     if set(witness) != set(K.faces):
         raise ValueError("witness assignment must cover every nerve face")
-    return WitnessMap(K, barycentric_subdivision(K), dict(witness), ambient)
+    return WitnessMap(K, dict(witness), ambient)
 
 
 def corrupt_witness(g: WitnessMap, face, point) -> WitnessMap:
@@ -298,12 +294,17 @@ def verify_remote_disjointness(g: WitnessMap) -> DisjointnessReport:
 
 
 def verify_containment(g: WitnessMap, F: ConvexFamily) -> ContainmentReport:
-    """Exact form of the containment step: chain members sit inside the chain bottom.
+    """The pipeline's proof of the remote-face lemma: chain members sit inside
+    the chain bottom.
 
     For every maximal chain of the nerve's face poset, each member's witness
     point must lie in the intersection over the chain's minimal face; the
     hull of the chain is then inside that intersection by convexity, hence
-    inside the union over the chain's top face.
+    g(|sd alpha|) lies in the union of C_v over v in alpha.  For remote alpha
+    and beta no edge {v, w} of the nerve joins them, so C_v and C_w are
+    disjoint and so are the two images.  Only dot products are needed; a
+    passing map also passes `verify_remote_disjointness`, provided the
+    nerve is the family's nerve.
     """
     chains_checked = 0
     for facet in g.nerve.facets():

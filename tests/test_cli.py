@@ -249,6 +249,57 @@ def test_certificate_audits_membership_once(tmp_path, capsys, monkeypatch, stage
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "corruption, code, audits",
+    [
+        (None, 0, 0),
+        ("0:37/2,1/2", 2, 1),  # leaves body 0 and meets p({1})
+        ("0:1,1/2", 0, 0),  # moves p({0}) inside body 0: containment accepts
+        ("0,3:12,1/2", 0, 1),  # leaves body 0 but meets no remote image
+    ],
+    ids=["clean", "violation", "contained", "audit-clears"],
+)
+def test_certificate_proves_the_lemma_by_containment(
+    tmp_path, capsys, monkeypatch, corruption, code, audits
+):
+    import nervecert.certificates
+    import nervecert.cli
+    import nervecert.convex
+    import nervecert.witness
+
+    calls = {"audit": 0, "hulls": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    audit = counted("audit", nervecert.witness.verify_remote_disjointness)
+    for module in (nervecert.witness, nervecert.cli):
+        monkeypatch.setattr(module, "verify_remote_disjointness", audit)
+    hulls = counted("hulls", nervecert.convex.hulls_intersect)
+    for module in (nervecert.convex, nervecert.witness, nervecert.cli, nervecert.certificates):
+        monkeypatch.setattr(module, "hulls_intersect", hulls)
+    fam = write(tmp_path / "fam.json", PATH_FAMILY)
+    path = write(tmp_path / "path.json", PATH)
+    clean = tmp_path / "clean.json"
+    clean_stdout = run(capsys, "certificate", fam, path, "-d", "1", "-o", str(clean))[1]
+    assert calls == {"audit": 0, "hulls": 0}
+    if corruption is None:
+        return
+    out = tmp_path / "cert.json"
+    result = run(
+        capsys, "certificate", fam, path, "-d", "1",
+        "--corrupt-witness", corruption, "-o", str(out),
+    )
+    assert result[0] == code
+    assert calls["audit"] == audits
+    if code == 0:  # a corruption the lemma clears changes no byte
+        assert result[1] == clean_stdout
+        assert out.read_bytes() == clean.read_bytes()
+
+
 def test_certificate_validation_errors(tmp_path, capsys):
     fam = write(tmp_path / "fam.json", INTERVAL_FAMILY)  # ambient 1, need 2
     edge = write(tmp_path / "edge.json", EDGE)
@@ -418,6 +469,41 @@ def test_recheck_rejects_a_witness_point_of_the_wrong_length(tmp_path, capsys, p
     assert main(["recheck", bad]) == 1
     captured = capsys.readouterr()
     assert f"'point' has {len(point)} coordinates, ambient is 2" in captured.err
+    assert "confirmed" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "piece_a, piece_b, what",
+    [
+        ([["0"]], [["0"]], "'piece_a' point has 1 coordinates"),
+        (
+            [["0", "0", "0"], ["2", "2", "0"]],
+            [["0", "2", "0"], ["2", "0", "0"]],
+            "'piece_a' point has 3 coordinates",
+        ),
+        (None, [["0", "2"], ["2", "0", "0"]], "'piece_b' point has 3 coordinates"),
+    ],
+    ids=["too-short", "too-long", "too-long-b"],
+)
+def test_recheck_rejects_a_vkf_piece_point_of_the_wrong_length(
+    tmp_path, capsys, piece_a, piece_b, what
+):
+    from nervecert.certificates import vkf_pipeline_cert
+    from nervecert.complexes import complex_from_facets
+
+    doc = vkf_pipeline_cert(
+        (1, 2), (3, 4), [(0, 0), (2, 2)], [(0, 2), (2, 0)],
+        complex_from_facets([[1, 2], [3, 4]]), 1,
+    )
+    assert recheck_certificate(doc)[0]
+    if piece_a is not None:
+        doc["piece_a"] = piece_a
+    doc["piece_b"] = piece_b
+    bad = write(tmp_path / "bad.json", doc)
+    assert main(["recheck", bad]) == 1
+    captured = capsys.readouterr()
+    assert f"{what}, ambient is 2d = 2" in captured.err
     assert "confirmed" not in captured.out
     assert "Traceback" not in captured.err
 

@@ -3,7 +3,8 @@
 The audit skips every remote pair whose remote cover has disjoint coarse
 hulls; these tests hold it to the plain piece-by-piece scan (the oracle),
 pin a violation document, and check that ``piece_tests`` counts the hull
-tests the audit really makes.
+tests the audit really makes.  The audit is in turn the oracle for the
+containment proof of the lemma: a map that containment accepts passes it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from nervecert.witness import (
     build_witness_map,
     corrupt_witness,
     first_meeting_pieces,
+    verify_containment,
     verify_remote_disjointness,
 )
 from conftest import clustered_family, random_family
@@ -37,8 +39,8 @@ from test_cli import PATH, PATH_FAMILY, write
 OFFSETS = [Fraction(0), Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2)]
 
 
-def corrupted_map(seed: int, clustered: bool, n_corrupt: int):
-    """A verified witness map with up to n_corrupt witnesses moved near other witnesses.
+def corrupted_family_map(seed: int, clustered: bool, n_corrupt: int):
+    """(F, clean map, corrupted map): up to n_corrupt witnesses moved near others.
 
     Returns None when the family has an empty body (it has no nerve vertex).
     """
@@ -50,13 +52,19 @@ def corrupted_map(seed: int, clustered: bool, n_corrupt: int):
     K = nerve_helly(F)
     if len(K.vertices) != len(F.bodies):
         return None
-    g = build_witness_map(F, K)
+    clean = g = build_witness_map(F, K)
     faces = sorted(K.faces)
     for _ in range(n_corrupt):
         face, near = rng.choice(faces), rng.choice(faces)
         point = [c + rng.choice(OFFSETS) for c in g.witness[near]]
         g = corrupt_witness(g, face, point)
-    return g
+    return F, clean, g
+
+
+def corrupted_map(seed: int, clustered: bool, n_corrupt: int):
+    """The corrupted map of `corrupted_family_map`, or None."""
+    made = corrupted_family_map(seed, clustered, n_corrupt)
+    return None if made is None else made[2]
 
 
 def _as_tuple(violation):
@@ -90,6 +98,38 @@ def test_corrupted_maps_give_both_verdicts():
         assert violation == piecewise_remote_violation(g)
         verdicts.append(violation is None)
     assert verdicts.count(True) >= 3 and verdicts.count(False) >= 3, verdicts
+
+
+def _containment_outcome(made) -> str:
+    """Classify a corrupted map; a contained map must pass the audit."""
+    F, clean, g = made
+    if not verify_containment(g, F).ok:
+        return "containment fails"
+    assert verify_remote_disjointness(g).ok
+    return "clean" if g.witness == clean.witness else "corrupted but contained"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    clustered=st.booleans(),
+    n_corrupt=st.integers(0, 3),
+)
+def test_containment_implies_the_audit_passes(seed, clustered, n_corrupt):
+    made = corrupted_family_map(seed, clustered, n_corrupt)
+    assume(made is not None)
+    event(_containment_outcome(made))
+
+
+def test_corrupted_maps_are_both_contained_and_not():
+    # the property above must see corrupted maps on both sides of containment
+    outcomes = []
+    for seed in range(24):
+        made = corrupted_family_map(seed, clustered=seed % 2 == 0, n_corrupt=1 + seed % 3)
+        if made is not None:
+            outcomes.append(_containment_outcome(made))
+    assert outcomes.count("corrupted but contained") >= 2, outcomes
+    assert outcomes.count("containment fails") >= 2, outcomes
 
 
 def _nested_loop(pieces_a, pieces_b, meets):
