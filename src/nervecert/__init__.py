@@ -63,10 +63,8 @@ from .witness import (
     WitnessMap,
     build_witness_map,
     corrupt_witness,
-    first_meeting_pieces,
     image_of_face,
     image_of_source_simplex,
-    verify_containment,
     verify_remote_disjointness,
     verify_witness_membership,
     witness_points,

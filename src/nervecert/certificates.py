@@ -105,9 +105,15 @@ def _pieces_to_doc(piece) -> list[list[str]]:
     return [format_point(p) for p in piece]
 
 
-def _pieces_from_doc(raw, what: str):
+def _pieces_from_doc(raw, what: str, ambient: int):
     _require(isinstance(raw, list) and raw, f"{what} must be a nonempty list of points")
-    return [parse_point(p, f"{what} point") for p in raw]
+    piece = [parse_point(p, f"{what} point") for p in raw]
+    for p in piece:
+        _require(
+            len(p) == ambient,
+            f"'{what}' point has {len(p)} coordinates, ambient is 2d = {ambient}",
+        )
+    return piece
 
 
 # -- builders ----------------------------------------------------------------
@@ -245,8 +251,15 @@ def _recheck_lemma_violation(doc) -> tuple[bool, str]:
     K, _ = complex_from_doc(doc["nerve"])
     alpha = tuple(_int_list(doc["alpha"], "alpha"))
     beta = tuple(_int_list(doc["beta"], "beta"))
-    piece_a = _pieces_from_doc(doc["piece_a"], "piece_a")
-    piece_b = _pieces_from_doc(doc["piece_b"], "piece_b")
+    # the nerve is sd L for a d-complex L, and the family lives in R^2d
+    _require(K.dim >= 1, f"'nerve' has dimension {K.dim}, expected at least 1")
+    piece_a = _pieces_from_doc(doc["piece_a"], "piece_a", 2 * K.dim)
+    piece_b = _pieces_from_doc(doc["piece_b"], "piece_b", 2 * K.dim)
+    for what, face, piece in (("piece_a", alpha, piece_a), ("piece_b", beta, piece_b)):
+        _require(
+            len(piece) == len(face),
+            f"'{what}' has {len(piece)} points, a chain of its face has {len(face)}",
+        )
     if not is_remote(K, alpha, beta):
         return False, "named pair is not remote in the nerve"
     if not hulls_intersect(piece_a, piece_b):
@@ -268,14 +281,8 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
         L, _ = complex_from_doc(doc["source"])
         if not (L.has_face(gamma) and L.has_face(delta)):
             return False, "pair is not a pair of source faces"
-        piece_a = _pieces_from_doc(doc["piece_a"], "piece_a")
-        piece_b = _pieces_from_doc(doc["piece_b"], "piece_b")
-        for what, piece in (("piece_a", piece_a), ("piece_b", piece_b)):
-            for p in piece:
-                _require(
-                    len(p) == 2 * d,
-                    f"'{what}' point has {len(p)} coordinates, ambient is 2d = {2 * d}",
-                )
+        piece_a = _pieces_from_doc(doc["piece_a"], "piece_a", 2 * d)
+        piece_b = _pieces_from_doc(doc["piece_b"], "piece_b", 2 * d)
         if not hulls_intersect(piece_a, piece_b):
             return False, "image pieces do not intersect"
         return True, "intersecting image pieces of disjoint simplices confirmed"

@@ -1,9 +1,11 @@
 """Command-line surface: builders, nerve computation, obstruction verdicts,
 and the end-to-end certificate pipeline.
 
-The pipeline proves the remote-face lemma by containment and runs the
-hull-test audit only on a map that fails it; `VKF_CERTIFICATE` comes only
-from `vkf-demo`.
+The pipeline runs the nerve check, the canonical witness points, the
+membership audit and the obstruction verdict.  Membership proves the
+remote-face lemma; the hull-test audit runs only when the
+`--corrupt-stage lemma` hook moves a point out of its bodies.
+`VKF_CERTIFICATE` comes only from `vkf-demo`.
 
 Exit codes are a stable contract: 0 ok/vanishes, 1 parse or validation
 error, 2 mismatch-class certificates, 3 nonvanishing or contradiction
@@ -55,8 +57,6 @@ from .nerve import nerve_exhaustive, nerve_helly
 from .obstruction import moment_curve_placement, obstruction_vanishes
 from .witness import (
     assemble_witness_map,
-    corrupt_witness,
-    verify_containment,
     verify_remote_disjointness,
     verify_witness_membership,
     witness_points,
@@ -205,12 +205,10 @@ def cmd_certificate(args) -> int:
         _emit(doc, args.out)
         return _CERT_EXIT[WITNESS_VIOLATION]
 
-    g = assemble_witness_map(K, points, F.ambient)
-    if stage == "lemma":
-        g = corrupt_witness(g, face, pt)
-    # containment proves the lemma; the audit only names the violating pair
-    if not verify_containment(g, F).ok:
-        disjointness = verify_remote_disjointness(g)
+    # membership proves the lemma; the audit only names a hook's violating pair
+    if stage == "lemma" and not all(F.body(v).contains(pt) for v in face):
+        points[face] = pt
+        disjointness = verify_remote_disjointness(assemble_witness_map(K, points, F.ambient))
         if not disjointness.ok:
             v = disjointness.violation
             doc = lemma_violation_cert(v, K)

@@ -148,9 +148,6 @@ class SdComplex:
         if self.vertex_ids is None:
             self.vertex_ids = {f: v for v, f in self.labels.items()}
 
-    def label_of(self, v: int) -> Face:
-        return self.labels[v]
-
     def vertex_for(self, f: Face) -> int:
         return self.vertex_ids[tuple(f)]
 

@@ -2,18 +2,21 @@
 
 Each nonempty nerve face gets an exact witness point inside the intersection
 of its bodies; extending linearly over the barycentric subdivision gives a
-map whose key property can be audited exactly: subdivisions of remote faces
-have disjoint images.  The map is represented only by its vertex images,
-and an image is a union of hull pieces, one per maximal chain.  Image
-disjointness is decided coarse-to-fine: one hull test on all the vertex
-images of each side comes first, because those hulls contain every piece, and
-only a hit falls through to the per-piece hull tests.
+map whose key property is the remote-face lemma: subdivisions of remote
+faces have disjoint images.  The membership audit proves it.  When p(sigma)
+lies in C_v for every v in sigma, each piece of g(|sd alpha|) (the hull of
+the points of a maximal chain) lies in the body of the chain's bottom
+vertex, and remote faces have no nerve edge between them, so their images
+lie in disjoint bodies.  The map is represented only by its vertex images;
+the hull-test audit `verify_remote_disjointness` scans the pieces of every
+remote pair and is kept to name the two pieces of a map that fails
+membership.
 
 The map can also be pushed through a second subdivision: when the nerve is
 itself the subdivision of some source complex, the image of a source simplex
 is a union of pieces indexed by maximal chains.  The certificate pipeline
 does not test those images: pieces of disjoint source simplices are pieces
-of remote faces, and `verify_containment` proves the lemma for all of them.
+of remote faces, which membership already proves disjoint.
 """
 
 from __future__ import annotations
@@ -76,34 +79,15 @@ class DisjointnessViolation:
 
 @dataclass
 class DisjointnessReport:
-    """Outcome of the remote-face audit.
+    """Outcome of the hull-test audit of the remote-face lemma.
 
     ``remote_pairs`` counts the remote face pairs visited; ``piece_tests``
-    counts every hull test the audit made: coarse tests of remote covers and
-    of single pairs, and the per-piece tests after a coarse hit.
+    counts the piece-pair hull tests made, one per pair of pieces scanned.
     """
 
     violation: DisjointnessViolation | None
     remote_pairs: int
     piece_tests: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
-@dataclass(frozen=True)
-class ContainmentViolation:
-    chain: tuple[Face, ...]
-    member: Face
-    label: int
-    row: int
-
-
-@dataclass
-class ContainmentReport:
-    violation: ContainmentViolation | None
-    chains_checked: int
 
     @property
     def ok(self) -> bool:
@@ -198,129 +182,38 @@ def image_of_face(g: WitnessMap, alpha) -> SimplexImage:
     return SimplexImage(g.ambient, pieces)
 
 
-def _point_union(pieces) -> tuple[Point, ...]:
-    """The sorted, de-duplicated points of a list of hull pieces."""
-    return tuple(sorted({make_point(p) for piece in pieces for p in piece}))
-
-
-def _first_meeting(pieces_a, pieces_b):
-    """`first_meeting_pieces`, plus the number of hull tests it made."""
-    if not hulls_intersect(_point_union(pieces_a), _point_union(pieces_b)):
-        return None, 1
-    tests = 1
-    for pa in pieces_a:
-        for pb in pieces_b:
-            tests += 1
-            if hulls_intersect(pa, pb):
-                return (pa, pb), tests
-    return None, tests
-
-
-def first_meeting_pieces(pieces_a, pieces_b):
-    """First (pa, pb) in nested loop order whose hulls meet, or None.
-
-    The hull of all points of a side contains each of its pieces, so when
-    those two hulls miss, no pair of pieces meets; only a hit is scanned
-    piece by piece, in the same order as the plain nested loop.
-    """
-    return _first_meeting(pieces_a, pieces_b)[0]
-
-
-def _grow_remote(K: SimplicialComplex, vertices, face: Face, other: Face) -> Face:
-    """Add vertices in ascending order while face stays a face remote from other.
-
-    A vertex rejected once stays rejected as the face grows (faces are
-    downward closed, and adjacency to ``other`` does not depend on the face),
-    so one ascending pass adds the smallest admissible vertex each time.
-    """
-    for v in vertices:
-        if v in face:
-            continue
-        grown = tuple(sorted(face + (v,)))
-        if grown in K.faces and is_remote(K, grown, other):
-            face = grown
-    return face
-
-
 def verify_remote_disjointness(g: WitnessMap) -> DisjointnessReport:
     """Audit g(|sd alpha|) n g(|sd beta|) = {} over every remote face pair.
 
-    Pairs are visited in canonical order.  Each pair (alpha, beta) is first
-    grown to a remote cover (alpha', beta') by `_grow_remote`; a sub-pair of
-    a remote pair is remote and sd alpha lies in sd alpha', so one clean hull
-    test of the cover's vertex images (memoized per cover) proves every pair
-    it covers disjoint.  Only pairs whose cover hits are tested with
-    `first_meeting_pieces`, so the first violation is the one the plain
-    piece-by-piece scan finds.  A hit can only come from corrupted witness
-    data; the returned violation carries the two offending hull pieces as
-    the proof.
+    Pairs are visited in canonical order and their pieces in nested loop
+    order.  A map whose points pass `verify_witness_membership` passes too,
+    provided the nerve is the family's nerve, so a hit can only come from
+    corrupted witness data; the returned violation carries the two offending
+    hull pieces as the proof.
     """
     K = g.nerve
     faces = canonical_faces(K.faces)
-    vertices = sorted(K.vertices)
     pieces: dict[Face, tuple[tuple[Point, ...], ...]] = {}
-    cover_clean: dict[tuple[Face, Face], bool] = {}
     remote_pairs = 0
     piece_tests = 0
-
-    def image(face: Face):
-        if face not in pieces:
-            pieces[face] = image_of_face(g, face).pieces
-        return pieces[face]
-
     for i, alpha in enumerate(faces):
         for beta in faces[i + 1:]:
             if not is_remote(K, alpha, beta):
                 continue
             remote_pairs += 1
-            cover_a = _grow_remote(K, vertices, alpha, beta)
-            cover = (cover_a, _grow_remote(K, vertices, beta, cover_a))
-            if cover not in cover_clean:
-                piece_tests += 1
-                cover_clean[cover] = not hulls_intersect(
-                    _point_union(image(cover[0])), _point_union(image(cover[1]))
-                )
-            if cover_clean[cover]:
-                continue
-            meeting, tests = _first_meeting(image(alpha), image(beta))
-            piece_tests += tests
-            if meeting is not None:
-                return DisjointnessReport(
-                    DisjointnessViolation(alpha, beta, *meeting),
-                    remote_pairs,
-                    piece_tests,
-                )
-    return DisjointnessReport(None, remote_pairs, piece_tests)
-
-
-def verify_containment(g: WitnessMap, F: ConvexFamily) -> ContainmentReport:
-    """The pipeline's proof of the remote-face lemma: chain members sit inside
-    the chain bottom.
-
-    For every maximal chain of the nerve's face poset, each member's witness
-    point must lie in the intersection over the chain's minimal face; the
-    hull of the chain is then inside that intersection by convexity, hence
-    g(|sd alpha|) lies in the union of C_v over v in alpha.  For remote alpha
-    and beta no edge {v, w} of the nerve joins them, so C_v and C_w are
-    disjoint and so are the two images.  Only dot products are needed; a
-    passing map also passes `verify_remote_disjointness`, provided the
-    nerve is the family's nerve.
-    """
-    chains_checked = 0
-    for facet in g.nerve.facets():
-        for chain in _descending_chains(facet):
-            chains_checked += 1
-            bottom = chain[-1]
-            for member in chain:
-                p = g.witness[member]
-                for label in bottom:
-                    row = F.body(label).violated_row(p)
-                    if row is not None:
-                        return ContainmentReport(
-                            ContainmentViolation(chain, member, label, row),
-                            chains_checked,
+            for face in (alpha, beta):
+                if face not in pieces:
+                    pieces[face] = image_of_face(g, face).pieces
+            for pa in pieces[alpha]:
+                for pb in pieces[beta]:
+                    piece_tests += 1
+                    if hulls_intersect(pa, pb):
+                        return DisjointnessReport(
+                            DisjointnessViolation(alpha, beta, pa, pb),
+                            remote_pairs,
+                            piece_tests,
                         )
-    return ContainmentReport(None, chains_checked)
+    return DisjointnessReport(None, remote_pairs, piece_tests)
 
 
 def image_of_source_simplex(g: WitnessMap, sd_source: SdComplex, gamma) -> SimplexImage:

@@ -9,9 +9,10 @@ goes through one exact barycentric solve per pair (the engine the
 interleaving rule replaced), coboundary rows are read off the definition
 column by column, GF(2) systems go through the dense Gauss-Jordan pass
 the echelon solver replaced, the remote-face audit scans every piece
-pair of every remote pair (the loop the coarse-to-fine filter replaced), and
-the inscribed ball goes through one two-phase solve per lexicographic stage
-(the solves the one-tableau driver replaced).
+pair of every remote pair under a given hull predicate (Fourier-Motzkin
+keeps it off the simplex), and the inscribed ball goes through one
+two-phase solve per lexicographic stage (the solves the one-tableau driver
+replaced).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from nervecert.complexes import canonical_faces, disjoint_simplex_pairs, is_remote
-from nervecert.convex import HPolytope, Point, crossing, hulls_intersect
+from nervecert.convex import HPolytope, Point, crossing
 from nervecert.errors import EmptyPolytopeError, GenericityError, UnboundedPolytopeError
 from nervecert.linprog import INFEASIBLE, ONE, OPTIMAL, UNBOUNDED, ZERO, solve_lp
 from nervecert.obstruction import GF2Infeasible, GF2Solution
@@ -185,8 +186,12 @@ def staged_inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
     return radius, point
 
 
-def piecewise_remote_violation(g):
-    """First (alpha, beta, piece_a, piece_b) of the plain piece-by-piece audit, or None."""
+def piecewise_remote_violation(g, meets):
+    """First (alpha, beta, piece_a, piece_b) of the plain piece-by-piece audit, or None.
+
+    ``meets(pa, pb)`` is the hull predicate; `fm_hulls_intersect` keeps the
+    oracle independent of `linprog`.
+    """
     faces = canonical_faces(g.nerve.faces)
     pieces = {}
     for i, alpha in enumerate(faces):
@@ -199,7 +204,7 @@ def piecewise_remote_violation(g):
                 pieces[beta] = image_of_face(g, beta).pieces
             for pa in pieces[alpha]:
                 for pb in pieces[beta]:
-                    if hulls_intersect(pa, pb):
+                    if meets(pa, pb):
                         return alpha, beta, pa, pb
     return None
 

@@ -1,14 +1,16 @@
-"""Coarse-to-fine image disjointness: the lemma audit and the VKF primitive.
+"""The hull-test audit of the remote-face lemma.
 
-The audit skips every remote pair whose remote cover has disjoint coarse
-hulls; these tests hold it to the plain piece-by-piece scan (the oracle),
-pin a violation document, and check that ``piece_tests`` counts the hull
-tests the audit really makes.  The audit is in turn the oracle for the
-containment proof of the lemma: a map that containment accepts passes it.
+These tests hold the audit to the piecewise scan of `tests/oracles.py`
+(under Fourier-Motzkin where the ambient allows), pin a violation document
+and its recheck, and check that ``piece_tests`` counts the hull tests the
+audit really makes.  The audit is in turn the oracle for the membership
+proof of the lemma: every point inside its bodies puts each image inside
+the bodies of its face, so a map that membership accepts passes the audit.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import nervecert
 from nervecert import witness
+from nervecert.certificates import recheck_certificate
 from nervecert.cli import main
 from nervecert.convex import hulls_intersect
 from nervecert.fileio import family_from_doc
@@ -28,9 +31,8 @@ from nervecert.nerve import nerve_helly
 from nervecert.witness import (
     build_witness_map,
     corrupt_witness,
-    first_meeting_pieces,
-    verify_containment,
     verify_remote_disjointness,
+    verify_witness_membership,
 )
 from conftest import clustered_family, random_family
 from oracles import fm_hulls_intersect, piecewise_remote_violation
@@ -84,27 +86,28 @@ def test_audit_reports_the_violation_of_the_piecewise_scan(seed, clustered, n_co
     assume(g is not None)
     report = verify_remote_disjointness(g)
     event("violation" if report.violation else "clean")
-    assert _as_tuple(report.violation) == piecewise_remote_violation(g)
+    assert _as_tuple(report.violation) == piecewise_remote_violation(g, hulls_intersect)
 
 
 def test_corrupted_maps_give_both_verdicts():
-    # the property above must see hits: count both outcomes on fixed seeds
+    # the property above must see hits: count both outcomes on fixed seeds,
+    # judged by Fourier-Motzkin wherever the ambient is at most 2
     verdicts = []
     for seed in range(24):
         g = corrupted_map(seed, clustered=seed % 2 == 0, n_corrupt=1 + seed % 3)
-        if g is None:
+        if g is None or g.ambient > 2:
             continue
         violation = _as_tuple(verify_remote_disjointness(g).violation)
-        assert violation == piecewise_remote_violation(g)
+        assert violation == piecewise_remote_violation(g, fm_hulls_intersect)
         verdicts.append(violation is None)
     assert verdicts.count(True) >= 3 and verdicts.count(False) >= 3, verdicts
 
 
-def _containment_outcome(made) -> str:
-    """Classify a corrupted map; a contained map must pass the audit."""
+def _membership_outcome(made) -> str:
+    """Classify a corrupted map; a map that membership accepts must pass the audit."""
     F, clean, g = made
-    if not verify_containment(g, F).ok:
-        return "containment fails"
+    if not verify_witness_membership(F, g.witness).ok:
+        return "membership fails"
     assert verify_remote_disjointness(g).ok
     return "clean" if g.witness == clean.witness else "corrupted but contained"
 
@@ -118,54 +121,18 @@ def _containment_outcome(made) -> str:
 def test_containment_implies_the_audit_passes(seed, clustered, n_corrupt):
     made = corrupted_family_map(seed, clustered, n_corrupt)
     assume(made is not None)
-    event(_containment_outcome(made))
+    event(_membership_outcome(made))
 
 
 def test_corrupted_maps_are_both_contained_and_not():
-    # the property above must see corrupted maps on both sides of containment
+    # the property above must see corrupted maps on both sides of membership
     outcomes = []
     for seed in range(24):
         made = corrupted_family_map(seed, clustered=seed % 2 == 0, n_corrupt=1 + seed % 3)
         if made is not None:
-            outcomes.append(_containment_outcome(made))
+            outcomes.append(_membership_outcome(made))
     assert outcomes.count("corrupted but contained") >= 2, outcomes
-    assert outcomes.count("containment fails") >= 2, outcomes
-
-
-def _nested_loop(pieces_a, pieces_b, meets):
-    for pa in pieces_a:
-        for pb in pieces_b:
-            if meets(pa, pb):
-                return pa, pb
-    return None
-
-
-def _pieces(m: int):
-    # segments at most in R^2: Fourier-Motzkin on two triangles takes seconds
-    coord = st.integers(-3, 3).map(Fraction)
-    piece = st.lists(st.tuples(*[coord] * m), min_size=1, max_size=2 if m == 2 else 3)
-    return st.lists(piece.map(tuple), min_size=1, max_size=3)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), m=st.sampled_from([2, 4]))
-def test_first_meeting_pieces_equals_the_nested_loop(data, m):
-    pieces_a = data.draw(_pieces(m))
-    pieces_b = data.draw(_pieces(m))
-    meets = fm_hulls_intersect if m == 2 else hulls_intersect
-    assert first_meeting_pieces(pieces_a, pieces_b) == _nested_loop(pieces_a, pieces_b, meets)
-
-
-def test_first_meeting_pieces_falls_through_a_coarse_hit():
-    # the gap between a's two segments is inside a's coarse hull, not in a piece
-    a = [((0, 0), (2, 0)), ((0, 3), (2, 3))]
-    b = [((1, Fraction(1, 2)), (1, Fraction(5, 2)))]
-    assert hulls_intersect([p for piece in a for p in piece], b[0])
-    assert first_meeting_pieces(a, b) is None
-    b.append(((3, 1), (4, 1)))
-    assert first_meeting_pieces(a, b) is None
-    b.append(((1, Fraction(5, 2)), (1, 4)))
-    assert first_meeting_pieces(a, b) == (a[1], b[2])
+    assert outcomes.count("membership fails") >= 2, outcomes
 
 
 # Captured from the piece-by-piece audit before the coarse-to-fine filter.
@@ -191,22 +158,48 @@ def test_lemma_violation_document_is_pinned(tmp_path, capsys):
     assert out.read_text() == LEMMA_DOCUMENT
 
 
+# A piece of g(|sd alpha|) has one point per face of a maximal chain of alpha,
+# and each point has 2 dim(nerve) coordinates.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"piece_a": [["5"]], "piece_b": [["5"]]}, "'piece_a' point has 1 coordinates"),
+        (
+            {"piece_a": [["5", "1", "0"]], "piece_b": [["5", "1", "0"]]},
+            "'piece_a' point has 3 coordinates",
+        ),
+        ({"piece_a": [["37/2", "1/2"], ["0", "0"]]}, "'piece_a' has 2 points"),
+        (
+            {"nerve": {"facets": [[0], [1]]}, "piece_a": [[]], "piece_b": [[]]},
+            "'nerve' has dimension 0",
+        ),
+    ],
+    ids=["one-coordinate", "three-coordinates", "two-point-piece", "vertex-nerve"],
+)
+def test_recheck_rejects_lemma_pieces_of_the_wrong_shape(tmp_path, capsys, edit, message):
+    doc = json.loads(LEMMA_DOCUMENT)
+    assert recheck_certificate(doc)[0]
+    doc.update(edit)
+    assert main(["recheck", write(tmp_path / "bad.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "confirmed" not in captured.out
+
+
 def path_map():
     F = family_from_doc(PATH_FAMILY)
     return build_witness_map(F, nerve_helly(F))
 
 
-# On the path nerve a cover grown next to the other side would always hit
-# and make 8 hull tests instead of 5.
 @pytest.mark.parametrize(
     "make_map, ok, tests",
     [
-        (lambda: corrupted_map(5, True, 0), True, 6),
-        (lambda: corrupted_map(5, True, 2), True, 19),
-        (lambda: corrupted_map(0, True, 2), False, 18),
-        (path_map, True, 5),
+        (lambda: corrupted_map(5, True, 0), True, 48),
+        (lambda: corrupted_map(5, True, 2), True, 48),
+        (lambda: corrupted_map(0, True, 2), False, 47),
+        (path_map, True, 22),
     ],
-    ids=["clean", "coarse-hit-only", "violation", "path"],
+    ids=["clean", "two-corruptions", "violation", "path"],
 )
 def test_piece_tests_counts_every_hull_test_of_the_audit(make_map, ok, tests, monkeypatch):
     g = make_map()

@@ -3,7 +3,8 @@
 `bench/layertrace.py` names functions of the package by module and name and
 replaces every binding of each while a trace runs.  Deleting or renaming one
 of them breaks `bench/run.py --trace 1`, which the tier-1 suite does not
-run; this test loads the tracer by path and enters and leaves it once.
+run; this test loads the tracer by path and enters and leaves it once.  The
+bindings that `bench/test_bench.py` reads directly are checked as well.
 """
 
 from __future__ import annotations
@@ -56,3 +57,12 @@ def test_every_traced_layer_resolves_and_is_restored():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert not changed, changed
+
+
+def test_bindings_the_bench_tests_read_exist():
+    from nervecert import certificates, cli, convex, nerve, witness
+
+    assert callable(convex.solve_lp)
+    for module in (witness, cli, certificates):
+        assert module.hulls_intersect is convex.hulls_intersect, module.__name__
+    assert nerve.nerve_matches.__defaults__[0] is nerve.nerve_helly
