@@ -1,8 +1,9 @@
 """Command-line surface: builders, nerve computation, obstruction verdicts,
 and the end-to-end certificate pipeline.
 
-The pipeline runs the nerve check, the canonical witness points, the
-membership audit and the obstruction verdict.  Membership proves the
+The pipeline checks the nerve against sd L face by face while it computes
+the canonical witness points, then runs the membership audit and the
+obstruction verdict.  Membership proves the
 remote-face lemma; the hull-test audit runs only when the
 `--corrupt-stage lemma` hook moves a point out of its bodies.
 `VKF_CERTIFICATE` comes only from `vkf-demo`.

@@ -10,6 +10,10 @@ inscribed L-infinity ball, which is unique.  It comes from one integer
 tableau: the radius and then each coordinate are minimized in turn, each
 over the optimal face of the ones before, from a start that one pivot makes
 feasible.
+
+A body's exact bounding box (one LP per coordinate and side, memoized on
+the body) gives `boxes_disjoint`, a sufficient test that two bodies are
+disjoint without an LP on the pair.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .linprog import (
     OPTIMAL,
     UNBOUNDED,
     ZERO,
+    LPResult,
     frac,
     gauss_solve,
     lex_minimize,
@@ -123,6 +128,47 @@ class HPolytope:
             out.append((ints, bi.numerator * (scale // bi.denominator)))
         return tuple(out)
 
+    @cached_property
+    def reduced_rows(self) -> tuple[tuple[tuple[int, ...], Fraction], ...] | None:
+        """The same set as primitive integer rows, one per direction.
+
+        Each integer row is divided by its gcd, and a direction that repeats
+        keeps only its least right-hand side, in order of first appearance.
+        Zero rows (0 <= b_i) are dropped; None means one of them has
+        b_i < 0, so the polytope is empty.
+        """
+        least: dict[tuple[int, ...], Fraction] = {}
+        for ints, bi in self.integer_rows:
+            g = gcd(*ints)
+            if g == 0:
+                if bi < 0:
+                    return None
+                continue
+            key = tuple(v // g for v in ints)
+            rhs = Fraction(bi, g)
+            if key not in least or rhs < least[key]:
+                least[key] = rhs
+        return tuple(least.items())
+
+    @cached_property
+    def _bounds(self) -> dict[tuple[int, bool], Fraction | None]:
+        return {}
+
+    def bound(self, j: int, upper: bool) -> Fraction | None:
+        """Exact max (``upper``) or min of coordinate j, memoized on the body.
+
+        One `solve_lp` over the reduced rows.  None when the coordinate is
+        unbounded on that side; raises EmptyPolytopeError for an empty body.
+        """
+        if (j, upper) not in self._bounds:
+            cost = [ZERO] * self.ambient
+            cost[j] = ONE
+            res = _solve_reduced(self, cost, maximize=upper)
+            if res.status == INFEASIBLE:
+                raise EmptyPolytopeError("polytope is empty")
+            self._bounds[j, upper] = res.objective
+        return self._bounds[j, upper]
+
     def violated_row(self, point) -> int | None:
         """Index of the first constraint the point breaks, or None."""
         p = make_point(point)
@@ -140,10 +186,43 @@ class HPolytope:
         return None
 
 
+def _solve_reduced(P: HPolytope, cost, maximize: bool = False) -> LPResult:
+    """`solve_lp` over P's reduced rows; infeasible without an LP when a zero row is."""
+    rows = P.reduced_rows
+    if rows is None:
+        return LPResult(INFEASIBLE, None, None)
+    return solve_lp(
+        cost, A_ub=[row for row, _ in rows], b_ub=[bi for _, bi in rows], maximize=maximize
+    )
+
+
 def polytope_is_empty(P: HPolytope) -> bool:
-    """Exact emptiness of {x : Ax <= b} via Phase-I feasibility."""
-    res = solve_lp([ZERO] * P.ambient, A_ub=P.A, b_ub=P.b)
-    return res.status == INFEASIBLE
+    """Exact emptiness of {x : Ax <= b} via Phase-I feasibility on the reduced rows."""
+    return _solve_reduced(P, [ZERO] * P.ambient).status == INFEASIBLE
+
+
+def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
+    """True when the exact bounding boxes of P and Q are disjoint, so P n Q = {}.
+
+    Coordinates are scanned in order, and each side's bound is computed only
+    when the other side's bound exists (`HPolytope.bound`, memoized per
+    body); the scan stops at the first separating coordinate.  An empty body
+    has an empty box.  False proves nothing: disjoint bodies can have
+    overlapping boxes.
+    """
+    if P.ambient != Q.ambient:
+        raise DimensionMismatchError("bodies live in different ambient dimensions")
+    try:
+        for j in range(P.ambient):
+            for low, high in ((P, Q), (Q, P)):
+                top = low.bound(j, True)
+                if top is not None:
+                    bottom = high.bound(j, False)
+                    if bottom is not None and top < bottom:
+                        return True
+    except EmptyPolytopeError:
+        return True
+    return False
 
 
 def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
@@ -155,30 +234,21 @@ def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
     Those m + 1 objectives run on one integer tableau (`linprog.lex_minimize`)
     whose start needs no phase 1: from the all-slack basis, one pivot of r's
     negative part into the row with the least b_i / ||a_i||_1 makes every
-    slack nonnegative.  Rows are first brought to primitive integer form and
-    each direction keeps only its least right-hand side; a zero row with
+    slack nonnegative.  It runs on `HPolytope.reduced_rows`; a zero row with
     b_i < 0 makes the polytope empty, and so does a negative radius, which is
     checked before any coordinate stage.  Raises for empty or unbounded input.
     """
     m = P.ambient
-    least: dict[tuple[int, ...], Fraction] = {}  # primitive row -> least rhs
-    for ints, bi in P.integer_rows:
-        g = gcd(*ints)
-        if g == 0:
-            if bi < 0:
-                raise EmptyPolytopeError("polytope is empty")
-            continue
-        key = tuple(v // g for v in ints)
-        rhs = Fraction(bi, g)
-        if key not in least or rhs < least[key]:
-            least[key] = rhs
-    k = len(least)
-    b = list(least.values())
-    norms = [sum(map(abs, row)) for row in least]
+    rows = P.reduced_rows
+    if rows is None:
+        raise EmptyPolytopeError("polytope is empty")
+    k = len(rows)
+    b = [bi for _, bi in rows]
+    norms = [sum(map(abs, row)) for row, _ in rows]
     # Columns: x_j^+ and x_j^- at 2j and 2j+1, r^+ and r^- at 2m and 2m+1,
     # then one slack per row.
     A = []
-    for i, (row, norm) in enumerate(zip(least, norms)):
+    for i, ((row, _), norm) in enumerate(zip(rows, norms)):
         std = [0] * (2 * m + 2 + k)
         std[0 : 2 * m : 2] = row
         std[1 : 2 * m : 2] = [-a for a in row]

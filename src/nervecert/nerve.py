@@ -5,7 +5,14 @@ subfamily gets an LP feasibility test) and the Helly-accelerated engine,
 which only runs LPs up to subfamily size m+1 and closes larger faces
 combinatorially -- in R^m a family has a common point exactly when every
 m+1 of its members do.  The exhaustive engine is kept as a cross-check
-oracle.
+oracle.  Both grow the nerve level by level from `next_candidates`, and a
+pair is first tried by its exact bounding boxes (`convex.boxes_disjoint`),
+which settle most disjoint pairs without a pair LP.  Only these enumerating
+engines have a body cap.
+
+The certificate pipeline does not enumerate: `witness.witness_points`
+walks the claimed complex with the same candidate step and the same
+per-face test, and stops at the first mismatch.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex
-from .convex import HPolytope, polytope_is_empty
+from .convex import HPolytope, boxes_disjoint, polytope_is_empty
 from .errors import DimensionMismatchError, FamilyCapError, LabelMismatchError
 
 DEFAULT_BODY_CAP = 20
@@ -71,8 +78,37 @@ class NerveMatch:
         return self.verdict == NerveMatch.EQUAL
 
 
-def _face_has_common_point(F: ConvexFamily, face: Face) -> bool:
+def face_has_common_point(F: ConvexFamily, face: Face) -> bool:
+    """Whether the bodies of ``face`` share a point: the box test for a pair, then an LP."""
+    if len(face) == 2 and boxes_disjoint(F.body(face[0]), F.body(face[1])):
+        return False
     return not polytope_is_empty(F.subfamily_polytope(face))
+
+
+def check_labels(F: ConvexFamily, K: SimplicialComplex) -> None:
+    """Raise LabelMismatchError unless the family labels are K's vertices."""
+    if set(F.labels()) != set(K.vertices):
+        raise LabelMismatchError(
+            f"family labels {sorted(F.labels())} != complex vertices {sorted(K.vertices)}"
+        )
+
+
+def next_candidates(level: list[Face], labels: list[int]) -> list[Face]:
+    """The sets one vertex larger than ``level``'s faces whose facets all lie in it.
+
+    ``level`` holds faces of one size in lexicographic order, and so does
+    the result: each face is extended by every larger label.
+    """
+    prev = set(level)
+    out: list[Face] = []
+    for base in level:
+        for label in labels:
+            if label > base[-1]:
+                cand = base + (label,)
+                # the facet that drops the new label is base itself
+                if all(cand[:i] + cand[i + 1:] in prev for i in range(len(base))):
+                    out.append(cand)
+    return out
 
 
 def _build_nerve(F: ConvexFamily, cap: int, helly: bool) -> SimplicialComplex:
@@ -83,30 +119,17 @@ def _build_nerve(F: ConvexFamily, cap: int, helly: bool) -> SimplicialComplex:
         )
     labels = F.labels()
     level: list[Face] = [
-        (label,) for label in labels if _face_has_common_point(F, (label,))
+        (label,) for label in labels if face_has_common_point(F, (label,))
     ]
     faces: set[Face] = set(level)
-    size = 2
     while level:
-        prev = set(level)
-        nxt: list[Face] = []
-        for base in level:
-            for label in labels:
-                if label <= base[-1]:
-                    continue
-                cand = base + (label,)
-                # downward-closure pruning: all facets of cand must be faces
-                if any(
-                    cand[:i] + cand[i + 1:] not in prev for i in range(size)
-                ):
-                    continue
-                if helly and size > F.ambient + 1:
-                    nxt.append(cand)  # Helly closure, no LP needed
-                elif _face_has_common_point(F, cand):
-                    nxt.append(cand)
-        faces.update(nxt)
-        level = nxt
-        size += 1
+        level = [
+            cand
+            for cand in next_candidates(level, labels)
+            # Helly closure: a larger face needs no LP once its facets are faces
+            if (helly and len(cand) > F.ambient + 1) or face_has_common_point(F, cand)
+        ]
+        faces.update(level)
     vertices = frozenset(f[0] for f in faces if len(f) == 1)
     return SimplicialComplex(vertices, frozenset(faces))
 
@@ -130,10 +153,7 @@ def nerve_matches(
     witness face, tagged missing_face when K claims a face the nerve lacks
     and extra_face when the nerve has a face K lacks.
     """
-    if set(F.labels()) != set(K.vertices):
-        raise LabelMismatchError(
-            f"family labels {sorted(F.labels())} != complex vertices {sorted(K.vertices)}"
-        )
+    check_labels(F, K)
     nerve = engine(F)
     if nerve.faces == K.faces:
         return NerveMatch(NerveMatch.EQUAL, None)

@@ -1,16 +1,19 @@
 """Linear witness maps from a subdivided nerve back into its convex family.
 
 Each nonempty nerve face gets an exact witness point inside the intersection
-of its bodies; extending linearly over the barycentric subdivision gives a
-map whose key property is the remote-face lemma: subdivisions of remote
-faces have disjoint images.  The membership audit proves it.  When p(sigma)
-lies in C_v for every v in sigma, each piece of g(|sd alpha|) (the hull of
-the points of a maximal chain) lies in the body of the chain's bottom
-vertex, and remote faces have no nerve edge between them, so their images
-lie in disjoint bodies.  The map is represented only by its vertex images;
-the hull-test audit `verify_remote_disjointness` scans the pieces of every
-remote pair and is kept to name the two pieces of a map that fails
-membership.
+of its bodies.  `witness_points` computes them while it checks a claimed
+nerve face by face, so the claim is verified without enumerating the
+family's nerve, and the first face where claim and family disagree is
+raised as the mismatch.  Extending linearly over the barycentric
+subdivision gives a map whose key property is the remote-face lemma:
+subdivisions of remote faces have disjoint images.  The membership audit
+proves it.  When p(sigma) lies in C_v for every v in sigma, each piece of
+g(|sd alpha|) (the hull of the points of a maximal chain) lies in the body
+of the chain's bottom vertex, and remote faces have no nerve edge between
+them, so their images lie in disjoint bodies.  The map is represented only
+by its vertex images; the hull-test audit `verify_remote_disjointness`
+scans the pieces of every remote pair and is kept to name the two pieces
+of a map that fails membership.
 
 The map can also be pushed through a second subdivision: when the nerve is
 itself the subdivision of some source complex, the image of a source simplex
@@ -35,11 +38,19 @@ from .complexes import (
 from .convex import Point, SimplexImage, canonical_point, hulls_intersect, make_point
 from .errors import (
     DimensionMismatchError,
+    EmptyPolytopeError,
     NerveMismatchError,
     NotAFaceError,
     SourceLabelingError,
+    UnboundedPolytopeError,
 )
-from .nerve import ConvexFamily, nerve_matches
+from .nerve import (
+    ConvexFamily,
+    NerveMatch,
+    check_labels,
+    face_has_common_point,
+    next_candidates,
+)
 
 
 @dataclass(eq=False)
@@ -95,26 +106,57 @@ class DisjointnessReport:
 
 
 def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
-    """Canonical witness point for every face of the verified nerve K.
+    """Canonical witness point for every face of K, once K is the family's nerve.
 
-    Refuses to fabricate witnesses when the family's nerve is not K, with a
-    `NerveMismatchError` that carries the mismatch; the chosen point of a
-    face is the canonical point of the stacked body system.  That system
-    holds every row of every member body, and `inscribed_ball` asserts the
-    point satisfies it, so nothing is audited here; callers that may
-    corrupt points run `verify_witness_membership` themselves.
+    The nerve is checked against K, not enumerated.  Candidates go level by
+    level in (size, lex) order, each level being the sets whose facets are
+    all faces of the level before (`nerve.next_candidates`):
+
+    - a candidate that is a face of K gets the canonical point of its
+      stacked body system, and an empty system is a ``missing_face``;
+    - any other candidate is a minimal non-face of K, and it is an
+      ``extra_face`` when its bodies share a point: by Helly, always once
+      its size exceeds m + 1, else by the box test and an LP.
+
+    Faces agree below the level being walked, so every face of K and every
+    face of the nerve of that size is a candidate, and the first mismatch
+    is the least by (size, lex), the one `nerve_matches` names.  It raises
+    `NerveMismatchError` carrying that `NerveMatch`.  An unbounded face
+    system still proves the face nonempty; its `UnboundedPolytopeError` is
+    raised only after the walk finds no mismatch.  `inscribed_ball` asserts
+    each point satisfies every row of its system, so nothing is audited
+    here; callers that may corrupt points run `verify_witness_membership`
+    themselves.  No body cap applies.
     """
-    match = nerve_matches(F, K)
-    if not match.is_equal:
-        raise NerveMismatchError(
-            f"family nerve disagrees with the claimed complex: "
-            f"{match.verdict} {match.face}",
-            match,
-        )
-    return {
-        face: canonical_point(F.subfamily_polytope(face))
-        for face in canonical_faces(K.faces)
-    }
+    check_labels(F, K)
+    labels = F.labels()
+    points: dict[Face, Point] = {}
+    unbounded: UnboundedPolytopeError | None = None
+    level = [(label,) for label in labels]
+    while level:
+        agreed: list[Face] = []
+        for face in level:
+            if face in K.faces:
+                try:
+                    points[face] = canonical_point(F.subfamily_polytope(face))
+                except EmptyPolytopeError:
+                    raise _mismatch(NerveMatch.MISSING, face) from None
+                except UnboundedPolytopeError as exc:
+                    unbounded = unbounded or exc
+                agreed.append(face)
+            elif len(face) > F.ambient + 1 or face_has_common_point(F, face):
+                raise _mismatch(NerveMatch.EXTRA, face)
+        level = next_candidates(agreed, labels)
+    if unbounded is not None:
+        raise unbounded
+    return points
+
+
+def _mismatch(verdict: str, face: Face) -> NerveMismatchError:
+    return NerveMismatchError(
+        f"family nerve disagrees with the claimed complex: {verdict} {face}",
+        NerveMatch(verdict, face),
+    )
 
 
 def verify_witness_membership(F: ConvexFamily, witness: dict[Face, Point]) -> MembershipReport:

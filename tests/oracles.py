@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the engine it checks: chain faces are
 enumerated by brute force over subsets, feasibility goes through
-Fourier-Motzkin elimination instead of simplex pivoting, segment crossing
+Fourier-Motzkin elimination instead of simplex pivoting (so do the
+coordinate ranges of a body, by projection onto one axis), segment crossing
 uses orientation signs instead of a linear solve, moment-curve crossing
 parity reduces to a parameter-interleaving count, the crossing cocycle
 goes through one exact barycentric solve per pair (the engine the
@@ -42,13 +43,17 @@ def brute_force_chain_faces(faces) -> set[frozenset]:
     return chains
 
 
-def fm_feasible(rows, rhs) -> bool:
-    """Fourier-Motzkin feasibility of {x : rows . x <= rhs} (small systems only)."""
+def _fm_project(rows, rhs, keep: int):
+    """Fourier-Motzkin elimination of every variable from index ``keep`` on.
+
+    Returns the projected system on the first ``keep`` variables as
+    (coefficients, rhs) pairs (small systems only).
+    """
     system = [
         ([Fraction(a) for a in row], Fraction(b)) for row, b in zip(rows, rhs)
     ]
     n = len(system[0][0]) if system else 0
-    for var in range(n - 1, -1, -1):
+    for var in range(n - 1, keep - 1, -1):
         pos, neg, rest = [], [], []
         for coeffs, b in system:
             a = coeffs[var]
@@ -68,11 +73,35 @@ def fm_feasible(rows, rhs) -> bool:
                 ]
                 combined.append((coeffs, pb * scale_p + nb * scale_n))
         system = [(list(c), b) for c, b in {(tuple(c), b) for c, b in rest + combined}]
-    return all(b >= 0 for _, b in system)
+    return system
+
+
+def fm_feasible(rows, rhs) -> bool:
+    """Fourier-Motzkin feasibility of {x : rows . x <= rhs} (small systems only)."""
+    return all(b >= 0 for _, b in _fm_project(rows, rhs, 0))
 
 
 def fm_polytope_is_empty(P) -> bool:
     return not fm_feasible([list(row) for row in P.A], list(P.b))
+
+
+def fm_coordinate_range(P, j: int):
+    """(min, max) of coordinate j over P by projection onto it, or None if P is empty.
+
+    A side with no bound is None.
+    """
+    rows = [[row[j]] + [a for i, a in enumerate(row) if i != j] for row in P.A]
+    lo = hi = None
+    for (a,), b in _fm_project(rows, P.b, 1):
+        if a > 0:
+            hi = b / a if hi is None else min(hi, b / a)
+        elif a < 0:
+            lo = b / a if lo is None else max(lo, b / a)
+        elif b < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
 
 
 def _ccw(a, b, c) -> int:

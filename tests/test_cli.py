@@ -204,26 +204,28 @@ def test_certificate_corruption_at_witness_stage(tmp_path, capsys):
     [(PATH_FAMILY, PATH, 0), (TRIANGLE_FAMILY, EDGE, 2)],
     ids=["clean", "mismatch"],
 )
-def test_certificate_computes_the_nerve_once(
+def test_certificate_enumerates_no_nerve(
     tmp_path, capsys, monkeypatch, family, complex_doc, code
 ):
+    # witness_points checks sd L face by face; no engine builds the nerve
     import nervecert.cli
     import nervecert.nerve
     import nervecert.witness
 
-    real = nervecert.nerve.nerve_matches
     calls = []
+    for name in ("nerve_matches", "nerve_helly", "nerve_exhaustive"):
+        real = getattr(nervecert.nerve, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    for module in (nervecert.nerve, nervecert.witness, nervecert.cli):
-        monkeypatch.setattr(module, "nerve_matches", counted, raising=False)
+        for module in (nervecert.nerve, nervecert.witness, nervecert.cli):
+            monkeypatch.setattr(module, name, counted, raising=False)
     fam = write(tmp_path / "fam.json", family)
     src = write(tmp_path / "src.json", complex_doc)
     assert run(capsys, "certificate", fam, src, "-d", "1")[0] == code
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -298,6 +300,27 @@ def test_certificate_proves_the_lemma_by_containment(
     if code == 0:  # a corruption the lemma clears changes no byte
         assert result[1] == clean_stdout
         assert out.read_bytes() == clean.read_bytes()
+
+
+def test_certificate_has_no_body_cap(tmp_path, capsys):
+    # 61 touching boxes in a row realize sd of a 31-vertex path: vertex i sits
+    # at [2i, 2i+1], edge {i, i+1} (sd label 31 + i) at [2i+1, 2i+2].  The
+    # nerve engines refuse a family this large; the certificate's check does not.
+    left = {i: 2 * i for i in range(31)} | {31 + i: 2 * i + 1 for i in range(30)}
+    family = {
+        "ambient": 2,
+        "bodies": [
+            {"label": v, "box": {"lo": [str(x), "0"], "hi": [str(x + 1), "1"]}}
+            for v, x in sorted(left.items())
+        ],
+    }
+    fam = write(tmp_path / "fam.json", family)
+    path = write(tmp_path / "path.json", {"facets": [[i, i + 1] for i in range(30)]})
+    code, stdout = run(capsys, "certificate", fam, path, "-d", "1")
+    assert code == 0
+    assert "OBSTRUCTION_REPORT: clean run" in stdout
+    assert main(["nerve", fam]) == 1
+    assert "family has 61 bodies, enumeration cap is 20" in capsys.readouterr().err
 
 
 def test_certificate_validation_errors(tmp_path, capsys):

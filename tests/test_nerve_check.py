@@ -1,0 +1,194 @@
+"""The face-by-face nerve check of `witness_points` against the enumerated nerve.
+
+`witness_points` walks the claimed complex K and stops at its first
+mismatch; `nerve_matches(F, K, nerve_exhaustive)` builds the family's whole
+nerve, one LP per candidate, and compares.  They must agree: witnesses come
+back exactly when the nerve is K, and otherwise both name the same verdict
+and face.  K is the nerve itself, or the nerve with one minimal non-face
+added or one maximal face removed, which makes non-flag complexes and, by
+Helly, extra faces larger than m + 1 that need no LP.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from nervecert import (
+    ConvexFamily,
+    HPolytope,
+    LabelMismatchError,
+    NerveMatch,
+    NerveMismatchError,
+    SimplicialComplex,
+    UnboundedPolytopeError,
+    complex_from_facets,
+    nerve_exhaustive,
+    nerve_matches,
+    verify_witness_membership,
+    witness_points,
+)
+from conftest import clustered_family, random_family
+
+
+def a_family(rng: random.Random) -> ConvexFamily:
+    if rng.random() < 0.5:
+        return random_family(rng, n_min=2, n_max=6, m_max=3, cuts=True)
+    return clustered_family(
+        rng, m=rng.randint(1, 3), clusters=rng.randint(1, 3), per=rng.randint(1, 3)
+    )
+
+
+def minimal_non_faces(N: SimplicialComplex) -> list:
+    """Vertex sets outside N whose facets all lie in N, by brute force."""
+    vertices = sorted(N.vertices)
+    out = []
+    for size in range(2, len(vertices) + 1):
+        for cand in combinations(vertices, size):
+            if cand not in N.faces and all(
+                sub in N.faces for sub in combinations(cand, size - 1)
+            ):
+                out.append(cand)
+    return out
+
+
+def claimed_complex(rng: random.Random, N: SimplicialComplex) -> SimplicialComplex:
+    """N, or N with one minimal non-face added or one maximal face removed."""
+    faces = set(N.faces)
+    how = rng.choice(("nerve", "add", "remove"))
+    if how == "add" and minimal_non_faces(N):
+        faces.add(rng.choice(minimal_non_faces(N)))
+    elif how == "remove":
+        facets = [f for f in N.facets() if len(f) > 1]  # keep every vertex
+        if facets:
+            faces.discard(rng.choice(facets))
+    return SimplicialComplex(N.vertices, frozenset(faces))
+
+
+def walk(F, K):
+    """What `witness_points` says, in the terms of `nerve_matches`."""
+    try:
+        points = witness_points(F, K)
+    except NerveMismatchError as exc:
+        return exc.match
+    except LabelMismatchError:
+        return "labels"
+    assert set(points) == set(K.faces)
+    assert verify_witness_membership(F, points).ok
+    return NerveMatch(NerveMatch.EQUAL, None)
+
+
+def enumerated(F, K):
+    try:
+        return nerve_matches(F, K, engine=nerve_exhaustive)
+    except LabelMismatchError:
+        return "labels"
+
+
+def outcome(seed: int):
+    rng = random.Random(seed)
+    F = a_family(rng)
+    K = claimed_complex(rng, nerve_exhaustive(F))
+    got = walk(F, K)
+    assert got == enumerated(F, K)
+    return F, K, got
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_walk_names_the_mismatch_of_the_enumerated_nerve(seed):
+    _, _, got = outcome(seed)
+    event(got if isinstance(got, str) else got.verdict)
+
+
+def test_the_walk_reaches_every_verdict():
+    # the property above must see each verdict often, including extra faces
+    # larger than m + 1 and non-flag claimed complexes
+    seen = Counter()
+    for seed in range(200):
+        F, K, got = outcome(seed)
+        seen[got.verdict] += 1
+        if got.verdict == NerveMatch.EXTRA and len(got.face) > F.ambient + 1:
+            seen["extra beyond m + 1"] += 1
+        if got.verdict != NerveMatch.EQUAL and len(got.face) >= 3:
+            seen["mismatch of size 3 or more"] += 1
+    assert seen[NerveMatch.EQUAL] >= 10, seen
+    assert seen[NerveMatch.MISSING] >= 10, seen
+    assert seen[NerveMatch.EXTRA] >= 10, seen
+    assert seen["extra beyond m + 1"] >= 3, seen
+    assert seen["mismatch of size 3 or more"] >= 5, seen
+
+
+def test_the_walk_needs_no_body_cap():
+    # 25 nested intervals: the nerve is the full simplex, too many bodies to
+    # enumerate; the walk stops at the first pair that the path lacks
+    F = ConvexFamily.of(1, [(i, HPolytope.box([-i - 1], [i + 1])) for i in range(25)])
+    path = complex_from_facets([[i, i + 1] for i in range(24)])
+    with pytest.raises(NerveMismatchError) as refused:
+        witness_points(F, path)
+    assert refused.value.match == NerveMatch(NerveMatch.EXTRA, (0, 2))
+
+
+# x <= 0 is unbounded, [-2, -1] meets it, [5, 6] meets neither.
+HALFLINE = ConvexFamily.of(
+    1,
+    [
+        (0, HPolytope.from_rows([[1]], [0])),
+        (1, HPolytope.box([-2], [-1])),
+        (2, HPolytope.box([5], [6])),
+    ],
+)
+# the strip 0 <= x <= 1 has a ball, and then y runs off below
+STRIP = ConvexFamily.of(
+    2,
+    [
+        (0, HPolytope.box([0, 0], [1, 1])),
+        (1, HPolytope.from_rows([[1, 0], [-1, 0]], [1, 0], ambient=2)),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "F, facets, message",
+    [
+        (HALFLINE, [[0, 1], [2]], "inscribed radius is unbounded"),
+        (STRIP, [[0, 1]], "coordinate 1 is unbounded below"),
+    ],
+    ids=["radius", "coordinate"],
+)
+def test_an_unbounded_body_without_a_mismatch_raises_unbounded(F, facets, message):
+    with pytest.raises(UnboundedPolytopeError, match=f"^{message}$"):
+        witness_points(F, complex_from_facets(facets))
+
+
+@pytest.mark.parametrize(
+    "F, facets, verdict, face",
+    [
+        (HALFLINE, [[0, 1], [1, 2]], NerveMatch.MISSING, (1, 2)),
+        (HALFLINE, [[0], [1], [2]], NerveMatch.EXTRA, (0, 1)),
+        (STRIP, [[0], [1]], NerveMatch.EXTRA, (0, 1)),
+    ],
+    ids=["missing", "extra", "extra-strip"],
+)
+def test_a_mismatch_wins_over_an_unbounded_body(F, facets, verdict, face):
+    # the walk meets the unbounded body before the mismatch, which still wins
+    K = complex_from_facets(facets)
+    with pytest.raises(NerveMismatchError) as refused:
+        witness_points(F, K)
+    assert refused.value.match == NerveMatch(verdict, face)
+    assert refused.value.match == nerve_matches(F, K)
+
+
+def test_an_empty_body_is_a_missing_vertex():
+    F = ConvexFamily.of(
+        1, [(0, HPolytope.box([0], [1])), (1, HPolytope.box([Fraction(3)], [2]))]
+    )
+    with pytest.raises(NerveMismatchError) as refused:
+        witness_points(F, complex_from_facets([[0], [1]]))
+    assert refused.value.match == NerveMatch(NerveMatch.MISSING, (1,))
