@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import combinations
 
 from .certificates import (
@@ -277,6 +278,7 @@ def cmd_recheck(args) -> int:
     return EXIT_CONSISTENCY
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nervecert",
@@ -291,20 +293,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["skeleton", "sd", "sd2"])
     p.add_argument("args", nargs="*")
     p.add_argument("-o", "--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("nerve", help="compute the nerve of a convex family")
     p.add_argument("family")
     p.add_argument("--mode", choices=["helly", "exhaustive"], default="helly")
     p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("vk", help="mod-2 obstruction verdict for a complex")
     p.add_argument("complex")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--params", help="comma-separated distinct rationals, one per vertex")
     p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_vk)
 
     p = sub.add_parser(
         "certificate",
@@ -316,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-witness", help="testing hook: 'v1,v2:c1,c2' replaces p({v1,v2})")
     p.add_argument("--corrupt-stage", choices=["witness", "lemma"], default="lemma")
     p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_certificate)
 
     p = sub.add_parser(
         "vkf-demo",
@@ -325,20 +323,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--params", help="comma-separated distinct rationals, one per vertex")
     p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_vkf_demo)
 
     p = sub.add_parser("recheck", help="re-verify a certificate document")
     p.add_argument("certificate")
-    p.set_defaults(func=cmd_recheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Looked up at call time, so a rebound cmd_* (a trace, a test double) runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except GenericityError as exc:
         print(f"genericity failure: {exc}", file=sys.stderr)
         print("hint: pass --params with fresh distinct rationals", file=sys.stderr)

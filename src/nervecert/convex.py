@@ -11,9 +11,13 @@ tableau: the radius and then each coordinate are minimized in turn, each
 over the optimal face of the ones before, from a start that one pivot makes
 feasible.
 
-A body's exact bounding box (one LP per coordinate and side, memoized on
-the body) gives `boxes_disjoint`, a sufficient test that two bodies are
-disjoint without an LP on the pair.
+A body's exact bounding box gives `boxes_disjoint`, a sufficient test that
+two bodies are disjoint without an LP on the pair.  The whole box comes from
+one integer tableau per body, memoized on the body: one artificial column
+makes the start feasible, its optimal face is the body, and both bounds of
+every coordinate are then minimized over it, each from the basis the one
+before ended in.  Both tableaux are built straight from
+`HPolytope.reduced_rows` as integers, so neither passes through `solve_lp`.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from .linprog import (
     OPTIMAL,
     UNBOUNDED,
     ZERO,
-    LPResult,
+    face_minima,
     frac,
     gauss_solve,
-    lex_minimize,
+    lex_stages,
+    pivot,
     solve_lp,
 )
 
@@ -151,23 +156,53 @@ class HPolytope:
         return tuple(least.items())
 
     @cached_property
-    def _bounds(self) -> dict[tuple[int, bool], Fraction | None]:
-        return {}
+    def _box(self) -> tuple[tuple[Fraction | None, Fraction | None], ...] | None:
+        """Per coordinate (min, max), None for an unbounded side; None when empty.
+
+        One integer tableau over the reduced rows: x^+ and x^-, then one
+        artificial column t, then the slacks.  t enters with coefficient -1
+        only the rows with b_i < 0, so one pivot of t into the row with the
+        least b_i makes the start feasible.  Minimizing t decides emptiness,
+        its optimal face is exactly the body, and both signs of every
+        coordinate are then minimized over it, each from the basis the one
+        before ended in (`linprog.face_minima`).
+        """
+        rows = self.reduced_rows
+        if rows is None:
+            return None
+        m = self.ambient
+        T = _slack_tableau(rows, m, [(-1,) if bi < 0 else (0,) for _, bi in rows])
+        basis = [2 * m + 1 + i for i in range(len(rows))]
+        if rows:
+            low = min(range(len(rows)), key=lambda i: rows[i][1])
+            if rows[low][1] < 0:
+                pivot(T, basis, low, 2 * m)
+        width = 2 * m + 1 + len(rows)
+        face = [0] * width
+        face[2 * m] = 1
+        costs = []
+        for j in range(m):
+            for sign in (1, -1):
+                c = [0] * width
+                c[2 * j], c[2 * j + 1] = sign, -sign
+                costs.append(c)
+        minima = face_minima(T, basis, face, costs)
+        if minima is None:
+            return None
+        return tuple(
+            (lo, None if neg is None else -neg) for lo, neg in zip(minima[::2], minima[1::2])
+        )
 
     def bound(self, j: int, upper: bool) -> Fraction | None:
-        """Exact max (``upper``) or min of coordinate j, memoized on the body.
+        """Exact max (``upper``) or min of coordinate j.
 
-        One `solve_lp` over the reduced rows.  None when the coordinate is
-        unbounded on that side; raises EmptyPolytopeError for an empty body.
+        Read off the body's whole box, which is computed once and memoized
+        on the body.  None when the coordinate is unbounded on that side;
+        raises EmptyPolytopeError for an empty body.
         """
-        if (j, upper) not in self._bounds:
-            cost = [ZERO] * self.ambient
-            cost[j] = ONE
-            res = _solve_reduced(self, cost, maximize=upper)
-            if res.status == INFEASIBLE:
-                raise EmptyPolytopeError("polytope is empty")
-            self._bounds[j, upper] = res.objective
-        return self._bounds[j, upper]
+        if self._box is None:
+            raise EmptyPolytopeError("polytope is empty")
+        return self._box[j][upper]
 
     def violated_row(self, point) -> int | None:
         """Index of the first constraint the point breaks, or None."""
@@ -186,27 +221,44 @@ class HPolytope:
         return None
 
 
-def _solve_reduced(P: HPolytope, cost, maximize: bool = False) -> LPResult:
-    """`solve_lp` over P's reduced rows; infeasible without an LP when a zero row is."""
-    rows = P.reduced_rows
-    if rows is None:
-        return LPResult(INFEASIBLE, None, None)
-    return solve_lp(
-        cost, A_ub=[row for row, _ in rows], b_ub=[bi for _, bi in rows], maximize=maximize
-    )
+def _slack_tableau(rows, m: int, extra) -> list[list[int]]:
+    """Integer rows of a_i.(x^+ - x^-) + e_i.z + s_i = b_i, over reduced rows.
+
+    Columns: x_j^+ and x_j^- at 2j and 2j+1, then the columns z whose
+    coefficients ``extra[i]`` gives per row, then one slack per row.  Row i
+    is scaled by the denominator of b_i, which makes it integral (a_i is
+    primitive) and primitive, and the all-slack basis canonical.
+    """
+    k = len(rows)
+    T = []
+    for i, ((row, bi), ext) in enumerate(zip(rows, extra)):
+        den = bi.denominator
+        scaled = [den * a for a in row]
+        std = [0] * (2 * m) + [den * e for e in ext] + [0] * (k + 1)
+        std[0 : 2 * m : 2] = scaled
+        std[1 : 2 * m : 2] = [-v for v in scaled]
+        std[2 * m + len(ext) + i] = den
+        std[-1] = bi.numerator
+        T.append(std)
+    return T
 
 
 def polytope_is_empty(P: HPolytope) -> bool:
     """Exact emptiness of {x : Ax <= b} via Phase-I feasibility on the reduced rows."""
-    return _solve_reduced(P, [ZERO] * P.ambient).status == INFEASIBLE
+    rows = P.reduced_rows
+    if rows is None:
+        return True
+    res = solve_lp([ZERO] * P.ambient, A_ub=[row for row, _ in rows], b_ub=[bi for _, bi in rows])
+    return res.status == INFEASIBLE
 
 
 def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
     """True when the exact bounding boxes of P and Q are disjoint, so P n Q = {}.
 
-    Coordinates are scanned in order, and each side's bound is computed only
-    when the other side's bound exists (`HPolytope.bound`, memoized per
-    body); the scan stops at the first separating coordinate.  An empty body
+    Coordinates are scanned in order, and the scan stops at the first
+    separating coordinate.  A body's box is one tableau, built on its first
+    `HPolytope.bound` read and memoized on the body, so the test costs at
+    most one tableau per body however many pairs it meets.  An empty body
     has an empty box.  False proves nothing: disjoint bodies can have
     overlapping boxes.
     """
@@ -231,10 +283,11 @@ def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
     The radius LP maximizes r subject to A x + r * ||a_i||_1 <= b; then the
     coordinates, in order, are minimized over the optimal face of everything
     before, which makes the result unique even for degenerate polytopes.
-    Those m + 1 objectives run on one integer tableau (`linprog.lex_minimize`)
-    whose start needs no phase 1: from the all-slack basis, one pivot of r's
-    negative part into the row with the least b_i / ||a_i||_1 makes every
-    slack nonnegative.  It runs on `HPolytope.reduced_rows`; a zero row with
+    Those m + 1 objectives run on one integer tableau (`linprog.lex_stages`),
+    built straight from `HPolytope.reduced_rows` with each row scaled by the
+    denominator of its b_i, so its all-slack basis is already canonical.
+    The start needs no phase 1: one pivot of r's negative part into the row
+    with the least b_i / ||a_i||_1 makes every slack nonnegative.  A zero row with
     b_i < 0 makes the polytope empty, and so does a negative radius, which is
     checked before any coordinate stage.  Raises for empty or unbounded input.
     """
@@ -243,29 +296,20 @@ def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
     if rows is None:
         raise EmptyPolytopeError("polytope is empty")
     k = len(rows)
-    b = [bi for _, bi in rows]
     norms = [sum(map(abs, row)) for row, _ in rows]
     # Columns: x_j^+ and x_j^- at 2j and 2j+1, r^+ and r^- at 2m and 2m+1,
     # then one slack per row.
-    A = []
-    for i, ((row, _), norm) in enumerate(zip(rows, norms)):
-        std = [0] * (2 * m + 2 + k)
-        std[0 : 2 * m : 2] = row
-        std[1 : 2 * m : 2] = [-a for a in row]
-        std[2 * m] = norm
-        std[2 * m + 1] = -norm
-        std[2 * m + 2 + i] = 1
-        A.append(std)
+    T = _slack_tableau(rows, m, [(norm, -norm) for norm in norms])
     basis = [2 * m + 2 + i for i in range(k)]
     if k:
-        tight = min(range(k), key=lambda i: b[i] / norms[i])
-        if b[tight] < 0:
-            basis[tight] = 2 * m + 1
+        tight = min(range(k), key=lambda i: rows[i][1] / norms[i])
+        if rows[tight][1] < 0:
+            pivot(T, basis, tight, 2 * m + 1)
     costs = [[0] * (2 * m + 2 + k) for _ in range(m + 1)]
     costs[0][2 * m], costs[0][2 * m + 1] = -1, 1
     for j in range(m):
         costs[j + 1][2 * j], costs[j + 1][2 * j + 1] = 1, -1
-    stages = lex_minimize(A, b, basis, costs)
+    stages = lex_stages(T, basis, costs)
     status, x = next(stages)
     if status == UNBOUNDED:
         raise UnboundedPolytopeError("inscribed radius is unbounded")

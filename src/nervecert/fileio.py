@@ -19,7 +19,7 @@ from .convex import HPolytope, Point
 from .errors import ParseError
 from .nerve import ConvexFamily
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(value) -> Fraction:
@@ -28,12 +28,14 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
+        match = _RATIONAL_RE.match(value.strip())
+        if not match:
             raise ParseError(f"not an exact rational string: {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {value!r}") from None
+        num, den = match.groups()
+        den = 1 if den is None else int(den)
+        if not den:
+            raise ParseError(f"zero denominator in {value!r}")
+        return Fraction(int(num), den)
     raise ParseError(f"not a rational: {value!r}")
 
 

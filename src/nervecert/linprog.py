@@ -19,12 +19,19 @@ The standard-form core minimizes c.x subject to A x = b, x >= 0.  The public
 wrapper accepts free variables (split internally), inequality rows (slacked
 internally), and either optimization sense.
 
-A lexicographic driver (`lex_minimize`) minimizes several objectives in
-turn on one tableau: once a stage is optimal, every column with a nonzero
-(hence positive) reduced cost is deleted, which leaves exactly the optimal
-face, and the next cost row is reduced against the current basis.  It starts
-from a feasible basis the caller names, so it has no phase 1.  `solve_lp`'s
-phase 2 is the same driver with a single objective.
+Lexicographic minimization (`lex_minimize`, and `lex_stages` on an integer
+tableau) minimizes several objectives in turn on one tableau: once a stage
+is optimal, every column with a nonzero (hence positive) reduced cost is
+deleted, which leaves exactly the optimal face, and the next cost row is
+reduced against the current basis.  It starts from a feasible basis the
+caller names, so it has no phase 1.  `solve_lp`'s phase 2 is the same
+loop with a single objective.
+
+`face_minima` restricts once and then stops restricting: it minimizes a
+phase-1 artificial, keeps that cost's optimal face, and then minimizes each
+of several objectives over that face, each from the basis the one before
+ended in.  Callers that build their own integer tableau (`convex`) make
+their starting pivot with `pivot`.
 """
 
 from __future__ import annotations
@@ -70,7 +77,8 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [v // g for v in row]
 
 
-def _pivot(T: list[list[int]], basis: list[int], row: int, col: int) -> None:
+def pivot(T: list[list[int]], basis: list[int], row: int, col: int) -> None:
+    """Fraction-free pivot of column ``col`` into ``row``; basis[row] becomes col."""
     prow = T[row]
     p = prow[col]
     if p < 0:
@@ -120,7 +128,7 @@ def _run_simplex(T: list[list[int]], basis: list[int]) -> str:
         row = _bland_leaving(T, basis, col, m)
         if row is None:
             return UNBOUNDED
-        _pivot(T, basis, row, col)
+        pivot(T, basis, row, col)
 
 
 def _solve_standard(
@@ -161,13 +169,13 @@ def _solve_standard(
             if col is None:
                 drop.append(i)
             else:
-                _pivot(T, basis, i, col)
+                pivot(T, basis, i, col)
     keep = [i for i in range(m) if i not in drop]
     T = [_primitive(T[i][:n] + [T[i][-1]]) for i in keep]
     basis = [basis[i] for i in keep]
 
     # Phase 2: the true objective from the phase-1 basis.
-    return next(_lex_stages(T, basis, [c]))
+    return next(lex_stages(T, basis, [c]))
 
 
 def _cost_row(T: list[list[int]], basis: list[int], c: list[int]) -> list[int]:
@@ -187,14 +195,29 @@ def _cost_row(T: list[list[int]], basis: list[int], c: list[int]) -> list[int]:
     return _primitive(obj)
 
 
-def _lex_stages(T: list[list[int]], basis: list[int], costs: list[list[int]]):
+def _optimal_face(T: list[list[int]], basis: list[int], cols: list[int]):
+    """Pop T's optimal cost row and delete every column it prices nonzero.
+
+    At an optimum those reduced costs are positive, so the optimal face is
+    exactly the feasible set with those columns at zero.  ``cols`` maps each
+    remaining column to its original index; returns the new (T, cols) and
+    renumbers ``basis`` in place.
+    """
+    obj = T.pop()
+    keep = [j for j in range(len(cols)) if obj[j] == 0]
+    if len(keep) == len(cols):
+        return T, cols
+    where = {j: k for k, j in enumerate(keep)}
+    basis[:] = [where[j] for j in basis]
+    return [_primitive([row[j] for j in keep] + [row[-1]]) for row in T], [cols[j] for j in keep]
+
+
+def lex_stages(T: list[list[int]], basis: list[int], costs: list[list[int]]):
     """Minimize each cost in turn over the optimal face of the ones before.
 
-    T holds the constraint rows of a feasible tableau in canonical form for
-    ``basis`` (no objective row); both are consumed.  After a stage reaches
-    its optimum, every column with a nonzero reduced cost is deleted: those
-    reduced costs are positive, so the optimal face is exactly the feasible
-    set with those columns at zero.  Yields ``(OPTIMAL, x)`` per stage, x
+    T holds the constraint rows of a feasible integer tableau in canonical
+    form for ``basis`` (no objective row); both are consumed.  Costs are
+    integer rows over T's columns.  Yields ``(OPTIMAL, x)`` per stage, x
     being the basic solution over all the original columns, or
     ``(UNBOUNDED, None)`` once and stops.
     """
@@ -202,13 +225,7 @@ def _lex_stages(T: list[list[int]], basis: list[int], costs: list[list[int]]):
     cols = list(range(n))  # original index of each remaining column
     for stage, c in enumerate(costs):
         if stage:
-            obj = T.pop()
-            keep = [j for j in range(len(cols)) if obj[j] == 0]
-            if len(keep) < len(cols):
-                where = {j: k for k, j in enumerate(keep)}
-                T = [_primitive([row[j] for j in keep] + [row[-1]]) for row in T]
-                basis[:] = [where[j] for j in basis]
-                cols = [cols[j] for j in keep]
+            T, cols = _optimal_face(T, basis, cols)
         T.append(_cost_row(T, basis, [c[j] for j in cols]))
         if _run_simplex(T, basis) != OPTIMAL:
             yield UNBOUNDED, None
@@ -218,6 +235,37 @@ def _lex_stages(T: list[list[int]], basis: list[int], costs: list[list[int]]):
             if T[i][-1]:
                 x[cols[basis[i]]] = Fraction(T[i][-1], T[i][basis[i]])
         yield OPTIMAL, x
+
+
+def face_minima(
+    T: list[list[int]], basis: list[int], face_cost: list[int], costs: list[list[int]]
+) -> list[Fraction | None] | None:
+    """The minimum of each cost over the face where ``face_cost`` is least.
+
+    T and ``basis`` are as in `lex_stages`.  ``face_cost`` must be bounded
+    below by zero on the feasible set, as a phase-1 artificial is: a nonzero
+    minimum returns None.  Otherwise its optimal face is kept (the columns
+    it prices nonzero are deleted), and each cost is minimized over it in
+    turn, starting from the basis the one before ended in.  Returns one
+    minimum per cost, None for a cost unbounded below.
+    """
+    cols = list(range(len(face_cost)))
+    T.append(_cost_row(T, basis, face_cost))
+    _run_simplex(T, basis)
+    if T[-1][-1]:
+        return None
+    T, cols = _optimal_face(T, basis, cols)
+    minima: list[Fraction | None] = []
+    for c in costs:
+        c = [c[j] for j in cols]
+        T.append(_cost_row(T, basis, c))
+        if _run_simplex(T, basis) == OPTIMAL:
+            basic = (Fraction(c[j] * T[i][-1], T[i][j]) for i, j in enumerate(basis) if c[j])
+            minima.append(sum(basic, ZERO))
+        else:
+            minima.append(None)
+        T.pop()
+    return minima
 
 
 def lex_minimize(A, b, basis, costs):
@@ -238,10 +286,10 @@ def lex_minimize(A, b, basis, costs):
     for i, col in enumerate(basis):
         if T[i][col] == 0:
             raise ValueError(f"basis column {col} has no pivot in row {i}")
-        _pivot(T, start, i, col)
+        pivot(T, start, i, col)
     if any(row[-1] < 0 for row in T):
         raise ValueError("starting basis is infeasible")
-    yield from _lex_stages(T, start, [_integer_rows([c])[0][0] for c in costs])
+    yield from lex_stages(T, start, [_integer_rows([c])[0][0] for c in costs])
 
 
 def solve_lp(
@@ -331,7 +379,7 @@ def gauss_solve(
             continue
         A[r], A[piv] = A[piv], A[r]
         pivot_col.append(col)
-        _pivot(A, pivot_col, r, col)
+        pivot(A, pivot_col, r, col)
     r = len(pivot_col)
     for i in range(r, nrows):
         if A[i][-1] != 0:

@@ -11,9 +11,10 @@ interleaving rule replaced), coboundary rows are read off the definition
 column by column, GF(2) systems go through the dense Gauss-Jordan pass
 the echelon solver replaced, the remote-face audit scans every piece
 pair of every remote pair under a given hull predicate (Fourier-Motzkin
-keeps it off the simplex), and the inscribed ball goes through one
+keeps it off the simplex), the inscribed ball goes through one
 two-phase solve per lexicographic stage (the solves the one-tableau driver
-replaced).
+replaced), and a body's box bound goes through one two-phase solve per
+coordinate and side (the solves the one-tableau box replaced).
 """
 
 from __future__ import annotations
@@ -102,6 +103,25 @@ def fm_coordinate_range(P, j: int):
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
+
+
+def lp_bound(P, j: int, upper: bool):
+    """Max (``upper``) or min of coordinate j over P by one `solve_lp`.
+
+    None when that side is unbounded; raises EmptyPolytopeError when P is
+    empty.  Runs on the reduced rows, as `HPolytope.bound` does.
+    """
+    rows = P.reduced_rows
+    if rows is None:
+        raise EmptyPolytopeError("polytope is empty")
+    cost = [ZERO] * P.ambient
+    cost[j] = ONE
+    res = solve_lp(
+        cost, A_ub=[row for row, _ in rows], b_ub=[bi for _, bi in rows], maximize=upper
+    )
+    if res.status == INFEASIBLE:
+        raise EmptyPolytopeError("polytope is empty")
+    return res.objective
 
 
 def _ccw(a, b, c) -> int:

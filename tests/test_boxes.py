@@ -1,10 +1,12 @@
-"""Exact bounding boxes against Fourier-Motzkin projection.
+"""Exact bounding boxes against Fourier-Motzkin projection and per-side LPs.
 
-`HPolytope.bound` solves one LP per coordinate and side; the oracle projects
-the body onto that coordinate by elimination instead.  `boxes_disjoint` is
-only sound if two bodies it separates really are disjoint, which the
-oracle's emptiness test of the stacked pair decides.  Everything runs in
-ambient dimension at most 2, where elimination stays small.
+`HPolytope.bound` reads a box computed on one integer tableau per body.  One
+oracle projects the body onto each coordinate by elimination, in ambient
+dimension at most 2, where elimination stays small; the other runs one
+two-phase `solve_lp` per coordinate and side, in R^1 to R^4.
+`boxes_disjoint` is only sound if two bodies it separates really are
+disjoint, which the elimination oracle's emptiness test of the stacked pair
+decides.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from nervecert import EmptyPolytopeError, HPolytope, polytope_is_empty
 from nervecert.convex import boxes_disjoint
-from oracles import fm_coordinate_range, fm_polytope_is_empty
+from oracles import fm_coordinate_range, fm_polytope_is_empty, lp_bound
 from test_inscribed_ball import random_hpolytope
 
 
@@ -96,26 +98,80 @@ def test_the_box_properties_reach_every_outcome():
     assert pairs["disjoint, boxes meet"] >= 1, pairs
 
 
-def test_bounds_are_memoized_on_the_body(monkeypatch):
+def lp_outcome(P: HPolytope):
+    """`box_outcome` from the per-side `solve_lp` oracle."""
+    try:
+        return [(lp_bound(P, j, False), lp_bound(P, j, True)) for j in range(P.ambient)]
+    except EmptyPolytopeError:
+        return None
+
+
+def features(P: HPolytope, ranges) -> set[str]:
+    """The outcome of P's box, plus the row kinds P mixes in."""
+    if ranges is None:
+        out = {"empty"}
+    elif all(None not in r for r in ranges):
+        out = {"bounded"}
+    else:
+        out = {"one-sided"} if any(r.count(None) == 1 for r in ranges) else {"free"}
+    if any(bi.denominator > 1 for bi in P.b):
+        out.add("fractional rhs")
+    if any(not any(row) for row in P.A):
+        out.add("zero row")
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_bounds_equal_per_side_lps(seed):
+    P = random_hpolytope(random.Random(seed))[1]
+    assert box_outcome(P) == lp_outcome(P)
+
+
+def test_the_lp_oracle_property_reaches_every_outcome():
+    # The same generator, seeded, in R^1 to R^4: bounded, one-sided and empty
+    # bodies, fractional right-hand sides and zero rows must each occur.
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(300):
+        P = random_hpolytope(rng)[1]
+        got = box_outcome(P)
+        assert got == lp_outcome(P)
+        seen.update(features(P, got))
+    for outcome in ("bounded", "one-sided", "empty", "fractional rhs", "zero row"):
+        assert seen[outcome] >= 10, seen
+
+
+def test_one_box_tableau_per_body(monkeypatch):
     import nervecert.convex
 
     calls = []
-    real = nervecert.convex.solve_lp
+    real = nervecert.convex.face_minima
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nervecert.convex, "solve_lp", counted)
+    monkeypatch.setattr(nervecert.convex, "face_minima", counted)
     P = HPolytope.box([0, 0], [1, 1])
-    assert P.bound(1, True) == 1 and P.bound(1, True) == 1
+    assert [P.bound(j, side) for j in (1, 0) for side in (True, False)] == [1, 0, 1, 0]
+    assert P.bound(1, True) == 1
     assert len(calls) == 1
-    # x-ranges [0, 1] and [3, 4] separate at the first coordinate: P's max
-    # and Q's min, two LPs, and no bound of the second coordinate
+    # x-ranges [0, 1] and [3, 4] separate at the first coordinate: Q's box
+    # is built once, however often the pair is tested, and P's not again
     Q = HPolytope.box([3, 0], [4, 1])
-    assert boxes_disjoint(P, Q)
+    assert boxes_disjoint(P, Q) and boxes_disjoint(Q, P) and boxes_disjoint(P, Q)
+    assert len(calls) == 2
+    R = HPolytope.box([1, 1], [2, 2])
+    assert not boxes_disjoint(P, R) and not boxes_disjoint(R, P)
     assert len(calls) == 3
-    assert not boxes_disjoint(P, HPolytope.box([1, 1], [2, 2]))
+    # an empty body is found empty once, and stays empty
+    empty = HPolytope.box([0, 0], [-1, 1])
+    for _ in range(3):
+        assert boxes_disjoint(empty, P)
+        with pytest.raises(EmptyPolytopeError):
+            empty.bound(1, False)
+    assert len(calls) == 4
 
 
 def test_only_a_bounded_side_separates():

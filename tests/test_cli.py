@@ -359,6 +359,21 @@ def test_recheck_cli_confirms_and_refutes(tmp_path, capsys):
     assert run(capsys, "recheck", str(tmp_path / "missing.json"))[0] == 1
 
 
+def test_main_runs_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; the subcommand's function is
+    # still looked up on every call, so a later rebinding is the one that runs.
+    import nervecert.cli
+
+    out = tmp_path / "demo.json"
+    run(capsys, "vkf-demo", "-d", "1", "-o", str(out))
+    assert run(capsys, "recheck", str(out))[0] == 0
+    seen = []
+    monkeypatch.setattr(nervecert.cli, "cmd_recheck", lambda args: seen.append(args) or 42)
+    assert run(capsys, "recheck", str(out))[0] == 42
+    assert [args.certificate for args in seen] == [str(out)]
+    assert nervecert.cli._build_parser() is nervecert.cli._build_parser()
+
+
 def _corrupt_witness_cert(tmp_path, capsys) -> dict:
     fam = write(tmp_path / "fam.json", PATH_FAMILY)
     path = write(tmp_path / "path.json", PATH)

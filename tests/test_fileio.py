@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nervecert import ConvexFamily, HPolytope, ParseError, barycentric_subdivision, complex_from_facets
 from nervecert.fileio import (
@@ -33,6 +36,47 @@ def test_rational_codec():
 def test_rational_codec_rejects(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+def slow_parse_rational(value: str) -> Fraction:
+    """The string branch of `parse_rational` as it was: validate, then let
+    `Fraction` parse the whole string a second time."""
+    if not re.match(r"^[+-]?\d+(/\d+)?$", value.strip()):
+        raise ParseError(f"not an exact rational string: {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {value!r}") from None
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+rational_text = st.lists(
+    st.one_of(
+        st.sampled_from(["+", "-", "/", "0", "00", "7", "12", ".", "e", "_", " ", "\t", "\n"]),
+        st.sampled_from(["\u0663", "\uff17", "\u00a0", "\u2003", "\u00b2", "\u0f33"]),
+        st.characters(),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(rational_text)
+@example("3/-4")
+@example("1.5")
+@example("")
+@example(" -007/0030 ")
+@example("\u0663/\u0664")
+@example("1/0")
+@example("-0/00")
+def test_parse_rational_matches_the_two_pass_parser(text):
+    assert _outcome(parse_rational, text) == _outcome(slow_parse_rational, text)
 
 
 def test_complex_round_trip():
