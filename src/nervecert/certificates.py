@@ -86,18 +86,21 @@ def _params_from_doc(raw) -> dict:
     not a placement to reseed, since `recheck` has no parameters to pass."""
     _require(isinstance(raw, dict), "'params' must be an object")
     out = {}
+    values = set()
     for key, val in raw.items():
         try:
             v = int(key)
         except ValueError:
             raise ParseError(f"params key {key!r} is not an integer") from None
-        _require(v not in out, f"'params' names vertex {v} twice")
+        if v in out:
+            raise ParseError(f"'params' names vertex {v} twice")
         t = parse_rational(val)
-        _require(
-            t not in out.values(),
-            f"'params' repeats the value {format_rational(t)}; parameters must be distinct",
-        )
+        if t in values:
+            raise ParseError(
+                f"'params' repeats the value {format_rational(t)}; parameters must be distinct"
+            )
         out[v] = t
+        values.add(t)
     return out
 
 
@@ -325,6 +328,12 @@ def _recheck_obstruction(doc) -> tuple[bool, str]:
     M = coboundary_matrix(K, d)
     if M.n_rows != n_rows:
         return False, "coboundary row count disagrees"
+    for key, bits, size, what in (
+        ("combination", combination, n_rows, "n_rows"),
+        ("witness", witness, n_pairs, "n_pairs"),
+    ):
+        if bits is not None and bits >> size:
+            raise ParseError(f"'{key}' has a bit at or above {what} = {size}")
     cert = ObstructionCertificate(vanishes, cocycle, rank, n_rows, combination, witness)
     if not cert.verify(M):
         return False, "certificate fails against the rebuilt system"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import NotAFaceError
 
@@ -87,12 +88,24 @@ class SimplicialComplex:
         return canonical_faces(self.faces)
 
     def facets(self) -> list[Face]:
-        """Maximal faces, canonically ordered."""
-        sets = {f: frozenset(f) for f in self.faces}
-        return canonical_faces(
-            f for f in self.faces
-            if not any(sets[f] < sets[g] for g in self.faces if len(g) > len(f))
-        )
+        """Maximal faces, canonically ordered.
+
+        The face set is downward closed, so a face lies under a larger one
+        exactly when it is a codimension-1 subface of some face.
+        """
+        covered = {f[:i] + f[i + 1:] for f in self.faces for i in range(len(f))}
+        return canonical_faces(self.faces.difference(covered))
+
+    @cached_property
+    def _pair_indexes(self) -> dict[int, PairIndex]:
+        return {}
+
+    def pair_index(self, d: int) -> PairIndex:
+        """The d-faces and their vertex-disjoint pairs, found once per dimension."""
+        index = self._pair_indexes.get(d)
+        if index is None:
+            index = self._pair_indexes[d] = PairIndex.build(self, d)
+        return index
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on breakage."""
@@ -109,6 +122,35 @@ class SimplicialComplex:
         for v in self.vertices:
             if (v,) not in self.faces:
                 raise ValueError(f"vertex {v} has no singleton face")
+
+
+class PairIndex(NamedTuple):
+    """The d-faces of a complex and their unordered vertex-disjoint pairs.
+
+    ``vertex_bits`` gives each vertex its own power of two; ``faces`` is
+    sorted and ``masks`` holds each face's vertex bitmask; ``ids`` lists the
+    disjoint pairs as positions (i, j), i < j, in canonical order, and
+    ``pairs`` the same pairs as faces.
+    """
+
+    vertex_bits: dict[int, int]
+    faces: list[Face]
+    masks: list[int]
+    ids: list[tuple[int, int]]
+    pairs: tuple[tuple[Face, Face], ...]
+
+    @classmethod
+    def build(cls, K: SimplicialComplex, d: int) -> PairIndex:
+        bits = {v: 1 << i for i, v in enumerate(sorted(K.vertices))}
+        faces = K.faces_of_dim(d)
+        masks = [sum([bits[v] for v in f]) for f in faces]
+        ids = [
+            (i, j)
+            for i, mask in enumerate(masks)
+            for j in range(i + 1, len(faces))
+            if not mask & masks[j]
+        ]
+        return cls(bits, faces, masks, ids, tuple([(faces[i], faces[j]) for i, j in ids]))
 
 
 def complex_from_facets(facets) -> SimplicialComplex:
@@ -211,16 +253,14 @@ def is_remote(K: SimplicialComplex, alpha, beta) -> bool:
 
 
 def disjoint_simplex_pairs(K: SimplicialComplex, d: int) -> list[tuple[Face, Face]]:
-    """All unordered pairs of vertex-disjoint d-faces, canonically ordered."""
+    """All unordered pairs of vertex-disjoint d-faces, canonically ordered.
+
+    The pairs come from the complex's memoized `PairIndex`; every call
+    returns a fresh list of them.
+    """
     if d < 0:
         raise ValueError(f"dimension must be nonnegative, got {d}")
-    dfaces = K.faces_of_dim(d)
-    return [
-        (g, h)
-        for i, g in enumerate(dfaces)
-        for h in dfaces[i + 1:]
-        if not set(g) & set(h)
-    ]
+    return list(K.pair_index(d).pairs)
 
 
 def subdivided_subcomplex(sdK: SdComplex, alpha) -> list[Face]:

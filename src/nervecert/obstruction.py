@@ -24,12 +24,19 @@ exact barycentric solve in `convex.crossing` returns.
 
 Unordered-pair indexing bakes the swap symmetry of the deleted product into
 the data; bit rows are plain ints, so elimination is ordinary integer xor.
-The coboundary rows are built from a coface index (the d-faces over each
-(d-1)-face), and elimination keeps an echelon basis keyed by each pivot
-row's lowest set bit: a row is reduced only while that bit hits a stored
-pivot.  The rank, the combination over the pivot rows and the witness
-supported on the pivot columns plus one free column are each unique, so
-they do not depend on the elimination order.
+The pair index is found once per complex and dimension
+(`SimplicialComplex.pair_index`); the cocycle and the coboundary rows both
+read it by face position.  The coboundary rows are built from d-face ids,
+vertex bitmasks and a flat table of column bits, and elimination keeps an
+echelon basis keyed by each pivot row's lowest set bit: a row is reduced
+only while that bit hits a stored pivot, and once every column has a pivot
+the rest are not reduced.  The pass carries no combination bitmask: it
+keeps each pivot and the input row it came from, and that is all
+`gf2_rank` (what `recheck` runs) needs.  Only when the cochain reduces to
+0 is the combination rebuilt, in one pass over the pivots, newest first.
+The rank, the combination over the pivot rows and the witness supported on
+the pivot columns plus one free column are each unique, so they do not
+depend on how the elimination is organized.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .complexes import Face, SimplicialComplex, disjoint_simplex_pairs
 from .convex import Point
@@ -73,10 +81,13 @@ class Placement:
         """Crossing parity of two disjoint placed d-simplices: 1 iff their
         parameters interleave (see the module docstring for why)."""
         rank = self.ranks
-        g = sorted(rank[v] for v in gamma)
-        h = sorted(rank[v] for v in delta)
-        starts = sorted(g + h)[::2]  # every other vertex, from the lowest
-        return int(starts == g or starts == h)
+        return _interleave(sorted(rank[v] for v in gamma), sorted(rank[v] for v in delta))
+
+
+def _interleave(g: list[int], h: list[int]) -> int:
+    """1 iff the sorted, disjoint rank lists g and h alternate when merged."""
+    starts = sorted(g + h)[::2]  # every other vertex, from the lowest
+    return int(starts == g or starts == h)
 
 
 def moment_curve_placement(K: SimplicialComplex, d: int, params=None) -> Placement:
@@ -159,44 +170,52 @@ def intersection_cocycle(K: SimplicialComplex, d: int, placement: Placement) -> 
     ranks of its 2d+2 vertices alternate between the two sides.  On the
     moment curve with distinct parameters this is exactly the parity of the
     barycentric solve in `convex.crossing`, and that solve can never meet a
-    degenerate case (module docstring).
+    degenerate case (module docstring).  Each d-face's ranks are sorted once.
     """
     index = tuple(disjoint_simplex_pairs(K, d))
+    pair_index = K.pair_index(d)
+    rank = placement.ranks
+    ranks = [sorted(rank[v] for v in f) for f in pair_index.faces]
     bits = 0
-    for pos, (gamma, delta) in enumerate(index):
-        if placement.crossing_parity(gamma, delta):
+    for pos, (i, j) in enumerate(pair_index.ids):
+        if _interleave(ranks[i], ranks[j]):
             bits |= 1 << pos
     return Cochain2(index, bits)
 
 
 def coboundary_matrix(K: SimplicialComplex, d: int) -> GF2Matrix:
-    """All elementary coboundary rows, in canonical (rho, tau) order."""
+    """All elementary coboundary rows, in canonical (rho, tau) order.
+
+    The m d-faces are numbered and carry vertex bitmasks as in the
+    complex's `PairIndex`.  ``col_bit[s * m + t]`` is the bit of column
+    {sigma_s, tau_t}, or 0 when the two meet (the table is symmetric).
+    Entry t of the sum of the slices ``col_bit[s * m:(s + 1) * m]`` over
+    the d-faces sigma_s that contain rho is then row (rho, tau_t): distinct
+    powers of two, so the sum is their union.
+    """
     columns = tuple(disjoint_simplex_pairs(K, d))
-    col_pos = {pair: i for i, pair in enumerate(columns)}
-    rhos = K.faces_of_dim(d - 1)
-    taus = K.faces_of_dim(d)
-    # cofaces[rho]: the d-faces containing rho, each with its vertex set
-    cofaces: dict[Face, list[tuple[Face, frozenset]]] = {}
-    for sigma in taus:
-        sigma_set = frozenset(sigma)
-        for v in sigma:
-            rho = tuple(u for u in sigma if u != v)
-            cofaces.setdefault(rho, []).append((sigma, sigma_set))
-    tau_sets = [(tau, frozenset(tau)) for tau in taus]
+    pair_index = K.pair_index(d)
+    taus, masks = pair_index.faces, pair_index.masks
+    m = len(taus)
+    col_bit = [0] * (m * m)
+    for pos, (g, h) in enumerate(pair_index.ids):
+        col_bit[g * m + h] = col_bit[h * m + g] = 1 << pos
+    # cofaces[rho]: the ids of the d-faces containing rho
+    cofaces: dict[Face, list[int]] = {}
+    for s, sigma in enumerate(taus):
+        for k in range(len(sigma)):
+            cofaces.setdefault(sigma[:k] + sigma[k + 1:], []).append(s)
+    vertex_bits = pair_index.vertex_bits
+    zero = [0] * m
     row_keys = []
     rows = []
-    for rho in rhos:
-        for tau, tau_set in tau_sets:
-            if tau_set.intersection(rho):
-                continue
-            bits = 0
-            for sigma, sigma_set in cofaces.get(rho, ()):
-                if sigma_set & tau_set:
-                    continue
-                key = (sigma, tau) if sigma < tau else (tau, sigma)
-                bits ^= 1 << col_pos[key]
-            row_keys.append((rho, tau))
-            rows.append(bits)
+    for rho in K.faces_of_dim(d - 1):
+        rho_mask = sum(vertex_bits[v] for v in rho)
+        over = [col_bit[s * m:(s + 1) * m] for s in cofaces.get(rho, ())]
+        for tau, mask, bits in zip(taus, masks, map(sum, zip(*over)) if over else zero):
+            if not mask & rho_mask:
+                row_keys.append((rho, tau))
+                rows.append(bits)
     return GF2Matrix(tuple(row_keys), columns, tuple(rows))
 
 
@@ -224,58 +243,96 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _echelon_basis(rows) -> dict[int, tuple[int, int]]:
-    """Echelon basis of the row space, keyed by each pivot row's lowest set bit.
+def _echelon(M: GF2Matrix) -> tuple[dict[int, int], list[int]]:
+    """Echelon basis of M's row space: each pivot row keyed by its lowest set bit.
 
     A row is reduced only while its lowest bit hits a stored pivot; what
-    remains, if nonzero, becomes the pivot for its new lowest bit.  Each entry
-    is ``(row, combination)``, the combination a bitmask over the input rows
-    that xors to the pivot row.  The rows that become pivots are exactly those
-    outside the span of the rows before them.
+    remains, if nonzero, becomes the pivot for its new lowest bit, so the
+    pivots are exactly the rows outside the span of the rows before them.
+    Once every column has a pivot the remaining rows are in the span and
+    are not reduced.  The lowest bit is computed inline, as this loop is the
+    hot path.  Returns the pivots in creation order and, aligned with
+    them, the index of the input row each came from.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    for idx, row in enumerate(rows):
-        r, c = row, 1 << idx
+    pivots: dict[int, int] = {}
+    sources: list[int] = []
+    full = M.n_cols
+    for idx, r in enumerate(M.rows):
+        if len(pivots) == full:
+            break
         while r:
-            col = _low_bit(r)
+            col = (r & -r).bit_length() - 1
             hit = pivots.get(col)
             if hit is None:
-                pivots[col] = (r, c)
+                pivots[col] = r
+                sources.append(idx)
                 break
-            r ^= hit[0]
-            c ^= hit[1]
-    return pivots
+            r ^= hit
+    return pivots, sources
+
+
+def _combination(M: GF2Matrix, pivots: dict[int, int], sources: list[int], odd: set[int]) -> int:
+    """The input rows that xor to the sum of the pivots whose columns are in ``odd``.
+
+    Newest pivot first: a pivot's input row enters the combination iff the
+    pivot is still in ``odd``, and then every pivot that was xored into that
+    row to make it flips parity.  Those are all older, so each parity is
+    final when its turn comes.  They are found again by reducing the input
+    row xor the pivot (the sum of exactly those pivots, whose lowest bits
+    are distinct), and only for the pivots that enter the combination.
+    """
+    combo = 0
+    for col, idx in zip(reversed(pivots), reversed(sources)):
+        if col not in odd:
+            continue
+        combo |= 1 << idx
+        r = M.rows[idx] ^ pivots[col]
+        used = []
+        while r:
+            low = _low_bit(r)
+            r ^= pivots[low]
+            used.append(low)
+        odd.symmetric_difference_update(used)
+    return combo
+
+
+def _xor_rows(rows, mask: int) -> int:
+    """Xor of the rows whose index bit is set in ``mask`` (bits past the rows ignored)."""
+    acc = 0
+    for row in compress(rows, map("1".__eq__, reversed(bin(mask)))):
+        acc ^= row
+    return acc
 
 
 def gf2_rank(M: GF2Matrix) -> int:
-    """Dimension of M's row space."""
-    return len(_echelon_basis(M.rows))
+    """Dimension of M's row space: the echelon pass alone."""
+    return len(_echelon(M)[0])
 
 
 def gf2_solve(M: GF2Matrix, v: Cochain2) -> GF2Solution | GF2Infeasible:
     """Express v over M's rows, or certify that this is impossible.
 
     The combination is the unique one over the pivot rows (the rows outside
-    the span of earlier rows).  The witness is the unique functional
-    orthogonal to every row whose support lies in the pivot columns plus the
-    lowest column the reduced cochain keeps.
+    the span of earlier rows); it is rebuilt from the pivots only when v
+    reduces to 0.  The witness is the unique functional orthogonal to
+    every row whose support lies in the pivot columns plus the lowest column
+    the reduced cochain keeps.
     """
     if v.index != M.columns:
         raise ValueError("cochain index disagrees with the matrix columns")
-    pivots = _echelon_basis(M.rows)
-    target, combo = v.bits, 0
+    pivots, sources = _echelon(M)
+    target = v.bits
+    odd: set[int] = set()
     while target:
-        hit = pivots.get(_low_bit(target))
+        col = _low_bit(target)
+        hit = pivots.get(col)
         if hit is None:
             break
-        target ^= hit[0]
-        combo ^= hit[1]
+        target ^= hit
+        odd.add(col)
     if target == 0:
-        acc = 0
-        for i, row in enumerate(M.rows):
-            if (combo >> i) & 1:
-                acc ^= row
-        if acc != v.bits:
+        combo = _combination(M, pivots, sources, odd)
+        if _xor_rows(M.rows, combo) != v.bits:
             raise AssertionError("row combination failed to reproduce the cochain")
         return GF2Solution(combo, len(pivots))
 
@@ -285,7 +342,7 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> GF2Solution | GF2Infeasible:
     free_col = _low_bit(target)
     witness = 1 << free_col
     for col in sorted((c for c in pivots if c < free_col), reverse=True):
-        if (pivots[col][0] & witness).bit_count() & 1:
+        if (pivots[col] & witness).bit_count() & 1:
             witness |= 1 << col
     for row in M.rows:
         if (row & witness).bit_count() & 1:
@@ -314,11 +371,11 @@ class ObstructionCertificate:
         if M.columns != self.cocycle.index or M.n_rows != self.n_rows:
             return False
         if self.vanishes:
-            acc = 0
-            for i, row in enumerate(M.rows):
-                if (self.combination >> i) & 1:
-                    acc ^= row
-            return acc == self.cocycle.bits
+            if self.combination >> M.n_rows:
+                return False
+            return _xor_rows(M.rows, self.combination) == self.cocycle.bits
+        if self.witness >> M.n_cols:
+            return False
         if any((row & self.witness).bit_count() & 1 for row in M.rows):
             return False
         return bool((self.cocycle.bits & self.witness).bit_count() & 1)

@@ -1,7 +1,9 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the engine it checks: chain faces are
-enumerated by brute force over subsets, feasibility goes through
+Everything here deliberately avoids the engine it checks: a complex's
+facets are the faces no larger face strictly contains (the quadratic scan
+the codimension-1 rule replaced), chain faces are enumerated by brute
+force over subsets, feasibility goes through
 Fourier-Motzkin elimination instead of simplex pivoting (so do the
 coordinate ranges of a body, by projection onto one axis), segment crossing
 uses orientation signs instead of a linear solve, moment-curve crossing
@@ -28,6 +30,15 @@ from nervecert.errors import EmptyPolytopeError, GenericityError, UnboundedPolyt
 from nervecert.linprog import INFEASIBLE, ONE, OPTIMAL, UNBOUNDED, ZERO, solve_lp
 from nervecert.obstruction import GF2Infeasible, GF2Solution
 from nervecert.witness import image_of_face
+
+
+def quadratic_facets(K) -> list:
+    """Maximal faces by definition: every face is tested against every larger one."""
+    sets = {f: frozenset(f) for f in K.faces}
+    return canonical_faces(
+        f for f in K.faces
+        if not any(sets[f] < sets[g] for g in K.faces if len(g) > len(f))
+    )
 
 
 def brute_force_chain_faces(faces) -> set[frozenset]:

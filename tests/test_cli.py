@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +15,7 @@ import nervecert
 from nervecert.certificates import recheck_certificate
 from nervecert.cli import main
 from nervecert.fileio import document_to_text
+from test_gf2 import torus
 
 
 def write(path, doc) -> str:
@@ -546,6 +549,26 @@ def test_recheck_rejects_a_vkf_piece_point_of_the_wrong_length(
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("position", ["at", "far"])
+@pytest.mark.parametrize(
+    "make, key, size_key",
+    [(_vk_cert, "combination", "n_rows"), (_vk_k5_cert, "witness", "n_pairs")],
+    ids=["K4-combination", "K5-witness"],
+)
+def test_recheck_rejects_a_bit_past_the_system(tmp_path, capsys, make, key, size_key, position):
+    # A combination names matrix rows and a witness names pair columns; a
+    # bit at or above their count names nothing and must not be ignored.
+    doc = make(tmp_path, capsys)
+    size = doc[size_key]
+    doc[key] = format(int(doc[key], 16) | 1 << (size if position == "at" else 4000), "x")
+    bad = write(tmp_path / "bad.json", doc)
+    assert main(["recheck", bad]) == 1
+    captured = capsys.readouterr()
+    assert f"'{key}' has a bit at or above {size_key} = {size}" in captured.err
+    assert "confirmed" not in captured.out
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("rank", [999, 13, 15])
 def test_recheck_refutes_a_wrong_rank(tmp_path, capsys, rank):
     doc = _vk_k5_cert(tmp_path, capsys)
@@ -579,3 +602,36 @@ def test_stdout_runs_are_byte_identical(tmp_path, capsys):
     assert runs[0] == runs[1]
     demos = [run(capsys, "vkf-demo", "-d", "1")[1] for _ in range(2)]
     assert demos[0] == demos[1]
+
+
+# `vk -d 2` at the benchmark's size, each with one fixed shuffled parameter
+# order: (complex document, params, exit code, certificate sha256 as the
+# combination-carrying elimination wrote it).
+VK_D2_PINNED = {
+    "skeleton(9,2)": (
+        {"facets": [list(f) for f in combinations(range(10), 3)]},
+        [9, 4, 2, 5, 8, 1, 10, 7, 3, 6],
+        3,
+        "84a0395c9efbe9473022ed69e358822500cd65303c044059cc08fbcb02fb1035",
+    ),
+    "torus6": (
+        {"facets": [list(f) for f in torus(6).facets()]},
+        [32, 25, 11, 6, 30, 28, 9, 24, 15, 13, 29, 23, 35, 16, 1, 20, 31, 8,
+         22, 36, 14, 3, 34, 7, 17, 2, 19, 12, 33, 18, 27, 5, 4, 26, 10, 21],
+        0,
+        "846211696dae4141b85916a0639d50b646e4592ea2e8c9c84b677421b564f550",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VK_D2_PINNED))
+def test_vk_d2_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
+    doc, params, code, digest = VK_D2_PINNED[name]
+    out = tmp_path / "vk.json"
+    assert run(
+        capsys, "vk", write(tmp_path / "K.json", doc), "-d", "2",
+        "--params", ",".join(map(str, params)), "-o", str(out),
+    )[0] == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code, stdout = run(capsys, "recheck", str(out))
+    assert code == 0 and stdout.startswith("confirmed"), stdout

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nervecert import (
     NotAFaceError,
@@ -17,7 +19,7 @@ from nervecert import (
     skeleton_complex,
     subdivided_subcomplex,
 )
-from oracles import brute_force_chain_faces
+from oracles import brute_force_chain_faces, quadratic_facets
 
 
 def test_complex_from_facets_counts():
@@ -45,6 +47,27 @@ def test_downward_closure_on_random_facets():
         ]
         K = complex_from_facets(facets)
         K.validate()
+
+
+# Facets of one to four vertices over ids 0..9: lone vertices, edges hanging
+# off triangles, and facets nested inside others (absorbed by the closure).
+random_facet_lists = st.lists(
+    st.sets(st.integers(0, 9), min_size=1, max_size=4), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_facet_lists)
+def test_facets_match_the_quadratic_definition(facets):
+    K = complex_from_facets([sorted(f) for f in facets])
+    assert K.facets() == quadratic_facets(K)
+    assert complex_from_facets(K.facets()) == K
+
+
+def test_facets_keep_lone_vertices_and_mixed_dimensions():
+    K = complex_from_facets([[0, 1, 2], [2, 3], [4], [1, 2]])
+    assert K.facets() == [(4,), (2, 3), (0, 1, 2)]
+    assert skeleton_complex(0, 0).facets() == [(0,)]
 
 
 def test_skeleton_examples():
@@ -147,6 +170,32 @@ def test_disjoint_pair_counts():
     assert len(disjoint_simplex_pairs(skeleton_complex(4, 1), 1)) == 15
     assert len(disjoint_simplex_pairs(skeleton_complex(6, 2), 2)) == 70
     assert disjoint_simplex_pairs(complex_from_facets([[1, 2, 3]]), 1) == []
+
+
+def test_disjoint_pairs_are_found_once_per_complex_and_dimension(monkeypatch):
+    from nervecert.complexes import SimplicialComplex
+
+    calls = []
+    real = SimplicialComplex.faces_of_dim
+    monkeypatch.setattr(
+        SimplicialComplex, "faces_of_dim", lambda K, k: calls.append(k) or real(K, k)
+    )
+    K = skeleton_complex(6, 2)
+    first = disjoint_simplex_pairs(K, 2)
+    first.clear()  # each call hands out its own list
+    assert len(disjoint_simplex_pairs(K, 2)) == 70
+    assert len(disjoint_simplex_pairs(K, 1)) == 105
+    assert calls == [2, 1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_facet_lists, st.integers(0, 3))
+def test_disjoint_pairs_match_the_definition(facets, d):
+    K = complex_from_facets([sorted(f) for f in facets])
+    dfaces = sorted(f for f in K.faces if len(f) == d + 1)
+    assert disjoint_simplex_pairs(K, d) == [
+        (g, h) for i, g in enumerate(dfaces) for h in dfaces[i + 1:] if not set(g) & set(h)
+    ]
 
 
 def test_subdivided_subcomplex_counts():

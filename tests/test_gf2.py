@@ -7,6 +7,8 @@ the definition.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -92,6 +94,75 @@ def test_echelon_solver_matches_dense_gauss_jordan(system):
         span |= {x ^ row for x in span}
     assert 1 << outcome.rank == len(span)
     assert gf2_rank(M) == outcome.rank
+
+
+def sparse_gf2_system(rng: random.Random) -> tuple[GF2Matrix, Cochain2]:
+    """A sparse system over 30-200 columns, shaped like the coboundary rows.
+
+    Rows are 2-bit "chains" (two nearby columns, as on the torus, where
+    reducing one row walks a long chain of pivots), 5-bit rows (as on a
+    skeleton), duplicates of earlier rows and sums of two to four earlier
+    rows.  The target is a sum of rows half the time, else a sparse or a
+    dense vector.
+    """
+    n_cols = rng.randint(30, 200)
+    rows: list[int] = []
+    for _ in range(rng.randint(n_cols // 2, 3 * n_cols)):
+        kind = rng.choice(["chain", "chain", "five", "duplicate", "dependent"])
+        if kind == "duplicate" and rows:
+            rows.append(rng.choice(rows))
+        elif kind == "dependent" and len(rows) >= 2:
+            acc = 0
+            for row in rng.sample(rows, rng.randint(2, min(4, len(rows)))):
+                acc ^= row
+            rows.append(acc)
+        elif kind == "five":
+            rows.append(sum(1 << j for j in rng.sample(range(n_cols), 5)))
+        else:
+            j = rng.randrange(n_cols - 1)
+            rows.append(1 << j | 1 << min(n_cols - 1, j + rng.randint(1, 4)))
+    shape = rng.choice(["span", "span", "sparse", "dense"])
+    if shape == "span":
+        target = 0
+        for row in rows:
+            if rng.random() < 0.5:
+                target ^= row
+    elif shape == "sparse":
+        target = sum(1 << j for j in rng.sample(range(n_cols), rng.randint(1, 6)))
+    else:
+        target = rng.getrandbits(n_cols)
+    columns = tuple(((2 * j,), (2 * j + 1,)) for j in range(n_cols))
+    row_keys = tuple(((i,), (i,)) for i in range(len(rows)))
+    return GF2Matrix(row_keys, columns, tuple(rows)), Cochain2(columns, target)
+
+
+def check_against_dense_gauss_jordan(M: GF2Matrix, v: Cochain2):
+    outcome = gf2_solve(M, v)
+    assert outcome == dense_gauss_jordan_gf2(M, v)
+    assert gf2_rank(M) == outcome.rank
+    return outcome
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_sparse_systems_match_dense_gauss_jordan(seed):
+    check_against_dense_gauss_jordan(*sparse_gf2_system(random.Random(seed)))
+
+
+def test_the_sparse_system_property_reaches_both_branches():
+    # The same generator, seeded: the cochain must come out a coboundary
+    # (a row combination) and outside the row space (a witness) often
+    # enough, and some systems must reach full column rank, where the
+    # elimination stops before the last rows (72, 48 and 11 of 120).
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(120):
+        M, v = sparse_gf2_system(rng)
+        outcome = check_against_dense_gauss_jordan(M, v)
+        seen[type(outcome).__name__] += 1
+        seen["full rank"] += outcome.rank == M.n_cols
+    for what in ("GF2Solution", "GF2Infeasible", "full rank"):
+        assert seen[what] >= 10, seen
 
 
 # (complex, d, params, type, rank, combination or witness as hex), captured

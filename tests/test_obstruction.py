@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -192,6 +193,18 @@ def test_certificates_reverify_against_the_matrix():
         cert = obstruction_vanishes(K, d)
         assert cert.verify(coboundary_matrix(K, d))
         assert not cert.verify(coboundary_matrix(K5 if K is not K5 else k4(), 1))
+
+
+def test_certificates_with_a_bit_past_the_system_fail():
+    for K, d in [(k4(), 1), (K5, 1)]:
+        cert = obstruction_vanishes(K, d)
+        M = coboundary_matrix(K, d)
+        stray = (
+            replace(cert, combination=cert.combination | 1 << M.n_rows)
+            if cert.vanishes
+            else replace(cert, witness=cert.witness | 1 << M.n_cols)
+        )
+        assert cert.verify(M) and not stray.verify(M)
 
 
 def test_cocycle_dimension_guard():
