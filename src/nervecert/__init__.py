@@ -18,10 +18,8 @@ from .convex import (
     Crossing,
     HPolytope,
     Point,
-    SimplexImage,
     canonical_point,
     crossing,
-    generic_crossing_parity,
     hulls_intersect,
     inscribed_ball,
     polytope_is_empty,

@@ -104,6 +104,16 @@ def _params_from_doc(raw) -> dict:
     return out
 
 
+def _face_field(doc, key: str) -> tuple[int, ...]:
+    """A face as `make_face` writes it: one or more strictly increasing labels."""
+    face = tuple(_int_list(doc[key], f"'{key}'"))
+    _require(
+        bool(face) and all(a < b for a, b in zip(face, face[1:])),
+        f"'{key}' must list one or more labels in strictly increasing order, got {list(face)}",
+    )
+    return face
+
+
 def _pieces_to_doc(piece) -> list[list[str]]:
     return [format_point(p) for p in piece]
 
@@ -212,7 +222,7 @@ def consistency_failure_cert(obstruction_doc: dict, detail: str) -> dict:
 def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
     F = family_from_doc(doc["family"])
     K, _ = complex_from_doc(doc["complex"])
-    face = tuple(_int_list(doc["witness_face"], "witness_face"))
+    face = _face_field(doc, "witness_face")
     direction = doc.get("direction")
     if direction not in (NerveMatch.MISSING, NerveMatch.EXTRA):
         raise ParseError(f"unknown mismatch direction {direction!r}")
@@ -239,8 +249,13 @@ def _recheck_witness_violation(doc) -> tuple[bool, str]:
         len(point) == F.ambient,
         f"'point' has {len(point)} coordinates, ambient is {F.ambient}",
     )
+    face = _face_field(doc, "face")
+    _require(
+        set(face) <= set(F.labels()), f"'face' {list(face)} names labels outside the family"
+    )
     label = _int_field(doc["body_label"], "'body_label'")
     _require(label in F.labels(), f"'body_label' {label} names no body of the family")
+    _require(label in face, f"'body_label' {label} is not a member of 'face' {list(face)}")
     body = F.body(label)
     row = _int_field(doc["row"], "'row'")
     _require(0 <= row < body.n_rows, f"'row' {row} is out of range")

@@ -1,23 +1,29 @@
-"""Exact rational convex geometry: H-polytopes, canonical points, hull
-intersection, and generic straight-line crossing parity.
+"""Exact rational convex geometry: H-polytopes, emptiness, canonical points,
+bounding boxes, hull intersection, and the exact crossing solve of two
+placed simplices.
 
 Every predicate here is exact; there are no tolerance parameters.  Convex
 sets are H-polytopes {x : Ax <= b} with Fraction entries (boxes are sugar),
 which keeps nerve membership and disjointness verification decidable.
 
-The canonical point of a polytope is the lex-least centre of its largest
-inscribed L-infinity ball, which is unique.  It comes from one integer
-tableau: the radius and then each coordinate are minimized in turn, each
-over the optimal face of the ones before, from a start that one pivot makes
-feasible.
+Every question about an H-system runs on an integer tableau built straight
+from `HPolytope.reduced_rows`, never through `solve_lp`:
 
-A body's exact bounding box gives `boxes_disjoint`, a sufficient test that
-two bodies are disjoint without an LP on the pair.  The whole box comes from
-one integer tableau per body, memoized on the body: one artificial column
-makes the start feasible, its optimal face is the body, and both bounds of
-every coordinate are then minimized over it, each from the basis the one
-before ended in.  Both tableaux are built straight from
-`HPolytope.reduced_rows` as integers, so neither passes through `solve_lp`.
+- Emptiness and the bounding box share one feasibility tableau
+  (`_feasibility_tableau`): one artificial column makes the start feasible,
+  and phase 1 minimizes it.  `polytope_is_empty` stops there; `_box` keeps
+  the artificial's optimal face, which is the body, and minimizes both
+  bounds of every coordinate over it, each from the basis the one before
+  ended in.  The box is memoized on the body and gives `boxes_disjoint`, a
+  sufficient test that two bodies are disjoint without an LP on the pair.
+- The canonical point of a polytope is the lex-least centre of its largest
+  inscribed L-infinity ball, which is unique.  It comes from a second
+  tableau: the radius and then each coordinate are minimized in turn, each
+  over the optimal face of the ones before, from a start that one pivot
+  makes feasible.
+
+`solve_lp` serves only `hulls_intersect`, whose inputs are point sets
+(V-hulls), not H-systems.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .linprog import (
-    INFEASIBLE,
     ONE,
     OPTIMAL,
     UNBOUNDED,
@@ -159,34 +164,24 @@ class HPolytope:
     def _box(self) -> tuple[tuple[Fraction | None, Fraction | None], ...] | None:
         """Per coordinate (min, max), None for an unbounded side; None when empty.
 
-        One integer tableau over the reduced rows: x^+ and x^-, then one
-        artificial column t, then the slacks.  t enters with coefficient -1
-        only the rows with b_i < 0, so one pivot of t into the row with the
-        least b_i makes the start feasible.  Minimizing t decides emptiness,
-        its optimal face is exactly the body, and both signs of every
-        coordinate are then minimized over it, each from the basis the one
-        before ended in (`linprog.face_minima`).
+        On the feasibility tableau (`_feasibility_tableau`), the artificial
+        t is minimized first: a nonzero minimum means empty, and its optimal
+        face is exactly the body.  Both signs of every coordinate are then
+        minimized over it, each from the basis the one before ended in
+        (`linprog.face_minima`).
         """
-        rows = self.reduced_rows
-        if rows is None:
+        start = _feasibility_tableau(self)
+        if start is None:
             return None
+        T, basis, t_cost = start
         m = self.ambient
-        T = _slack_tableau(rows, m, [(-1,) if bi < 0 else (0,) for _, bi in rows])
-        basis = [2 * m + 1 + i for i in range(len(rows))]
-        if rows:
-            low = min(range(len(rows)), key=lambda i: rows[i][1])
-            if rows[low][1] < 0:
-                pivot(T, basis, low, 2 * m)
-        width = 2 * m + 1 + len(rows)
-        face = [0] * width
-        face[2 * m] = 1
         costs = []
         for j in range(m):
             for sign in (1, -1):
-                c = [0] * width
+                c = [0] * len(t_cost)
                 c[2 * j], c[2 * j + 1] = sign, -sign
                 costs.append(c)
-        minima = face_minima(T, basis, face, costs)
+        minima = face_minima(T, basis, t_cost, costs)
         if minima is None:
             return None
         return tuple(
@@ -243,13 +238,34 @@ def _slack_tableau(rows, m: int, extra) -> list[list[int]]:
     return T
 
 
-def polytope_is_empty(P: HPolytope) -> bool:
-    """Exact emptiness of {x : Ax <= b} via Phase-I feasibility on the reduced rows."""
+def _feasibility_tableau(P: HPolytope):
+    """A feasible start for phase 1 over P's reduced rows, or None for a zero row.
+
+    One integer tableau: x^+ and x^-, then one artificial column t, then
+    the slacks.  t enters with coefficient -1 only the rows with b_i < 0,
+    so one pivot of t into the row with the least b_i makes every slack
+    nonnegative.  Returns (T, basis, t_cost); P is empty iff the least t
+    is nonzero, and at t = 0 the feasible set is exactly P.
+    """
     rows = P.reduced_rows
     if rows is None:
-        return True
-    res = solve_lp([ZERO] * P.ambient, A_ub=[row for row, _ in rows], b_ub=[bi for _, bi in rows])
-    return res.status == INFEASIBLE
+        return None
+    m = P.ambient
+    T = _slack_tableau(rows, m, [(-1,) if bi < 0 else (0,) for _, bi in rows])
+    basis = [2 * m + 1 + i for i in range(len(rows))]
+    if rows:
+        low = min(range(len(rows)), key=lambda i: rows[i][1])
+        if rows[low][1] < 0:
+            pivot(T, basis, low, 2 * m)
+    t_cost = [0] * (2 * m + 1 + len(rows))
+    t_cost[2 * m] = 1
+    return T, basis, t_cost
+
+
+def polytope_is_empty(P: HPolytope) -> bool:
+    """Exact emptiness of {x : Ax <= b}: phase 1 of P's feasibility tableau."""
+    start = _feasibility_tableau(P)
+    return start is None or face_minima(*start, []) is None
 
 
 def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
@@ -370,8 +386,6 @@ class Crossing:
 
     parity: int
     point: Point | None
-    sigma_coords: tuple[Fraction, ...] | None
-    tau_coords: tuple[Fraction, ...] | None
 
 
 def crossing(sigma_pts, tau_pts) -> Crossing:
@@ -406,41 +420,19 @@ def crossing(sigma_pts, tau_pts) -> Crossing:
     rhs.append(ONE)
     kind, z = gauss_solve(M, rhs)
     if kind == "inconsistent":
-        return Crossing(0, None, None, None)
+        return Crossing(0, None)
     if kind == "underdetermined":
         raise GenericityError(
             "affine hulls meet degenerately; perturb the placement and retry"
         )
-    lam = tuple(z[:ns])
-    mu = tuple(z[ns:])
     if any(v == 0 for v in z):
         raise GenericityError(
             "intersection lies on a simplex boundary; perturb the placement and retry"
         )
     if all(v > 0 for v in z):
         point = tuple(
-            sum((lam[i] * s[i][k] for i in range(ns)), ZERO) for k in range(ambient)
+            sum((z[i] * s[i][k] for i in range(ns)), ZERO) for k in range(ambient)
         )
-        return Crossing(1, point, lam, mu)
-    return Crossing(0, None, lam, mu)
+        return Crossing(1, point)
+    return Crossing(0, None)
 
-
-def generic_crossing_parity(sigma_pts, tau_pts) -> int:
-    """Mod-2 intersection count of two placed d-simplices in R^2d."""
-    return crossing(sigma_pts, tau_pts).parity
-
-
-@dataclass(frozen=True)
-class SimplexImage:
-    """A union of linear simplex images, one vertex tuple per piece."""
-
-    ambient: int
-    pieces: tuple[tuple[Point, ...], ...]
-
-    def __post_init__(self) -> None:
-        for piece in self.pieces:
-            for p in piece:
-                if len(p) != self.ambient:
-                    raise DimensionMismatchError(
-                        f"piece point has {len(p)} coordinates, ambient is {self.ambient}"
-                    )

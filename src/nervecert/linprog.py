@@ -1,9 +1,9 @@
 """Exact linear programming and linear solving over the rationals.
 
-A two-phase primal simplex pivoting with Bland's rule, so termination is
-guaranteed, every verdict is exact, and every run is bit-for-bit
-deterministic.  No tolerances exist anywhere.  Also houses the exact Gauss
-solver used for square crossing systems.
+A primal simplex pivoting with Bland's rule, so termination is guaranteed,
+every verdict is exact, and every run is bit-for-bit deterministic.  No
+tolerances exist anywhere.  Also houses the exact Gauss solver used for
+square crossing systems.
 
 Both cores pivot fraction-free on rows of Python ints (Edmonds 1967;
 Bareiss 1968).  Each integer row is kept a positive multiple of the row a
@@ -15,23 +15,26 @@ Signs, ratio comparisons (by cross-multiplication) and zero tests are thus
 those of the rational tableau, so Bland's rule takes the same pivots and
 returns the same optimum.
 
-The standard-form core minimizes c.x subject to A x = b, x >= 0.  The public
-wrapper accepts free variables (split internally), inequality rows (slacked
-internally), and either optimization sense.
+The drivers work on integer tableaux that the caller builds in canonical
+form for a feasible basis (`convex` makes its starting pivot with `pivot`):
 
-Lexicographic minimization (`lex_minimize`, and `lex_stages` on an integer
-tableau) minimizes several objectives in turn on one tableau: once a stage
-is optimal, every column with a nonzero (hence positive) reduced cost is
-deleted, which leaves exactly the optimal face, and the next cost row is
-reduced against the current basis.  It starts from a feasible basis the
-caller names, so it has no phase 1.  `solve_lp`'s phase 2 is the same
-loop with a single objective.
+- `lex_stages` minimizes several objectives in turn on one tableau
+  (sequential lexicographic simplex, Isermann 1982): once a stage is
+  optimal, every column with a nonzero (hence positive) reduced cost is
+  deleted, which leaves exactly the optimal face, and the next cost row is
+  reduced against the current basis.
+- `face_minima` restricts once and then stops restricting: it minimizes a
+  phase-1 artificial, keeps that cost's optimal face, and then minimizes
+  each of several objectives over that face, each from the basis the one
+  before ended in.  With no objectives it is a plain feasibility test,
+  which is how `convex.polytope_is_empty` decides every H-system.
 
-`face_minima` restricts once and then stops restricting: it minimizes a
-phase-1 artificial, keeps that cost's optimal face, and then minimizes each
-of several objectives over that face, each from the basis the one before
-ended in.  Callers that build their own integer tableau (`convex`) make
-their starting pivot with `pivot`.
+`solve_lp` is the rational two-phase wrapper: it accepts free variables
+(split internally), inequality rows (slacked internally) and either
+optimization sense, adds one artificial per row for phase 1, and runs its
+phase 2 through `lex_stages` with a single objective.  In the package it
+serves only `convex.hulls_intersect` (V-hull intersection); the tests use it
+as the reference LP.
 """
 
 from __future__ import annotations
@@ -266,30 +269,6 @@ def face_minima(
             minima.append(None)
         T.pop()
     return minima
-
-
-def lex_minimize(A, b, basis, costs):
-    """Lexicographic minimization over {x : A x = b, x >= 0} in one tableau.
-
-    Stage k minimizes costs[k].x over the optimal face of stages 0..k-1
-    (sequential lexicographic simplex, Isermann 1982), pivoting with Bland's
-    rule from the previous stage's basis.  ``basis`` names one column per row;
-    it must be nonsingular and feasible, which spares phase 1.  A generator:
-    it yields ``(OPTIMAL, x)`` after each stage, or ``(UNBOUNDED, None)`` and
-    stops, and a stage runs only when the caller asks for it.
-    """
-    rows = _integer_rows(list(row) + [bi] for row, bi in zip(A, b))[0]
-    T = [_primitive(row) for row in rows]
-    start = list(basis)
-    if len(start) != len(T):
-        raise ValueError(f"basis names {len(start)} columns for {len(T)} rows")
-    for i, col in enumerate(basis):
-        if T[i][col] == 0:
-            raise ValueError(f"basis column {col} has no pivot in row {i}")
-        pivot(T, start, i, col)
-    if any(row[-1] < 0 for row in T):
-        raise ValueError("starting basis is infeasible")
-    yield from lex_stages(T, start, [_integer_rows([c])[0][0] for c in costs])
 
 
 def solve_lp(

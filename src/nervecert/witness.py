@@ -35,7 +35,7 @@ from .complexes import (
     is_remote,
     subdivided_subcomplex,
 )
-from .convex import Point, SimplexImage, canonical_point, hulls_intersect, make_point
+from .convex import Point, canonical_point, hulls_intersect, make_point
 from .errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
@@ -213,15 +213,14 @@ def _descending_chains(top: Face):
         yield tuple(chain)
 
 
-def image_of_face(g: WitnessMap, alpha) -> SimplexImage:
+def image_of_face(g: WitnessMap, alpha) -> tuple[tuple[Point, ...], ...]:
     """g(|sd alpha|): one hull piece per maximal chain of the subdivided face."""
     a = tuple(alpha)
     if a not in g.nerve.faces:
         raise NotAFaceError(f"{a} is not a face of the nerve")
-    pieces = tuple(
+    return tuple(
         tuple(g.witness[member] for member in chain) for chain in _descending_chains(a)
     )
-    return SimplexImage(g.ambient, pieces)
 
 
 def verify_remote_disjointness(g: WitnessMap) -> DisjointnessReport:
@@ -245,7 +244,7 @@ def verify_remote_disjointness(g: WitnessMap) -> DisjointnessReport:
             remote_pairs += 1
             for face in (alpha, beta):
                 if face not in pieces:
-                    pieces[face] = image_of_face(g, face).pieces
+                    pieces[face] = image_of_face(g, face)
             for pa in pieces[alpha]:
                 for pb in pieces[beta]:
                     piece_tests += 1
@@ -258,7 +257,9 @@ def verify_remote_disjointness(g: WitnessMap) -> DisjointnessReport:
     return DisjointnessReport(None, remote_pairs, piece_tests)
 
 
-def image_of_source_simplex(g: WitnessMap, sd_source: SdComplex, gamma) -> SimplexImage:
+def image_of_source_simplex(
+    g: WitnessMap, sd_source: SdComplex, gamma
+) -> tuple[tuple[Point, ...], ...]:
     """g(|gamma|) for a face of the source complex, via the double subdivision.
 
     Requires the nerve to be the subdivision of the source complex under the
@@ -285,4 +286,4 @@ def image_of_source_simplex(g: WitnessMap, sd_source: SdComplex, gamma) -> Simpl
             if any(part not in members for part in chain):
                 raise AssertionError("subdivided subcomplex is not downward closed")
             pieces.append(tuple(g.witness[part] for part in chain))
-    return SimplexImage(g.ambient, tuple(pieces))
+    return tuple(pieces)

@@ -259,9 +259,9 @@ def piecewise_remote_violation(g, meets):
             if not is_remote(g.nerve, alpha, beta):
                 continue
             if alpha not in pieces:
-                pieces[alpha] = image_of_face(g, alpha).pieces
+                pieces[alpha] = image_of_face(g, alpha)
             if beta not in pieces:
-                pieces[beta] = image_of_face(g, beta).pieces
+                pieces[beta] = image_of_face(g, beta)
             for pa in pieces[alpha]:
                 for pb in pieces[beta]:
                     if meets(pa, pb):

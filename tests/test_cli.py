@@ -390,6 +390,15 @@ def _corrupt_witness_cert(tmp_path, capsys) -> dict:
     return load(out)
 
 
+def _extra_face_cert(tmp_path, capsys) -> dict:
+    """NERVE_MISMATCH extra_face [0, 1]; the complex is the path 0-2-1."""
+    fam = write(tmp_path / "fam.json", TRIANGLE_FAMILY)
+    edge = write(tmp_path / "edge.json", EDGE)
+    out = tmp_path / "cert.json"
+    run(capsys, "certificate", fam, edge, "-d", "1", "-o", str(out))
+    return load(out)
+
+
 def _vk_cert(tmp_path, capsys, n: int = 3) -> dict:
     """The `vk -d 1` certificate of the complete graph on n + 1 vertices."""
     graph = tmp_path / "graph.json"
@@ -435,6 +444,9 @@ def _alias_first_param(doc):
     doc["params"]["0" + first] = "99"
 
 
+INCREASING = "must list one or more labels in strictly increasing order"
+
+
 @pytest.mark.parametrize(
     "make, mutate, message",
     [
@@ -444,6 +456,15 @@ def _alias_first_param(doc):
         (_corrupt_witness_cert, _set("body_label", 7), "'body_label' 7 names no body"),
         (_corrupt_witness_cert, _set("body_label", True), "'body_label' must be an integer"),
         (_corrupt_witness_cert, _set("row", True), "'row' must be an integer"),
+        (_corrupt_witness_cert, _set("face", [2]), "'body_label' 0 is not a member of 'face'"),
+        (_corrupt_witness_cert, _set("face", [1, 4]), "'body_label' 0 is not a member of 'face'"),
+        (_corrupt_witness_cert, _set("face", "junk"), "'face' must be a list"),
+        (_corrupt_witness_cert, _set("face", [0, 9]), "'face' [0, 9] names labels outside"),
+        (_corrupt_witness_cert, _set("face", [3, 0]), f"'face' {INCREASING}, got [3, 0]"),
+        (_extra_face_cert, _set("witness_face", [2, 0]), f"'witness_face' {INCREASING}, got [2, 0]"),
+        (_extra_face_cert, _set("witness_face", [0, 0]), f"'witness_face' {INCREASING}, got [0, 0]"),
+        (_extra_face_cert, _set("witness_face", [0, 2, 0]), f"'witness_face' {INCREASING}"),
+        (_extra_face_cert, _set("witness_face", []), f"'witness_face' {INCREASING}, got []"),
         (_demo_cert, _set("d", True), "'d' must be an integer"),
         (_vk_cert, _set("d", True), "'d' must be an integer"),
         (_vk_cert, _set("combination", None), "'combination' must be a hex string"),
@@ -468,6 +489,15 @@ def _alias_first_param(doc):
         "unknown-body-label",
         "bool-body-label",
         "bool-row",
+        "face-without-body-label",
+        "other-face-without-body-label",
+        "string-face",
+        "face-outside-family",
+        "reversed-face",
+        "reversed-witness-face",
+        "repeated-witness-face",
+        "revisiting-witness-face",
+        "empty-witness-face",
         "bool-d-vkf",
         "bool-d-obstruction",
         "null-combination",
@@ -632,6 +662,62 @@ def test_vk_d2_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
         capsys, "vk", write(tmp_path / "K.json", doc), "-d", "2",
         "--params", ",".join(map(str, params)), "-o", str(out),
     )[0] == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code, stdout = run(capsys, "recheck", str(out))
+    assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+# body 0 stops short of body 2, so sd of the edge misses its face (0, 2)
+GAP_FAMILY = {
+    "ambient": 2,
+    "bodies": [
+        {"label": 0, "box": {"lo": ["0", "0"], "hi": ["1", "1"]}},
+        {"label": 1, "box": {"lo": ["5", "0"], "hi": ["6", "1"]}},
+        {"label": 2, "box": {"lo": ["2", "0"], "hi": ["5", "1"]}},
+    ],
+}
+
+# One `certificate -d 1` document per outcome: (family, complex, extra
+# arguments, exit code, first stdout line, certificate sha256).
+CERTIFICATE_PINNED = {
+    "clean": (
+        PATH_FAMILY, PATH, [], 0,
+        "OBSTRUCTION_REPORT: clean run",
+        "02dd0d563b4d6a7f0bcb8ceac8de120638868c4c8d44c2bcc57db11a7d655690",
+    ),
+    "missing-face": (
+        GAP_FAMILY, EDGE, [], 2,
+        "NERVE_MISMATCH: missing_face [0, 2]",
+        "4c1a31a51ea60e25d5a619f2228740a409114e199d8a28e49b743e89e6362c44",
+    ),
+    "extra-face": (
+        TRIANGLE_FAMILY, EDGE, [], 2,
+        "NERVE_MISMATCH: extra_face [0, 1]",
+        "882ab3c8efa6a2325a9ce6b23343a8132e5ee64a965412d1257cf144709549a6",
+    ),
+    "witness": (
+        PATH_FAMILY, PATH, ["--corrupt-witness", "0:37/2,1/2", "--corrupt-stage", "witness"], 2,
+        "WITNESS_VIOLATION",
+        "c1e4abebe99851c35c17046265fc72f3ee2de2ece6c10511f1b997b44fb68265",
+    ),
+    "lemma": (
+        PATH_FAMILY, PATH, ["--corrupt-witness", "0:37/2,1/2"], 2,
+        "LEMMA_VIOLATION",
+        "a37be70b7bb4bf02ed07a636b9b3b87cf10fe34ba50a1f7d8538584c31058aa4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_PINNED))
+def test_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
+    family, complex_doc, extra, code, first_line, digest = CERTIFICATE_PINNED[name]
+    out = tmp_path / "cert.json"
+    result, stdout = run(
+        capsys, "certificate", write(tmp_path / "fam.json", family),
+        write(tmp_path / "K.json", complex_doc), "-d", "1", *extra, "-o", str(out),
+    )
+    assert result == code
+    assert stdout.startswith(first_line), stdout
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     code, stdout = run(capsys, "recheck", str(out))
     assert code == 0 and stdout.startswith("confirmed"), stdout

@@ -81,7 +81,7 @@ def test_pinned_cocycles(name):
 
 
 def test_vkf_demo_refuses_an_interleaving_pair_the_solve_does_not_cross(monkeypatch):
-    monkeypatch.setattr(nervecert.cli, "crossing", lambda a, b: Crossing(0, None, None, None))
+    monkeypatch.setattr(nervecert.cli, "crossing", lambda a, b: Crossing(0, None))
     with pytest.raises(AssertionError, match="does not cross"):
         main(["vkf-demo", "-d", "1"])
 

@@ -14,7 +14,6 @@ from nervecert import (
     UnboundedPolytopeError,
     canonical_point,
     crossing,
-    generic_crossing_parity,
     hulls_intersect,
     inscribed_ball,
     polytope_is_empty,
@@ -137,15 +136,15 @@ def test_crossing_parabola_examples():
     hit = crossing([pts[1], pts[3]], [pts[2], pts[4]])
     assert hit.parity == 1
     assert hit.point == (Fraction(5, 2), Fraction(7))
-    assert generic_crossing_parity([pts[1], pts[2]], [pts[3], pts[4]]) == 0
+    assert crossing([pts[1], pts[2]], [pts[3], pts[4]]).parity == 0
     # chords {1,4} and {2,3} of the parabola are parallel and disjoint
-    assert generic_crossing_parity([pts[1], pts[4]], [pts[2], pts[3]]) == 0
+    assert crossing([pts[1], pts[4]], [pts[2], pts[3]]).parity == 0
 
 
 def test_crossing_parallel_disjoint_after_moving_a_point():
     pts = {t: parabola(t) for t in range(1, 6)}
     moved = (Fraction(3), Fraction(8))  # parallel to the {1,3} chord, off its line
-    assert generic_crossing_parity([pts[1], pts[3]], [pts[2], moved]) == 0
+    assert crossing([pts[1], pts[3]], [pts[2], moved]).parity == 0
 
 
 def test_crossing_genericity_failures():
@@ -170,7 +169,7 @@ def test_crossing_agrees_with_orientation_oracle():
     while done < 40:
         pts = [tuple(Fraction(rng.randint(-6, 6)) for _ in range(2)) for _ in range(4)]
         try:
-            parity = generic_crossing_parity(pts[:2], pts[2:])
+            parity = crossing(pts[:2], pts[2:]).parity
         except GenericityError:
             continue
         assert parity == (1 if segments_cross_properly(*pts) else 0)
@@ -185,7 +184,7 @@ def test_crossing_agrees_with_hulls_on_generic_data():
         sigma = [parabola(t) for t in ts[:2]]
         tau = [parabola(t) for t in ts[2:]]
         try:
-            parity = generic_crossing_parity(sigma, tau)
+            parity = crossing(sigma, tau).parity
         except GenericityError:
             continue
         assert (parity == 1) == hulls_intersect(sigma, tau)
@@ -197,4 +196,4 @@ def test_crossing_symmetry():
     for sigma, tau in [((1, 3), (2, 4)), ((1, 2), (3, 4)), ((2, 5), (3, 4))]:
         a = [pts[t] for t in sigma]
         b = [pts[t] for t in tau]
-        assert generic_crossing_parity(a, b) == generic_crossing_parity(b, a)
+        assert crossing(a, b).parity == crossing(b, a).parity

@@ -27,7 +27,7 @@ from nervecert import (
 )
 from nervecert.complexes import barycentric_subdivision, complex_from_facets
 from nervecert.fileio import family_from_doc
-from nervecert.linprog import OPTIMAL, UNBOUNDED, lex_minimize, solve_lp
+from nervecert.linprog import OPTIMAL, UNBOUNDED, lex_stages, solve_lp
 from oracles import staged_inscribed_ball
 
 DATA = Path(__file__).parent / "data"
@@ -205,12 +205,17 @@ def test_canonical_points_of_a_pipeline_d2_family_are_pinned():
     assert points == {face: p for face, (_, p) in pinned.items()}
 
 
-def test_lex_minimize_stages_match_fixed_re_solves():
-    # min x + y, then min x, over the square [0, 2]^2 cut by x + y >= 1
-    # (slacked): stage 1's face is the cut, stage 2 picks its x-least end.
-    A = [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [-1, -1, 0, 0, 1]]
-    b = [2, 2, -1]
-    stages = lex_minimize(A, b, [2, 3, 0], [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
+def test_lex_stages_match_fixed_re_solves():
+    # min x + y, then min x, over the square [0, 2]^2 cut by x + y >= 1.
+    # Columns x, y, s1, s2, s3 of x + s1 = 2, y + s2 = 2, -x - y + s3 = -1,
+    # in canonical form for the feasible basis (s1, s2, x): stage 1's face
+    # is the cut, stage 2 picks its x-least end.
+    T = [
+        [0, -1, 1, 0, 1, 1],
+        [0, 1, 0, 1, 0, 2],
+        [1, 1, 0, 0, -1, 1],
+    ]
+    stages = lex_stages(T, [2, 3, 0], [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
     status, x = next(stages)
     assert status == OPTIMAL and x[0] + x[1] == 1
     status, x = next(stages)
@@ -221,15 +226,11 @@ def test_lex_minimize_stages_match_fixed_re_solves():
     assert staged.x == (0, 1)
 
 
-def test_lex_minimize_reports_an_unbounded_stage_and_stops():
-    # The ray x = y >= 0: a zero first stage keeps all of it, min -y runs
-    # off along it, and the third stage never runs.
-    stages = list(lex_minimize([[1, -1]], [0], [0], [[0, 0], [0, -1], [1, 0]]))
+def test_lex_stages_report_an_unbounded_stage_and_stop():
+    # The ray x = y >= 0, as the row x - y = 0 with x basic: a zero first
+    # stage keeps all of it, min -y runs off along it, and the third stage
+    # never runs.
+    stages = list(lex_stages([[1, -1, 0]], [0], [[0, 0], [0, -1], [1, 0]]))
     assert stages[0][0] == OPTIMAL
     assert stages[1] == (UNBOUNDED, None)
     assert len(stages) == 2
-
-
-def test_lex_minimize_refuses_an_infeasible_start():
-    with pytest.raises(ValueError, match="infeasible"):
-        next(lex_minimize([[1, 1]], [-1], [0], [[1, 0]]))

@@ -96,12 +96,11 @@ def test_witness_refusal_carries_the_mismatch():
 def test_image_of_face_shapes():
     F, K = two_intervals()
     g = build_witness_map(F, K)
-    img = image_of_face(g, (1, 2))
-    assert img.pieces == (
+    assert image_of_face(g, (1, 2)) == (
         ((Fraction(3, 2),), (Fraction(2),)),
         ((Fraction(3, 2),), (Fraction(1),)),
     )
-    assert image_of_face(g, (1,)).pieces == (((Fraction(1),),),)
+    assert image_of_face(g, (1,)) == (((Fraction(1),),),)
     with pytest.raises(NotAFaceError):
         image_of_face(g, (1, 3))
 
@@ -117,9 +116,9 @@ def test_image_of_triangle_face_has_six_pieces():
     )
     K = complex_from_facets([[1, 2, 3]])
     g = build_witness_map(F, K)
-    img = image_of_face(g, (1, 2, 3))
-    assert len(img.pieces) == 6
-    assert all(len(piece) == 3 for piece in img.pieces)
+    pieces = image_of_face(g, (1, 2, 3))
+    assert len(pieces) == 6
+    assert all(len(piece) == 3 for piece in pieces)
 
 
 def test_honest_maps_pass_all_verifications():
@@ -168,11 +167,10 @@ def test_image_of_source_simplex_edge():
         ],
     )
     g = build_witness_map(F, sdL.complex)
-    img = image_of_source_simplex(g, sdL, (1, 2))
-    assert len(img.pieces) == 4  # maximal chains of the twice-subdivided edge
-    assert all(len(piece) == 2 for piece in img.pieces)
-    vertex_img = image_of_source_simplex(g, sdL, (1,))
-    assert vertex_img.pieces == (((g.witness[(0,)]),) ,)
+    pieces = image_of_source_simplex(g, sdL, (1, 2))
+    assert len(pieces) == 4  # maximal chains of the twice-subdivided edge
+    assert all(len(piece) == 2 for piece in pieces)
+    assert image_of_source_simplex(g, sdL, (1,)) == (((g.witness[(0,)]),) ,)
     with pytest.raises(NotAFaceError):
         image_of_source_simplex(g, sdL, (1, 3))
     with pytest.raises(SourceLabelingError):
@@ -200,8 +198,8 @@ def test_source_images_of_disjoint_edges_do_not_meet():
     assert verify_remote_disjointness(g).ok
     pairs = disjoint_simplex_pairs(L, 1)
     assert pairs == [((1, 2), (3, 4))]
-    img_a = image_of_source_simplex(g, sdL, (1, 2)).pieces
-    img_b = image_of_source_simplex(g, sdL, (3, 4)).pieces
+    img_a = image_of_source_simplex(g, sdL, (1, 2))
+    img_b = image_of_source_simplex(g, sdL, (3, 4))
     assert not any(
         hulls_intersect(pa, pb) for pa in img_a for pb in img_b
     )
@@ -241,8 +239,8 @@ def test_source_piece_tests_are_covered_by_remote_pair_tests():
             assert is_remote(K, top_a, top_b)
             piece_a = tuple(g.witness[f] for f in chain_a)
             piece_b = tuple(g.witness[f] for f in chain_b)
-            assert piece_a in image_of_face(g, top_a).pieces
-            assert piece_b in image_of_face(g, top_b).pieces
+            assert piece_a in image_of_face(g, top_a)
+            assert piece_b in image_of_face(g, top_b)
 
 
 def test_random_families_satisfy_the_witness_audits():
