@@ -7,20 +7,24 @@ sets are H-polytopes {x : Ax <= b} with Fraction entries (boxes are sugar),
 which keeps nerve membership and disjointness verification decidable.
 
 Every question about an H-system runs on an integer tableau built straight
-from `HPolytope.reduced_rows`, never through `solve_lp`:
+from `HPolytope.reduced_rows`, never through `solve_lp`.  A stacked system
+(`HPolytope.stack`) merges its members' memoized reduced rows instead of
+deriving its own from `Fraction`s.
 
 - Emptiness and the bounding box share one feasibility tableau
   (`_feasibility_tableau`): one artificial column makes the start feasible,
-  and phase 1 minimizes it.  `polytope_is_empty` stops there; `_box` keeps
-  the artificial's optimal face, which is the body, and minimizes both
-  bounds of every coordinate over it, each from the basis the one before
-  ended in.  The box is memoized on the body and gives `boxes_disjoint`, a
+  and phase 1 minimizes it.  Its optimal face is the body; it is memoized
+  on the body, so `polytope_is_empty` reads it, and `HPolytope.bound`
+  minimizes each (coordinate, side) over it on first request, from the
+  basis the one before ended in.  The bounds give `boxes_disjoint`, a
   sufficient test that two bodies are disjoint without an LP on the pair.
 - The canonical point of a polytope is the lex-least centre of its largest
   inscribed L-infinity ball, which is unique.  It comes from a second
   tableau: the radius and then each coordinate are minimized in turn, each
   over the optimal face of the ones before, from a start that one pivot
-  makes feasible.
+  makes feasible.  The radius stage alone decides emptiness, so
+  `inscribed_radius` stops there and hands back the coordinate stages as a
+  call; the nerve walk runs them only once every face has passed.
 
 `solve_lp` serves only `hulls_intersect`, whose inputs are point sets
 (V-hulls), not H-systems.
@@ -28,6 +32,7 @@ from `HPolytope.reduced_rows`, never through `solve_lp`:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -44,9 +49,10 @@ from .linprog import (
     OPTIMAL,
     UNBOUNDED,
     ZERO,
-    face_minima,
+    face_minimum,
     frac,
     gauss_solve,
+    least_face,
     lex_stages,
     pivot,
     solve_lp,
@@ -109,7 +115,12 @@ class HPolytope:
 
     @staticmethod
     def stack(polys) -> "HPolytope":
-        """Intersection of polytopes that share one ambient dimension."""
+        """Intersection of polytopes that share one ambient dimension.
+
+        One polytope stacks to itself, memos and all.  Otherwise the rows
+        are concatenated, and `reduced_rows` is merged from the members'
+        own, which is what deriving it afresh from the stacked rows gives.
+        """
         polys = list(polys)
         if not polys:
             raise ValueError("cannot stack an empty collection")
@@ -117,9 +128,18 @@ class HPolytope:
         for p in polys:
             if p.ambient != ambient:
                 raise DimensionMismatchError("stacked polytopes must share the ambient dimension")
+        if len(polys) == 1:
+            return polys[0]
         A = tuple(row for p in polys for row in p.A)
         b = tuple(v for p in polys for v in p.b)
-        return HPolytope(ambient, A, b)
+        P = HPolytope(ambient, A, b)
+        parts = [p.reduced_rows for p in polys]
+        # seeds the cached property; None when some member has a zero row with b_i < 0
+        vars(P)["reduced_rows"] = (
+            None if any(part is None for part in parts)
+            else _least_per_direction(row for part in parts for row in part)
+        )
+        return P
 
     @property
     def n_rows(self) -> int:
@@ -147,57 +167,49 @@ class HPolytope:
         Zero rows (0 <= b_i) are dropped; None means one of them has
         b_i < 0, so the polytope is empty.
         """
-        least: dict[tuple[int, ...], Fraction] = {}
+        rows = []
         for ints, bi in self.integer_rows:
             g = gcd(*ints)
             if g == 0:
                 if bi < 0:
                     return None
                 continue
-            key = tuple(v // g for v in ints)
-            rhs = Fraction(bi, g)
-            if key not in least or rhs < least[key]:
-                least[key] = rhs
-        return tuple(least.items())
+            rows.append((tuple(v // g for v in ints), Fraction(bi, g)))
+        return _least_per_direction(rows)
 
     @cached_property
-    def _box(self) -> tuple[tuple[Fraction | None, Fraction | None], ...] | None:
-        """Per coordinate (min, max), None for an unbounded side; None when empty.
+    def _body_face(self):
+        """The body as a face of its feasibility tableau: (T, basis, cols, bounds), or None.
 
-        On the feasibility tableau (`_feasibility_tableau`), the artificial
-        t is minimized first: a nonzero minimum means empty, and its optimal
-        face is exactly the body.  Both signs of every coordinate are then
-        minimized over it, each from the basis the one before ended in
-        (`linprog.face_minima`).
+        Phase 1 minimizes the artificial t (`linprog.least_face`); a nonzero
+        minimum means empty, and its optimal face is exactly the body.
+        ``bounds`` memoizes what `bound` has read.
         """
         start = _feasibility_tableau(self)
-        if start is None:
+        face = None if start is None else least_face(*start)
+        if face is None:
             return None
-        T, basis, t_cost = start
-        m = self.ambient
-        costs = []
-        for j in range(m):
-            for sign in (1, -1):
-                c = [0] * len(t_cost)
-                c[2 * j], c[2 * j + 1] = sign, -sign
-                costs.append(c)
-        minima = face_minima(T, basis, t_cost, costs)
-        if minima is None:
-            return None
-        return tuple(
-            (lo, None if neg is None else -neg) for lo, neg in zip(minima[::2], minima[1::2])
-        )
+        T, cols = face
+        return T, start[1], cols, {}
 
     def bound(self, j: int, upper: bool) -> Fraction | None:
         """Exact max (``upper``) or min of coordinate j.
 
-        Read off the body's whole box, which is computed once and memoized
-        on the body.  None when the coordinate is unbounded on that side;
-        raises EmptyPolytopeError for an empty body.
+        Minimized over the body's face on the first read of (j, upper),
+        from the basis the read before ended in, and memoized on the body.
+        None when the coordinate is unbounded on that side; raises
+        EmptyPolytopeError for an empty body.
         """
-        if self._box is None:
+        face = self._body_face
+        if face is None:
             raise EmptyPolytopeError("polytope is empty")
-        return self._box[j][upper]
+        T, basis, cols, bounds = face
+        if (j, upper) not in bounds:
+            sign = -1 if upper else 1
+            c = [sign if k == 2 * j else -sign if k == 2 * j + 1 else 0 for k in cols]
+            least = face_minimum(T, basis, c)
+            bounds[j, upper] = None if least is None else sign * least
+        return bounds[j, upper]
 
     def violated_row(self, point) -> int | None:
         """Index of the first constraint the point breaks, or None."""
@@ -206,14 +218,30 @@ class HPolytope:
             raise DimensionMismatchError(
                 f"point has {len(p)} coordinates, ambient is {self.ambient}"
             )
-        # Exact in integers: the point over a common denominator D, each row
-        # scaled by a positive factor.
-        D = lcm(*(x.denominator for x in p))
-        nums = [x.numerator * (D // x.denominator) for x in p]
-        for i, (row, bi) in enumerate(self.integer_rows):
-            if sum(a * v for a, v in zip(row, nums)) > bi * D:
-                return i
-        return None
+        return _first_violated(self.integer_rows, p)
+
+
+def _least_per_direction(rows) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """(direction, rhs) pairs with each direction once, at its least rhs, in order of first appearance."""
+    least: dict[tuple[int, ...], Fraction] = {}
+    for key, rhs in rows:
+        if key not in least or rhs < least[key]:
+            least[key] = rhs
+    return tuple(least.items())
+
+
+def _first_violated(rows, p: Point) -> int | None:
+    """Index of the first (a, b) in ``rows`` with a.p > b: a integral, b an int or a Fraction.
+
+    Exact in integers: the point over a common denominator D, each row
+    scaled by the denominator of its b.
+    """
+    D = lcm(*(x.denominator for x in p))
+    nums = [x.numerator * (D // x.denominator) for x in p]
+    for i, (row, bi) in enumerate(rows):
+        if sum(a * v for a, v in zip(row, nums)) * bi.denominator > bi.numerator * D:
+            return i
+    return None
 
 
 def _slack_tableau(rows, m: int, extra) -> list[list[int]]:
@@ -263,19 +291,22 @@ def _feasibility_tableau(P: HPolytope):
 
 
 def polytope_is_empty(P: HPolytope) -> bool:
-    """Exact emptiness of {x : Ax <= b}: phase 1 of P's feasibility tableau."""
-    start = _feasibility_tableau(P)
-    return start is None or face_minima(*start, []) is None
+    """Exact emptiness of {x : Ax <= b}: phase 1 of P's feasibility tableau.
+
+    The tableau stays memoized on P, where `HPolytope.bound` reads it.
+    """
+    return P._body_face is None
 
 
 def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
     """True when the exact bounding boxes of P and Q are disjoint, so P n Q = {}.
 
     Coordinates are scanned in order, and the scan stops at the first
-    separating coordinate.  A body's box is one tableau, built on its first
-    `HPolytope.bound` read and memoized on the body, so the test costs at
-    most one tableau per body however many pairs it meets.  An empty body
-    has an empty box.  False proves nothing: disjoint bodies can have
+    separating coordinate.  A body's bounds share one tableau, built on its
+    first `HPolytope.bound` read and memoized on the body with every bound
+    it has read, so the test costs at most one tableau and one minimization
+    per (body, coordinate, side) however many pairs it meets, and none for
+    a coordinate past the separating one.  An empty body has an empty box.  False proves nothing: disjoint bodies can have
     overlapping boxes.
     """
     if P.ambient != Q.ambient:
@@ -293,19 +324,24 @@ def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
     return False
 
 
-def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
-    """Largest inscribed L-infinity ball, then the lex-least center.
+def inscribed_radius(P: HPolytope) -> tuple[Fraction, Callable[[], Point]]:
+    """The radius of the largest inscribed L-infinity ball, and a call for its centre.
 
     The radius LP maximizes r subject to A x + r * ||a_i||_1 <= b; then the
     coordinates, in order, are minimized over the optimal face of everything
-    before, which makes the result unique even for degenerate polytopes.
+    before, which makes the centre unique even for degenerate polytopes.
     Those m + 1 objectives run on one integer tableau (`linprog.lex_stages`),
     built straight from `HPolytope.reduced_rows` with each row scaled by the
     denominator of its b_i, so its all-slack basis is already canonical.
     The start needs no phase 1: one pivot of r's negative part into the row
-    with the least b_i / ||a_i||_1 makes every slack nonnegative.  A zero row with
-    b_i < 0 makes the polytope empty, and so does a negative radius, which is
-    checked before any coordinate stage.  Raises for empty or unbounded input.
+    with the least b_i / ||a_i||_1 makes every slack nonnegative.
+
+    Only the radius stage runs here.  A zero row with b_i < 0 makes the
+    polytope empty, and so does a negative radius; an unbounded radius
+    raises too.  The returned call runs the coordinate stages from the
+    tableau and basis where the radius stage stopped, raises
+    UnboundedPolytopeError for a coordinate unbounded below, and checks the
+    centre against the reduced rows.
     """
     m = P.ambient
     rows = P.reduced_rows
@@ -318,8 +354,13 @@ def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
     T = _slack_tableau(rows, m, [(norm, -norm) for norm in norms])
     basis = [2 * m + 2 + i for i in range(k)]
     if k:
-        tight = min(range(k), key=lambda i: rows[i][1] / norms[i])
-        if rows[tight][1] < 0:
+        # row i reads (den_i a_i).x + (den_i ||a_i||_1) r <= num_i: compare
+        # b_i / ||a_i||_1 by cross-multiplying, the first least row winning
+        tight = 0
+        for i in range(1, k):
+            if T[i][-1] * T[tight][2 * m] < T[tight][-1] * T[i][2 * m]:
+                tight = i
+        if T[tight][-1] < 0:
             pivot(T, basis, tight, 2 * m + 1)
     costs = [[0] * (2 * m + 2 + k) for _ in range(m + 1)]
     costs[0][2 * m], costs[0][2 * m + 1] = -1, 1
@@ -332,13 +373,27 @@ def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
     radius = x[2 * m] - x[2 * m + 1]
     if radius < 0:
         raise EmptyPolytopeError("polytope is empty")
-    for j, (status, x) in enumerate(stages):
-        if status == UNBOUNDED:
-            raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
-    point = tuple(x[2 * j] - x[2 * j + 1] for j in range(m))
-    if not P.contains(point):
-        raise AssertionError("canonical point escaped its polytope")
-    return radius, point
+
+    def centre() -> Point:
+        last = x
+        for j, (status, last) in enumerate(stages):
+            if status == UNBOUNDED:
+                raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
+        point = tuple(last[2 * j] - last[2 * j + 1] for j in range(m))
+        if _first_violated(rows, point) is not None:
+            raise AssertionError("canonical point escaped its polytope")
+        return point
+
+    return radius, centre
+
+
+def inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:
+    """Largest inscribed L-infinity ball, then the lex-least center (`inscribed_radius`).
+
+    Raises for empty or unbounded input.
+    """
+    radius, centre = inscribed_radius(P)
+    return radius, centre()
 
 
 def canonical_point(P: HPolytope) -> Point:

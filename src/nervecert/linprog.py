@@ -22,12 +22,15 @@ form for a feasible basis (`convex` makes its starting pivot with `pivot`):
   (sequential lexicographic simplex, Isermann 1982): once a stage is
   optimal, every column with a nonzero (hence positive) reduced cost is
   deleted, which leaves exactly the optimal face, and the next cost row is
-  reduced against the current basis.
-- `face_minima` restricts once and then stops restricting: it minimizes a
-  phase-1 artificial, keeps that cost's optimal face, and then minimizes
-  each of several objectives over that face, each from the basis the one
-  before ended in.  With no objectives it is a plain feasibility test,
-  which is how `convex.polytope_is_empty` decides every H-system.
+  reduced against the current basis.  It is a generator, so a caller can
+  stop after one stage and resume from the tableau and basis where that
+  stage stopped: `convex.inscribed_radius` runs the radius stage of a ball
+  and leaves its coordinate stages for later.
+- `least_face` restricts once and then stops restricting: it minimizes a
+  phase-1 artificial and keeps that cost's optimal face, which is how
+  `convex.polytope_is_empty` decides every H-system.  `face_minimum` then
+  minimizes one objective over that face from the basis the one before
+  ended in, so `convex.HPolytope.bound` pays only for the bounds it reads.
 
 `solve_lp` is the rational two-phase wrapper: it accepts free variables
 (split internally), inequality rows (slacked internally) and either
@@ -240,35 +243,38 @@ def lex_stages(T: list[list[int]], basis: list[int], costs: list[list[int]]):
         yield OPTIMAL, x
 
 
-def face_minima(
-    T: list[list[int]], basis: list[int], face_cost: list[int], costs: list[list[int]]
-) -> list[Fraction | None] | None:
-    """The minimum of each cost over the face where ``face_cost`` is least.
+def least_face(
+    T: list[list[int]], basis: list[int], face_cost: list[int]
+) -> tuple[list[list[int]], list[int]] | None:
+    """The face where ``face_cost`` is least, as (T, cols); None for a nonzero minimum.
 
     T and ``basis`` are as in `lex_stages`.  ``face_cost`` must be bounded
-    below by zero on the feasible set, as a phase-1 artificial is: a nonzero
-    minimum returns None.  Otherwise its optimal face is kept (the columns
-    it prices nonzero are deleted), and each cost is minimized over it in
-    turn, starting from the basis the one before ended in.  Returns one
-    minimum per cost, None for a cost unbounded below.
+    below by zero on the feasible set, as a phase-1 artificial is.  At a zero
+    minimum the columns it prices nonzero are deleted, which leaves exactly
+    the face; ``cols`` maps each remaining column to its original index, and
+    ``basis`` is renumbered in place.
     """
-    cols = list(range(len(face_cost)))
     T.append(_cost_row(T, basis, face_cost))
     _run_simplex(T, basis)
     if T[-1][-1]:
         return None
-    T, cols = _optimal_face(T, basis, cols)
-    minima: list[Fraction | None] = []
-    for c in costs:
-        c = [c[j] for j in cols]
-        T.append(_cost_row(T, basis, c))
-        if _run_simplex(T, basis) == OPTIMAL:
-            basic = (Fraction(c[j] * T[i][-1], T[i][j]) for i, j in enumerate(basis) if c[j])
-            minima.append(sum(basic, ZERO))
-        else:
-            minima.append(None)
-        T.pop()
-    return minima
+    return _optimal_face(T, basis, list(range(len(face_cost))))
+
+
+def face_minimum(T: list[list[int]], basis: list[int], c: list[int]) -> Fraction | None:
+    """The minimum of cost ``c`` (over T's columns) from the current basis; None if unbounded.
+
+    T and ``basis`` stay at the basis the simplex ended in, so minimizing
+    several costs one after another over a face from `least_face` starts
+    each from where the one before stopped.
+    """
+    T.append(_cost_row(T, basis, c))
+    optimal = _run_simplex(T, basis) == OPTIMAL
+    T.pop()
+    if not optimal:
+        return None
+    basic = (Fraction(c[j] * T[i][-1], T[i][j]) for i, j in enumerate(basis) if c[j])
+    return sum(basic, ZERO)
 
 
 def solve_lp(

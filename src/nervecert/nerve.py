@@ -7,12 +7,16 @@ combinatorially -- in R^m a family has a common point exactly when every
 m+1 of its members do.  The exhaustive engine is kept as a cross-check
 oracle.  Both grow the nerve level by level from `next_candidates`, and a
 pair is first tried by its exact bounding boxes (`convex.boxes_disjoint`),
-which settle most disjoint pairs without a pair LP.  Only these enumerating
-engines have a body cap.
+which settle most disjoint pairs without a pair LP.  A body's bounds are
+computed only as the scan reads them, on the feasibility tableau that
+already decided the body's own vertex, since a one-body face system is the
+body itself (`subfamily_polytope`).  Only these enumerating engines have a
+body cap.
 
 The certificate pipeline does not enumerate: `witness.witness_points`
-walks the claimed complex with the same candidate step and the same
-per-face test, and stops at the first mismatch.
+walks the claimed complex with the same candidate step and stops at the
+first mismatch.  A candidate outside the claim gets the same test as here;
+a claimed face is decided by the radius stage of its inscribed ball.
 """
 
 from __future__ import annotations
@@ -58,7 +62,11 @@ class ConvexFamily:
         raise KeyError(f"no body labeled {label}")
 
     def subfamily_polytope(self, face) -> HPolytope:
-        """Stacked constraint system of the bodies named by a face."""
+        """Stacked constraint system of the bodies named by a face.
+
+        A one-body face gives the body itself; a larger one merges the
+        bodies' memoized reduced rows (`HPolytope.stack`).
+        """
         return HPolytope.stack([self.body(label) for label in face])
 
 

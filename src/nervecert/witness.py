@@ -1,10 +1,11 @@
 """Linear witness maps from a subdivided nerve back into its convex family.
 
 Each nonempty nerve face gets an exact witness point inside the intersection
-of its bodies.  `witness_points` computes them while it checks a claimed
-nerve face by face, so the claim is verified without enumerating the
-family's nerve, and the first face where claim and family disagree is
-raised as the mismatch.  Extending linearly over the barycentric
+of its bodies.  `witness_points` checks a claimed nerve face by face, so the
+claim is verified without enumerating the family's nerve, and the first
+face where claim and family disagree is raised as the mismatch.  The check
+needs only the radius stage of each face's ball; the points are finished
+once the whole claim has passed.  Extending linearly over the barycentric
 subdivision gives a map whose key property is the remote-face lemma:
 subdivisions of remote faces have disjoint images.  The membership audit
 proves it.  When p(sigma) lies in C_v for every v in sigma, each piece of
@@ -24,6 +25,7 @@ of remote faces, which membership already proves disjoint.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -35,7 +37,7 @@ from .complexes import (
     is_remote,
     subdivided_subcomplex,
 )
-from .convex import Point, canonical_point, hulls_intersect, make_point
+from .convex import Point, hulls_intersect, inscribed_radius, make_point
 from .errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
@@ -112,8 +114,9 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
     level in (size, lex) order, each level being the sets whose facets are
     all faces of the level before (`nerve.next_candidates`):
 
-    - a candidate that is a face of K gets the canonical point of its
-      stacked body system, and an empty system is a ``missing_face``;
+    - a candidate that is a face of K runs the radius stage of its stacked
+      body system's ball (`convex.inscribed_radius`), and an empty system
+      is a ``missing_face``;
     - any other candidate is a minimal non-face of K, and it is an
       ``extra_face`` when its bodies share a point: by Helly, always once
       its size exceeds m + 1, else by the box test and an LP.
@@ -121,34 +124,39 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
     Faces agree below the level being walked, so every face of K and every
     face of the nerve of that size is a candidate, and the first mismatch
     is the least by (size, lex), the one `nerve_matches` names.  It raises
-    `NerveMismatchError` carrying that `NerveMatch`.  An unbounded face
-    system still proves the face nonempty; its `UnboundedPolytopeError` is
-    raised only after the walk finds no mismatch.  `inscribed_ball` asserts
-    each point satisfies every row of its system, so nothing is audited
-    here; callers that may corrupt points run `verify_witness_membership`
-    themselves.  No body cap applies.
+    `NerveMismatchError` carrying that `NerveMatch`, and no coordinate
+    stage has run by then.  Once the walk finds no mismatch, each face's
+    coordinate stages run in walk order, from where its radius stage
+    stopped.  An unbounded face system still proves the face nonempty, so
+    the first one in walk order, radius or coordinate, is raised only then.
+    The centre is checked against every row of its system, so nothing is
+    audited here; callers that may corrupt points run
+    `verify_witness_membership` themselves.  No body cap applies.
     """
     check_labels(F, K)
     labels = F.labels()
-    points: dict[Face, Point] = {}
-    unbounded: UnboundedPolytopeError | None = None
+    # each face of K in walk order, with its centre call or its unbounded radius
+    passed: list[tuple[Face, Callable[[], Point] | UnboundedPolytopeError]] = []
     level = [(label,) for label in labels]
     while level:
         agreed: list[Face] = []
         for face in level:
             if face in K.faces:
                 try:
-                    points[face] = canonical_point(F.subfamily_polytope(face))
+                    passed.append((face, inscribed_radius(F.subfamily_polytope(face))[1]))
                 except EmptyPolytopeError:
                     raise _mismatch(NerveMatch.MISSING, face) from None
                 except UnboundedPolytopeError as exc:
-                    unbounded = unbounded or exc
+                    passed.append((face, exc))
                 agreed.append(face)
             elif len(face) > F.ambient + 1 or face_has_common_point(F, face):
                 raise _mismatch(NerveMatch.EXTRA, face)
         level = next_candidates(agreed, labels)
-    if unbounded is not None:
-        raise unbounded
+    points: dict[Face, Point] = {}
+    for face, centre in passed:
+        if isinstance(centre, UnboundedPolytopeError):
+            raise centre
+        points[face] = centre()
     return points
 
 

@@ -1,6 +1,8 @@
 """Exact bounding boxes against Fourier-Motzkin projection and per-side LPs.
 
-`HPolytope.bound` reads a box computed on one integer tableau per body.  One
+`HPolytope.bound` minimizes each side of each coordinate on its first read,
+over one integer tableau per body, so the bounds must not depend on the
+order they are read in.  One
 oracle projects the body onto each coordinate by elimination, in ambient
 dimension at most 2, where elimination stays small; the other runs one
 two-phase `solve_lp` per coordinate and side, in R^1 to R^4.
@@ -142,36 +144,104 @@ def test_the_lp_oracle_property_reaches_every_outcome():
         assert seen[outcome] >= 10, seen
 
 
+def sides(P: HPolytope) -> list[tuple[int, bool]]:
+    return [(j, upper) for j in range(P.ambient) for upper in (False, True)]
+
+
+def read_in_random_order(rng, P: HPolytope) -> list[tuple[tuple[int, bool], object, object]]:
+    """Each side of P read three times in a shuffled order: (side, bound, per-side LP).
+
+    An empty body reads "empty" from both.
+    """
+    def outcome(read, j, upper):
+        try:
+            return read(P, j, upper)
+        except EmptyPolytopeError:
+            return "empty"
+
+    want = {side: outcome(lp_bound, *side) for side in sides(P)}
+    reads = sides(P) * 3
+    rng.shuffle(reads)
+    return [(side, outcome(HPolytope.bound, *side), want[side]) for side in reads]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_lazy_bounds_do_not_depend_on_the_read_order(seed):
+    rng = random.Random(seed)
+    P = random_hpolytope(rng)[1]
+    for side, got, want in read_in_random_order(rng, P):
+        assert got == want, side
+
+
+def test_the_read_order_property_reaches_every_outcome():
+    # The same generator, seeded: empty bodies, unbounded and bounded sides,
+    # and a first read of some side after a later coordinate must all occur.
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(200):
+        P = random_hpolytope(rng)[1]
+        reads = read_in_random_order(rng, P)
+        first = [side for k, (side, _, _) in enumerate(reads)
+                 if side not in [earlier for earlier, _, _ in reads[:k]]]
+        for side, got, want in reads:
+            assert got == want, side
+            seen["empty" if got == "empty" else "unbounded" if got is None else "bounded"] += 1
+        if any(a[0] > b[0] for a, b in zip(first, first[1:])):
+            seen["out of order"] += 1
+    for outcome in ("empty", "unbounded", "bounded", "out of order"):
+        assert seen[outcome] >= 20, seen
+
+
 def test_one_box_tableau_per_body(monkeypatch):
+    # One phase-1 tableau per body, and each (coordinate, side) minimized at
+    # most once, on its first read.
     import nervecert.convex
 
-    calls = []
-    real = nervecert.convex.face_minima
+    tableaux, minima = [], []
+    real_face, real_minimum = nervecert.convex.least_face, nervecert.convex.face_minimum
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted_face(*args):
+        tableaux.append(args)
+        return real_face(*args)
 
-    monkeypatch.setattr(nervecert.convex, "face_minima", counted)
+    def counted_minimum(*args):
+        minima.append(args)
+        return real_minimum(*args)
+
+    monkeypatch.setattr(nervecert.convex, "least_face", counted_face)
+    monkeypatch.setattr(nervecert.convex, "face_minimum", counted_minimum)
     P = HPolytope.box([0, 0], [1, 1])
     assert [P.bound(j, side) for j in (1, 0) for side in (True, False)] == [1, 0, 1, 0]
-    assert P.bound(1, True) == 1
-    assert len(calls) == 1
-    # x-ranges [0, 1] and [3, 4] separate at the first coordinate: Q's box
-    # is built once, however often the pair is tested, and P's not again
+    assert [P.bound(j, side) for j in (0, 1) for side in (False, True)] == [0, 1, 0, 1]
+    assert (len(tableaux), len(minima)) == (1, 4)
+    # x-ranges [0, 1] and [3, 4] separate at coordinate 0: Q's tableau is
+    # built once however often the pair is tested, P's bounds are not
+    # minimized again, and Q's are minimized only at coordinate 0
     Q = HPolytope.box([3, 0], [4, 1])
     assert boxes_disjoint(P, Q) and boxes_disjoint(Q, P) and boxes_disjoint(P, Q)
-    assert len(calls) == 2
-    R = HPolytope.box([1, 1], [2, 2])
-    assert not boxes_disjoint(P, R) and not boxes_disjoint(R, P)
-    assert len(calls) == 3
-    # an empty body is found empty once, and stays empty
+    assert (len(tableaux), len(minima)) == (2, 6)
+    assert Q.bound(1, False) == 0 and len(minima) == 7
+    # a fresh pair in R^3 that separates at coordinate 0 computes one bound
+    # per body, and none of a higher coordinate
+    R, S = HPolytope.box([0, 0, 0], [1, 1, 1]), HPolytope.box([2, 0, 0], [3, 1, 1])
+    assert boxes_disjoint(R, S)
+    assert (len(tableaux), len(minima)) == (4, 9)
+    for body in (R, S):
+        for j in (1, 2):
+            body.bound(j, False)
+    assert len(minima) == 13
+    # overlapping boxes read every side of both bodies, each once
+    T = HPolytope.box([1, 1], [2, 2])
+    assert not boxes_disjoint(P, T) and not boxes_disjoint(T, P)
+    assert (len(tableaux), len(minima)) == (5, 17)
+    # an empty body is found empty once, minimizes nothing, and stays empty
     empty = HPolytope.box([0, 0], [-1, 1])
     for _ in range(3):
         assert boxes_disjoint(empty, P)
         with pytest.raises(EmptyPolytopeError):
             empty.bound(1, False)
-    assert len(calls) == 4
+    assert (len(tableaux), len(minima)) == (6, 17)
 
 
 def test_only_a_bounded_side_separates():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -715,6 +716,50 @@ def test_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
     result, stdout = run(
         capsys, "certificate", write(tmp_path / "fam.json", family),
         write(tmp_path / "K.json", complex_doc), "-d", "1", *extra, "-o", str(out),
+    )
+    assert result == code
+    assert stdout.startswith(first_line), stdout
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code, stdout = run(capsys, "recheck", str(out))
+    assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+DATA = Path(__file__).parent / "data"
+
+# One `certificate -d 2` document per outcome on a checked-in family and its
+# source complex: (data file, extra arguments, exit code, first stdout line,
+# certificate sha256 as the walk wrote it while it still finished every
+# face's point on the spot).  The missing-face family is the benchmark's
+# first mutant at seed 11; the lemma hook moves p(0) onto p(3), so the
+# pieces of the remote pair carry points of the walk.
+D2_PINNED = {
+    "clean": (
+        "pipeline_d2_seed11.json", [], 0,
+        "OBSTRUCTION_REPORT: clean run",
+        "740c7be4187c8d207ce2d17283955e1717ddcb0a7f978dac750124b325ca2a53",
+    ),
+    "missing-face": (
+        "missing_face_d2_seed11.json", [], 2,
+        "NERVE_MISMATCH: missing_face [0, 6, 12]",
+        "3dd56efd5e33e9dcce1ad55bf43b3b96c4a1d493f68c79a2e75e44514579e81b",
+    ),
+    "lemma": (
+        "pipeline_d2_seed11.json", ["--corrupt-witness", "0:22159/364,-75/364,1/2,1/2"], 2,
+        "LEMMA_VIOLATION: remote pair [0], [3]",
+        "51a4b191411da6b4b4d9f2839ba93a31d2634e5ecfa8df1dd7e8d7485785c50d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(D2_PINNED))
+def test_d2_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
+    data, extra, code, first_line, digest = D2_PINNED[name]
+    doc = json.loads((DATA / data).read_text())
+    out = tmp_path / "cert.json"
+    result, stdout = run(
+        capsys, "certificate", write(tmp_path / "fam.json", doc["family"]),
+        write(tmp_path / "K.json", {"facets": doc["facets"]}), "-d", "2", *extra,
+        "-o", str(out),
     )
     assert result == code
     assert stdout.startswith(first_line), stdout

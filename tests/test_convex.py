@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nervecert import (
     EmptyPolytopeError,
@@ -20,6 +23,7 @@ from nervecert import (
 )
 from conftest import random_box
 from oracles import fm_hulls_intersect, fm_polytope_is_empty, segments_cross_properly
+from test_inscribed_ball import random_hpolytope
 
 
 def parabola(t) -> tuple[Fraction, Fraction]:
@@ -49,6 +53,64 @@ def test_emptiness_agrees_with_interval_logic_on_boxes():
         expected = any(lo > hi for lo, hi in zip(los, his))
         assert polytope_is_empty(stacked) == expected
         assert fm_polytope_is_empty(stacked) == expected
+
+
+def random_stack(rng) -> list[HPolytope]:
+    """One to three `random_hpolytope` bodies in one ambient dimension, maybe a rescaled copy.
+
+    The copy scales a member's rows by a positive factor and moves its
+    right-hand sides, so its directions repeat at other right-hand sides.
+    """
+    first = random_hpolytope(rng)[1]
+    parts = [first]
+    while len(parts) < rng.randint(1, 3):
+        P = random_hpolytope(rng)[1]
+        if P.ambient == first.ambient:
+            parts.append(P)
+    if rng.random() < 0.4:
+        P = rng.choice(parts)
+        scale = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        parts.append(HPolytope(
+            P.ambient,
+            tuple(tuple(scale * a for a in row) for row in P.A),
+            tuple(scale * bi + rng.choice((-1, 0, 1)) for bi in P.b),
+        ))
+    rng.shuffle(parts)
+    return parts
+
+
+def merged_and_fresh(parts):
+    """The stack's merged reduced rows, and those derived afresh from its rows."""
+    S = HPolytope.stack(parts)
+    if len(parts) == 1:
+        assert S is parts[0]
+    return S.reduced_rows, HPolytope(S.ambient, S.A, S.b).reduced_rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_merged_rows_equal_fresh_rows(seed):
+    merged, fresh = merged_and_fresh(random_stack(random.Random(seed)))
+    assert merged == fresh
+
+
+def test_the_merged_rows_property_reaches_every_outcome():
+    # The same generator, seeded: one-body stacks, stacks with a zero row
+    # b_i < 0, and stacks whose members repeat a direction must all occur.
+    rng = random.Random(14)
+    seen = Counter()
+    for _ in range(300):
+        parts = random_stack(rng)
+        merged, fresh = merged_and_fresh(parts)
+        assert merged == fresh
+        if len(parts) == 1:
+            seen["one body"] += 1
+        elif merged is None:
+            seen["zero row, b < 0"] += 1
+        elif len(merged) < sum(len(part.reduced_rows) for part in parts):
+            seen["repeated direction"] += 1
+    for outcome in ("one body", "zero row, b < 0", "repeated direction"):
+        assert seen[outcome] >= 20, seen
 
 
 def test_canonical_point_examples():

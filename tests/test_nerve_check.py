@@ -6,15 +6,19 @@ nerve, one LP per candidate, and compares.  They must agree: witnesses come
 back exactly when the nerve is K, and otherwise both name the same verdict
 and face.  K is the nerve itself, or the nerve with one minimal non-face
 added or one maximal face removed, which makes non-flag complexes and, by
-Helly, extra faces larger than m + 1 that need no LP.
+Helly, extra faces larger than m + 1 that need no LP.  The points of a
+clean walk, finished only after it, must be the staged oracle's canonical
+points, and a walk that stops at a mismatch must run no coordinate stage.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -34,7 +38,12 @@ from nervecert import (
     verify_witness_membership,
     witness_points,
 )
+from nervecert.complexes import barycentric_subdivision
+from nervecert.fileio import family_from_doc
 from conftest import clustered_family, random_family
+from oracles import staged_inscribed_ball
+
+DATA = Path(__file__).parent / "data"
 
 
 def a_family(rng: random.Random) -> ConvexFamily:
@@ -81,6 +90,8 @@ def walk(F, K):
         return "labels"
     assert set(points) == set(K.faces)
     assert verify_witness_membership(F, points).ok
+    for face, point in points.items():
+        assert point == staged_inscribed_ball(F.subfamily_polytope(face))[1], face
     return NerveMatch(NerveMatch.EQUAL, None)
 
 
@@ -192,3 +203,49 @@ def test_an_empty_body_is_a_missing_vertex():
     with pytest.raises(NerveMismatchError) as refused:
         witness_points(F, complex_from_facets([[0], [1]]))
     assert refused.value.match == NerveMatch(NerveMatch.MISSING, (1,))
+
+
+def sd_of(name: str):
+    """The family of a checked-in document and sd of its source complex."""
+    doc = json.loads((DATA / name).read_text())
+    return family_from_doc(doc["family"]), barycentric_subdivision(
+        complex_from_facets(doc["facets"])
+    ).complex
+
+
+def stages_per_ball(monkeypatch) -> list[int]:
+    """Counts, per inscribed-ball tableau, the lexicographic stages it runs."""
+    import nervecert.convex
+
+    runs: list[int] = []
+    real = nervecert.convex.lex_stages
+
+    def counted(T, basis, costs):
+        runs.append(0)
+        k = len(runs) - 1
+        for out in real(T, basis, costs):
+            runs[k] += 1
+            yield out
+
+    monkeypatch.setattr(nervecert.convex, "lex_stages", counted)
+    return runs
+
+
+def test_a_mismatch_runs_no_coordinate_stage(monkeypatch):
+    # sd of two triangles in R^4, bodies shrunk so far that the three of a
+    # small triangle miss each other: the first mismatch is a size-3 face
+    F, K = sd_of("missing_face_d2_seed11.json")
+    runs = stages_per_ball(monkeypatch)
+    with pytest.raises(NerveMismatchError) as refused:
+        witness_points(F, K)
+    assert refused.value.match == NerveMatch(NerveMatch.MISSING, (0, 6, 12))
+    walked = [face for face in K.faces if (len(face), face) <= (3, (0, 6, 12))]
+    assert len(runs) == len(walked) and set(runs) == {1}
+
+
+def test_a_clean_walk_finishes_each_face_once(monkeypatch):
+    F, K = sd_of("pipeline_d2_seed11.json")
+    runs = stages_per_ball(monkeypatch)
+    points = witness_points(F, K)
+    assert len(points) == len(runs) == len(K.faces) == 50
+    assert runs == [F.ambient + 1] * 50
