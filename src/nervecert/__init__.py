@@ -3,14 +3,12 @@ mod-2 embeddability obstruction certificates."""
 
 from .complexes import (
     Face,
-    RemotenessReport,
     SdComplex,
     SimplicialComplex,
     barycentric_subdivision,
     complex_from_facets,
     disjoint_simplex_pairs,
     is_remote,
-    remoteness_lemma_check,
     skeleton_complex,
     subdivided_subcomplex,
 )
@@ -45,9 +43,7 @@ from .nerve import (
 )
 from .obstruction import (
     Cochain2,
-    GF2Infeasible,
     GF2Matrix,
-    GF2Solution,
     ObstructionCertificate,
     Placement,
     coboundary_matrix,
@@ -59,8 +55,6 @@ from .obstruction import (
 )
 from .witness import (
     WitnessMap,
-    build_witness_map,
-    corrupt_witness,
     image_of_face,
     image_of_source_simplex,
     verify_remote_disjointness,

@@ -163,19 +163,6 @@ def lemma_violation_cert(violation, K: SimplicialComplex) -> dict:
     }
 
 
-def vkf_pipeline_cert(gamma, delta, piece_a, piece_b, L: SimplicialComplex, d: int) -> dict:
-    return {
-        "kind": VKF_CERTIFICATE,
-        "mode": "pipeline",
-        "gamma": list(gamma),
-        "delta": list(delta),
-        "d": d,
-        "piece_a": _pieces_to_doc(piece_a),
-        "piece_b": _pieces_to_doc(piece_b),
-        "source": complex_to_doc(L),
-    }
-
-
 def vkf_demo_cert(
     gamma, delta, d: int, placement: Placement, point, K: SimplicialComplex
 ) -> dict:
@@ -267,8 +254,8 @@ def _recheck_witness_violation(doc) -> tuple[bool, str]:
 
 def _recheck_lemma_violation(doc) -> tuple[bool, str]:
     K, _ = complex_from_doc(doc["nerve"])
-    alpha = tuple(_int_list(doc["alpha"], "alpha"))
-    beta = tuple(_int_list(doc["beta"], "beta"))
+    alpha = _face_field(doc, "alpha")
+    beta = _face_field(doc, "beta")
     # the nerve is sd L for a d-complex L, and the family lives in R^2d
     _require(K.dim >= 1, f"'nerve' has dimension {K.dim}, expected at least 1")
     piece_a = _pieces_from_doc(doc["piece_a"], "piece_a", 2 * K.dim)
@@ -287,39 +274,30 @@ def _recheck_lemma_violation(doc) -> tuple[bool, str]:
 
 def _recheck_vkf(doc) -> tuple[bool, str]:
     mode = doc.get("mode")
-    gamma = tuple(_int_list(doc["gamma"], "gamma"))
-    delta = tuple(_int_list(doc["delta"], "delta"))
+    if mode != "demo":
+        raise ParseError(f"unknown VKF certificate mode {mode!r}")
+    gamma = _face_field(doc, "gamma")
+    delta = _face_field(doc, "delta")
     d = _int_field(doc["d"], "'d'")
     _require(d >= 1, "'d' must be a positive integer")
     if set(gamma) & set(delta):
         return False, "simplices share a vertex"
     if len(gamma) != d + 1 or len(delta) != d + 1:
         return False, "simplices do not have dimension d"
-    if mode == "pipeline":
-        L, _ = complex_from_doc(doc["source"])
-        if not (L.has_face(gamma) and L.has_face(delta)):
-            return False, "pair is not a pair of source faces"
-        piece_a = _pieces_from_doc(doc["piece_a"], "piece_a", 2 * d)
-        piece_b = _pieces_from_doc(doc["piece_b"], "piece_b", 2 * d)
-        if not hulls_intersect(piece_a, piece_b):
-            return False, "image pieces do not intersect"
-        return True, "intersecting image pieces of disjoint simplices confirmed"
-    if mode == "demo":
-        K, _ = complex_from_doc(doc["complex"])
-        if not (K.has_face(gamma) and K.has_face(delta)):
-            return False, "pair is not a pair of complex faces"
-        placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
-        point = parse_point(doc["point"], "'point'")
-        result = crossing(
-            [placement.point(v) for v in gamma],
-            [placement.point(v) for v in delta],
-        )
-        if result.parity != 1:
-            return False, "pair does not cross under the placement"
-        if result.point != point:
-            return False, "intersection point disagrees"
-        return True, "crossing pair with exact intersection point confirmed"
-    raise ParseError(f"unknown VKF certificate mode {mode!r}")
+    K, _ = complex_from_doc(doc["complex"])
+    if not (K.has_face(gamma) and K.has_face(delta)):
+        return False, "pair is not a pair of complex faces"
+    placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
+    point = parse_point(doc["point"], "'point'")
+    result = crossing(
+        [placement.point(v) for v in gamma],
+        [placement.point(v) for v in delta],
+    )
+    if result.parity != 1:
+        return False, "pair does not cross under the placement"
+    if result.point != point:
+        return False, "intersection point disagrees"
+    return True, "crossing pair with exact intersection point confirmed"
 
 
 def _recheck_obstruction(doc) -> tuple[bool, str]:

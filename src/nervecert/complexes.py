@@ -278,43 +278,3 @@ def subdivided_subcomplex(sdK: SdComplex, alpha) -> list[Face]:
     return canonical_faces(
         f for f in sdK.complex.faces if all(v in inside for v in f)
     )
-
-
-@dataclass
-class RemotenessReport:
-    """Exhaustive remoteness audit over all disjoint d-face pairs of a complex."""
-
-    violations: list[tuple[Face, Face, Face, Face]]
-    disjoint_pairs: int
-    quadruples_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def remoteness_lemma_check(L: SimplicialComplex, d: int) -> RemotenessReport:
-    """For K = sd L, check that subdivisions of disjoint d-faces are pairwise remote.
-
-    Every face of sd(gamma) is tested against every face of sd(delta) for
-    every disjoint pair {gamma, delta} of d-faces of L.  The report lists any
-    violating quadruple (gamma, delta, alpha, beta); an empty list is the
-    machine-checked combinatorial half of the non-representability argument.
-    """
-    sdL = barycentric_subdivision(L)
-    K = sdL.complex
-    pairs = disjoint_simplex_pairs(L, d)
-    sub_cache: dict[Face, list[Face]] = {}
-    violations: list[tuple[Face, Face, Face, Face]] = []
-    quads = 0
-    for gamma, delta in pairs:
-        if gamma not in sub_cache:
-            sub_cache[gamma] = subdivided_subcomplex(sdL, gamma)
-        if delta not in sub_cache:
-            sub_cache[delta] = subdivided_subcomplex(sdL, delta)
-        for alpha in sub_cache[gamma]:
-            for beta in sub_cache[delta]:
-                quads += 1
-                if not is_remote(K, alpha, beta):
-                    violations.append((gamma, delta, alpha, beta))
-    return RemotenessReport(violations, len(pairs), quads)

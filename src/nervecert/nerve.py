@@ -22,6 +22,7 @@ a claimed face is decided by the radius stage of its inscribed ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import Face, SimplicialComplex
 from .convex import HPolytope, boxes_disjoint, polytope_is_empty
@@ -52,14 +53,22 @@ class ConvexFamily:
                 )
         return cls(ambient, entries)
 
-    def labels(self) -> list[int]:
-        return sorted(label for label, _ in self.bodies)
+    @cached_property
+    def _by_label(self) -> dict[int, HPolytope]:
+        return dict(self.bodies)
+
+    @cached_property
+    def _sorted_labels(self) -> tuple[int, ...]:
+        return tuple(sorted(self._by_label))
+
+    def labels(self) -> tuple[int, ...]:
+        return self._sorted_labels
 
     def body(self, label: int) -> HPolytope:
-        for lab, body in self.bodies:
-            if lab == label:
-                return body
-        raise KeyError(f"no body labeled {label}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise KeyError(f"no body labeled {label}") from None
 
     def subfamily_polytope(self, face) -> HPolytope:
         """Stacked constraint system of the bodies named by a face.
@@ -101,7 +110,7 @@ def check_labels(F: ConvexFamily, K: SimplicialComplex) -> None:
         )
 
 
-def next_candidates(level: list[Face], labels: list[int]) -> list[Face]:
+def next_candidates(level: list[Face], labels: tuple[int, ...]) -> list[Face]:
     """The sets one vertex larger than ``level``'s faces whose facets all lie in it.
 
     ``level`` holds faces of one size in lexicographic order, and so does

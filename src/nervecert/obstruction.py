@@ -26,23 +26,24 @@ Unordered-pair indexing bakes the swap symmetry of the deleted product into
 the data; bit rows are plain ints, so elimination is ordinary integer xor.
 The pair index is found once per complex and dimension
 (`SimplicialComplex.pair_index`); the cocycle and the coboundary rows both
-read it by face position.  The coboundary rows are built from d-face ids,
-vertex bitmasks and a flat table of column bits, and elimination keeps an
-echelon basis keyed by each pivot row's lowest set bit: a row is reduced
-only while that bit hits a stored pivot, and once every column has a pivot
-the rest are not reduced.  The pass carries no combination bitmask: it
-keeps each pivot and the input row it came from, and that is all
-`gf2_rank` (what `recheck` runs) needs.  Only when the cochain reduces to
-0 is the combination rebuilt, in one pass over the pivots, newest first.
-The rank, the combination over the pivot rows and the witness supported on
-the pivot columns plus one free column are each unique, so they do not
-depend on how the elimination is organized.
+read it by face position, and both carry its one tuple of pairs.  The
+coboundary rows are built from d-face ids, vertex bitmasks and a flat table
+of column bits, and elimination keeps an echelon basis keyed by each pivot
+row's lowest set bit: a row is reduced only while that bit hits a stored
+pivot, and once every column has a pivot the rest are not reduced.  The
+pass carries no combination bitmask: it keeps each pivot and the input row
+it came from, and that is all `gf2_rank` (what `recheck` runs) needs.
+Only when the cochain reduces to 0 is the combination rebuilt, in one pass
+over the pivots, newest first.  The rank, the combination over the pivot
+rows and the witness supported on the pivot columns plus one free column
+are each unique, so they do not depend on how the elimination is
+organized.
 
-`gf2_solve` does not check what it returns.  Each verdict is verified once,
-by `ObstructionCertificate.verify` in `obstruction_vanishes`: the
-combination must xor the rows to the cochain, or the witness must be
-orthogonal to every row and pair to 1 with the cochain.  `recheck` runs
-that same method on the rebuilt system.
+`gf2_solve` returns the `ObstructionCertificate` but does not check it.
+Each verdict is verified once, by `ObstructionCertificate.verify` in
+`obstruction_vanishes`: the combination must xor the rows to the cochain,
+or the witness must be orthogonal to every row and pair to 1 with the
+cochain.  `recheck` runs that same method on the rebuilt system.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 
-from .complexes import Face, SimplicialComplex, disjoint_simplex_pairs
+from .complexes import Face, SimplicialComplex
 from .convex import Point
 from .errors import GenericityError
 from .linprog import frac
@@ -135,17 +136,9 @@ class Cochain2:
     index: tuple[PairKey, ...]
     bits: int
 
-    def bit(self, pair) -> int:
-        g, h = (tuple(pair[0]), tuple(pair[1]))
-        key = (g, h) if (len(g), g) <= (len(h), h) else (h, g)
-        return (self.bits >> self.index.index(key)) & 1
-
     @property
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def support(self) -> list[PairKey]:
-        return [pair for i, pair in enumerate(self.index) if (self.bits >> i) & 1]
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,6 @@ class GF2Matrix:
     and sigma is a d-face containing rho and disjoint from tau.
     """
 
-    row_keys: tuple[tuple[Face, Face], ...]
     columns: tuple[PairKey, ...]
     rows: tuple[int, ...]
 
@@ -178,7 +170,6 @@ def intersection_cocycle(K: SimplicialComplex, d: int, placement: Placement) -> 
     barycentric solve in `convex.crossing`, and that solve can never meet a
     degenerate case (module docstring).  Each d-face's ranks are sorted once.
     """
-    index = tuple(disjoint_simplex_pairs(K, d))
     pair_index = K.pair_index(d)
     rank = placement.ranks
     ranks = [sorted(rank[v] for v in f) for f in pair_index.faces]
@@ -186,7 +177,7 @@ def intersection_cocycle(K: SimplicialComplex, d: int, placement: Placement) -> 
     for pos, (i, j) in enumerate(pair_index.ids):
         if _interleave(ranks[i], ranks[j]):
             bits |= 1 << pos
-    return Cochain2(index, bits)
+    return Cochain2(pair_index.pairs, bits)
 
 
 def coboundary_matrix(K: SimplicialComplex, d: int) -> GF2Matrix:
@@ -199,7 +190,6 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> GF2Matrix:
     the d-faces sigma_s that contain rho is then row (rho, tau_t): distinct
     powers of two, so the sum is their union.
     """
-    columns = tuple(disjoint_simplex_pairs(K, d))
     pair_index = K.pair_index(d)
     taus, masks = pair_index.faces, pair_index.masks
     m = len(taus)
@@ -213,36 +203,14 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> GF2Matrix:
             cofaces.setdefault(sigma[:k] + sigma[k + 1:], []).append(s)
     vertex_bits = pair_index.vertex_bits
     zero = [0] * m
-    row_keys = []
     rows = []
     for rho in K.faces_of_dim(d - 1):
         rho_mask = sum(vertex_bits[v] for v in rho)
         over = [col_bit[s * m:(s + 1) * m] for s in cofaces.get(rho, ())]
         for tau, mask, bits in zip(taus, masks, map(sum, zip(*over)) if over else zero):
             if not mask & rho_mask:
-                row_keys.append((rho, tau))
                 rows.append(bits)
-    return GF2Matrix(tuple(row_keys), columns, tuple(rows))
-
-
-@dataclass(frozen=True)
-class GF2Solution:
-    """Row combination c with c.M = v (bitmask over matrix rows)."""
-
-    combination: int
-    rank: int
-
-
-@dataclass(frozen=True)
-class GF2Infeasible:
-    """Witness that v is outside the row space.
-
-    ``witness`` is a column functional orthogonal to every row of M but
-    pairing to 1 with v; ``rank`` is the row-space dimension.
-    """
-
-    rank: int
-    witness: int
+    return GF2Matrix(pair_index.pairs, tuple(rows))
 
 
 def _low_bit(x: int) -> int:
@@ -315,7 +283,7 @@ def gf2_rank(M: GF2Matrix) -> int:
     return len(_echelon(M)[0])
 
 
-def gf2_solve(M: GF2Matrix, v: Cochain2) -> GF2Solution | GF2Infeasible:
+def gf2_solve(M: GF2Matrix, v: Cochain2) -> ObstructionCertificate:
     """Express v over M's rows, or certify that this is impossible.
 
     The combination is the unique one over the pivot rows (the rows outside
@@ -337,7 +305,8 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> GF2Solution | GF2Infeasible:
         target ^= hit
         odd.add(col)
     if target == 0:
-        return GF2Solution(_combination(M, pivots, sources, odd), len(pivots))
+        combination = _combination(M, pivots, sources, odd)
+        return ObstructionCertificate(True, v, len(pivots), M.n_rows, combination, None)
 
     # Back-substitution: pivot row p has no bit below p, so solving the
     # pivots in descending order fixes the witness bit at p from the bits
@@ -347,7 +316,7 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> GF2Solution | GF2Infeasible:
     for col in sorted((c for c in pivots if c < free_col), reverse=True):
         if (pivots[col] & witness).bit_count() & 1:
             witness |= 1 << col
-    return GF2Infeasible(len(pivots), witness)
+    return ObstructionCertificate(False, v, len(pivots), M.n_rows, None, witness)
 
 
 @dataclass(frozen=True)
@@ -387,15 +356,7 @@ def obstruction_vanishes(
         placement = moment_curve_placement(K, d)
     cocycle = intersection_cocycle(K, d, placement)
     M = coboundary_matrix(K, d)
-    outcome = gf2_solve(M, cocycle)
-    if isinstance(outcome, GF2Solution):
-        cert = ObstructionCertificate(
-            True, cocycle, outcome.rank, M.n_rows, outcome.combination, None
-        )
-    else:
-        cert = ObstructionCertificate(
-            False, cocycle, outcome.rank, M.n_rows, None, outcome.witness
-        )
+    cert = gf2_solve(M, cocycle)
     if not cert.verify(M):
         raise AssertionError("obstruction certificate failed self-verification")
     return cert

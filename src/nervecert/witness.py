@@ -37,7 +37,7 @@ from .complexes import (
     is_remote,
     subdivided_subcomplex,
 )
-from .convex import Point, hulls_intersect, inscribed_radius, make_point
+from .convex import Point, hulls_intersect, inscribed_radius
 from .errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
@@ -180,10 +180,6 @@ def verify_witness_membership(F: ConvexFamily, witness: dict[Face, Point]) -> Me
     return MembershipReport(None, checked)
 
 
-def build_witness_map(F: ConvexFamily, K: SimplicialComplex) -> WitnessMap:
-    return assemble_witness_map(K, witness_points(F, K), F.ambient)
-
-
 def assemble_witness_map(
     K: SimplicialComplex, witness: dict[Face, Point], ambient: int
 ) -> WitnessMap:
@@ -198,16 +194,6 @@ def assemble_witness_map(
     if set(witness) != set(K.faces):
         raise ValueError("witness assignment must cover every nerve face")
     return WitnessMap(K, dict(witness), ambient)
-
-
-def corrupt_witness(g: WitnessMap, face, point) -> WitnessMap:
-    """Testing hook: replace one witness point, skipping all verification."""
-    f = tuple(face)
-    if f not in g.nerve.faces:
-        raise NotAFaceError(f"{f} is not a face of the nerve")
-    witness = dict(g.witness)
-    witness[f] = make_point(point)
-    return assemble_witness_map(g.nerve, witness, g.ambient)
 
 
 def _descending_chains(top: Face):

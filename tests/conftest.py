@@ -1,11 +1,13 @@
-"""Shared generators for seeded randomized tests."""
+"""Shared generators for seeded randomized tests, and witness-map helpers."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from nervecert import ConvexFamily, HPolytope
+from nervecert import ConvexFamily, HPolytope, WitnessMap, witness_points
+from nervecert.convex import make_point
+from nervecert.witness import assemble_witness_map
 
 
 def random_box(rng: random.Random, m: int) -> HPolytope:
@@ -68,3 +70,13 @@ def clustered_family(rng: random.Random, m: int, clusters: int, per: int) -> Con
             bodies.append((label, HPolytope.box(lo, hi)))
             label += 1
     return ConvexFamily.of(m, bodies)
+
+
+def witness_map(F: ConvexFamily, K) -> WitnessMap:
+    """The linear map of F's canonical witness points on its nerve K."""
+    return assemble_witness_map(K, witness_points(F, K), F.ambient)
+
+
+def move_witness(g: WitnessMap, face, point) -> WitnessMap:
+    """A corrupted copy of g: one face's point replaced, nothing verified."""
+    return assemble_witness_map(g.nerve, {**g.witness, tuple(face): make_point(point)}, g.ambient)

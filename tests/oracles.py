@@ -11,12 +11,14 @@ parity reduces to a parameter-interleaving count, the crossing cocycle
 goes through one exact barycentric solve per pair (the engine the
 interleaving rule replaced), coboundary rows are read off the definition
 column by column, GF(2) systems go through the dense Gauss-Jordan pass
-the echelon solver replaced, the remote-face audit scans every piece
-pair of every remote pair under a given hull predicate (Fourier-Motzkin
-keeps it off the simplex), the inscribed ball goes through one
-two-phase solve per lexicographic stage (the solves the one-tableau driver
-replaced), and a body's box bound goes through one two-phase solve per
-coordinate and side (the solves the one-tableau box replaced).
+the echelon solver replaced, the remote-face lemma is stated face by
+face with `is_remote` over subdivided faces, the remote-face audit scans
+every piece pair of every remote pair under a given hull predicate
+(Fourier-Motzkin keeps it off the simplex), the inscribed ball goes
+through one two-phase solve per lexicographic stage (the solves the
+one-tableau driver replaced), and a body's box bound goes through one
+two-phase solve per coordinate and side (the solves the one-tableau box
+replaced).
 """
 
 from __future__ import annotations
@@ -24,11 +26,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from nervecert.complexes import canonical_faces, disjoint_simplex_pairs, is_remote
+from nervecert.complexes import (
+    barycentric_subdivision,
+    canonical_faces,
+    disjoint_simplex_pairs,
+    is_remote,
+    subdivided_subcomplex,
+)
 from nervecert.convex import HPolytope, Point, crossing
 from nervecert.errors import EmptyPolytopeError, GenericityError, UnboundedPolytopeError
 from nervecert.linprog import INFEASIBLE, ONE, OPTIMAL, UNBOUNDED, ZERO, solve_lp
-from nervecert.obstruction import GF2Infeasible, GF2Solution
+from nervecert.obstruction import ObstructionCertificate
 from nervecert.witness import image_of_face
 
 
@@ -268,6 +276,23 @@ def piecewise_remote_violation(g, meets):
                         return alpha, beta, pa, pb
     return None
 
+def remote_lemma_quadruples(L, d: int) -> list[tuple]:
+    """(gamma, delta, alpha, beta, remote) for every disjoint pair of d-faces
+    {gamma, delta} of L, every face alpha of sd gamma and beta of sd delta.
+
+    ``remote`` is `is_remote` in sd L; the remote-face lemma says it always
+    holds.
+    """
+    sdL = barycentric_subdivision(L)
+    sub = {f: subdivided_subcomplex(sdL, f) for f in L.faces_of_dim(d)}
+    return [
+        (gamma, delta, alpha, beta, is_remote(sdL.complex, alpha, beta))
+        for gamma, delta in disjoint_simplex_pairs(L, d)
+        for alpha in sub[gamma]
+        for beta in sub[delta]
+    ]
+
+
 def brute_force_coboundary_rows(facets, d: int):
     """(row_keys, columns, rows) of the elementary coboundary rows, by definition.
 
@@ -342,7 +367,7 @@ def dense_gauss_jordan_gf2(M, v):
                 acc ^= row
         if acc != v.bits:
             raise AssertionError("row combination failed to reproduce the cochain")
-        return GF2Solution(combo, len(pivots))
+        return ObstructionCertificate(True, v, len(pivots), M.n_rows, combo, None)
 
     free_col = _low_bit(target)
     witness = 1 << free_col
@@ -354,4 +379,4 @@ def dense_gauss_jordan_gf2(M, v):
             raise AssertionError("infeasibility witness is not orthogonal to the rows")
     if not (v.bits & witness).bit_count() & 1:
         raise AssertionError("infeasibility witness does not separate the cochain")
-    return GF2Infeasible(len(pivots), witness)
+    return ObstructionCertificate(False, v, len(pivots), M.n_rows, None, witness)

@@ -17,23 +17,23 @@ from fractions import Fraction
 import nervecert
 from nervecert import (
     barycentric_subdivision,
-    build_witness_map,
     complex_from_facets,
-    corrupt_witness,
     intersection_cocycle,
     moment_curve_placement,
     nerve_exhaustive,
     nerve_helly,
     obstruction_vanishes,
-    remoteness_lemma_check,
     skeleton_complex,
     verify_remote_disjointness,
     verify_witness_membership,
+    witness_points,
 )
 from nervecert.certificates import recheck_certificate
 from nervecert.cli import main
 from nervecert.fileio import document_to_text
+from nervecert.witness import assemble_witness_map
 from conftest import clustered_family, random_family
+from oracles import remote_lemma_quadruples
 
 K5 = skeleton_complex(4, 1)
 D26 = skeleton_complex(6, 2)
@@ -77,17 +77,16 @@ def test_criterion_1_combinatorial_counts():
 
 def test_criterion_2_remoteness_lemma():
     start = time.monotonic()
-    r1 = remoteness_lemma_check(K5, 1)
-    assert r1.ok and r1.disjoint_pairs == 15
-    r2 = remoteness_lemma_check(D26, 2)
-    assert r2.ok and r2.disjoint_pairs == 70
+    # every face of sd gamma is remote from every face of sd delta in sd L
+    checked = 0
+    for L, d, pairs in ((K5, 1, 15), (D26, 2, 70)):
+        quads = remote_lemma_quadruples(L, d)
+        assert all(remote for *_, remote in quads)
+        assert len({quad[:2] for quad in quads}) == pairs
+        checked += len(quads)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    _passline(
-        2,
-        f"zero violations over {r1.quadruples_checked + r2.quadruples_checked} "
-        f"quadruples in {elapsed:.1f}s",
-    )
+    _passline(2, f"zero violations over {checked} quadruples in {elapsed:.1f}s")
 
 
 def test_criterion_3_nerve_engines_agree():
@@ -114,7 +113,7 @@ def test_criterion_4_witness_suite():
         K = nerve_helly(F)
         if len(K.vertices) != len(F.bodies):
             continue
-        g = build_witness_map(F, K)
+        g = assemble_witness_map(K, witness_points(F, K), F.ambient)
         assert verify_witness_membership(F, g.witness).ok
         rep = verify_remote_disjointness(g)
         assert rep.ok
@@ -128,7 +127,9 @@ def test_criterion_4_witness_suite():
         1, [(i, HPolytope.box([i - 1], [i])) for i in range(1, 5)]
     )
     K = nerve_helly(chain)
-    bad = corrupt_witness(build_witness_map(chain, K), (1,), (Fraction(5, 2),))
+    points = witness_points(chain, K)
+    points[(1,)] = (Fraction(5, 2),)
+    bad = assemble_witness_map(K, points, chain.ambient)
     rep = verify_remote_disjointness(bad)
     assert not rep.ok
     assert (rep.violation.alpha, rep.violation.beta) == ((1,), (3,))

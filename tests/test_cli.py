@@ -391,6 +391,18 @@ def _corrupt_witness_cert(tmp_path, capsys) -> dict:
     return load(out)
 
 
+def _lemma_cert(tmp_path, capsys) -> dict:
+    """LEMMA_VIOLATION for the remote pair [0], [1] of the subdivided path."""
+    fam = write(tmp_path / "fam.json", PATH_FAMILY)
+    path = write(tmp_path / "path.json", PATH)
+    out = tmp_path / "cert.json"
+    run(
+        capsys,
+        "certificate", fam, path, "-d", "1", "--corrupt-witness", "0:37/2,1/2", "-o", str(out),
+    )
+    return load(out)
+
+
 def _extra_face_cert(tmp_path, capsys) -> dict:
     """NERVE_MISMATCH extra_face [0, 1]; the complex is the path 0-2-1."""
     fam = write(tmp_path / "fam.json", TRIANGLE_FAMILY)
@@ -466,6 +478,11 @@ INCREASING = "must list one or more labels in strictly increasing order"
         (_extra_face_cert, _set("witness_face", [0, 0]), f"'witness_face' {INCREASING}, got [0, 0]"),
         (_extra_face_cert, _set("witness_face", [0, 2, 0]), f"'witness_face' {INCREASING}"),
         (_extra_face_cert, _set("witness_face", []), f"'witness_face' {INCREASING}, got []"),
+        (_demo_cert, _set("gamma", [3, 1]), f"'gamma' {INCREASING}, got [3, 1]"),
+        (_demo_cert, _set("gamma", [1, 1]), f"'gamma' {INCREASING}, got [1, 1]"),
+        (_demo_cert, _set("delta", [4, 2]), f"'delta' {INCREASING}, got [4, 2]"),
+        (_lemma_cert, _set("alpha", []), f"'alpha' {INCREASING}, got []"),
+        (_lemma_cert, _set("beta", [1, 1]), f"'beta' {INCREASING}, got [1, 1]"),
         (_demo_cert, _set("d", True), "'d' must be an integer"),
         (_vk_cert, _set("d", True), "'d' must be an integer"),
         (_vk_cert, _set("combination", None), "'combination' must be a hex string"),
@@ -499,6 +516,11 @@ INCREASING = "must list one or more labels in strictly increasing order"
         "repeated-witness-face",
         "revisiting-witness-face",
         "empty-witness-face",
+        "reversed-gamma",
+        "repeated-gamma",
+        "reversed-delta",
+        "empty-alpha",
+        "repeated-beta",
         "bool-d-vkf",
         "bool-d-obstruction",
         "null-combination",
@@ -545,37 +567,22 @@ def test_recheck_rejects_a_witness_point_of_the_wrong_length(tmp_path, capsys, p
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "piece_a, piece_b, what",
-    [
-        ([["0"]], [["0"]], "'piece_a' point has 1 coordinates"),
-        (
-            [["0", "0", "0"], ["2", "2", "0"]],
-            [["0", "2", "0"], ["2", "0", "0"]],
-            "'piece_a' point has 3 coordinates",
-        ),
-        (None, [["0", "2"], ["2", "0", "0"]], "'piece_b' point has 3 coordinates"),
-    ],
-    ids=["too-short", "too-long", "too-long-b"],
-)
-def test_recheck_rejects_a_vkf_piece_point_of_the_wrong_length(
-    tmp_path, capsys, piece_a, piece_b, what
-):
-    from nervecert.certificates import vkf_pipeline_cert
-    from nervecert.complexes import complex_from_facets
-
-    doc = vkf_pipeline_cert(
-        (1, 2), (3, 4), [(0, 0), (2, 2)], [(0, 2), (2, 0)],
-        complex_from_facets([[1, 2], [3, 4]]), 1,
-    )
-    assert recheck_certificate(doc)[0]
-    if piece_a is not None:
-        doc["piece_a"] = piece_a
-    doc["piece_b"] = piece_b
-    bad = write(tmp_path / "bad.json", doc)
-    assert main(["recheck", bad]) == 1
+def test_recheck_refuses_the_removed_pipeline_mode(tmp_path, capsys):
+    # A VKF_CERTIFICATE of mode "pipeline", as `certificate` once wrote it:
+    # no command writes that mode any more, and recheck no longer reads it.
+    doc = {
+        "kind": "VKF_CERTIFICATE",
+        "mode": "pipeline",
+        "gamma": [1, 2],
+        "delta": [3, 4],
+        "d": 1,
+        "piece_a": [["0", "0"], ["2", "2"]],
+        "piece_b": [["0", "2"], ["2", "0"]],
+        "source": {"facets": [[1, 2], [3, 4]]},
+    }
+    assert main(["recheck", write(tmp_path / "old.json", doc)]) == 1
     captured = capsys.readouterr()
-    assert f"{what}, ambient is 2d = 2" in captured.err
+    assert "unknown VKF certificate mode 'pipeline'" in captured.err
     assert "confirmed" not in captured.out
     assert "Traceback" not in captured.err
 

@@ -15,11 +15,10 @@ from nervecert import (
     complex_from_facets,
     disjoint_simplex_pairs,
     is_remote,
-    remoteness_lemma_check,
     skeleton_complex,
     subdivided_subcomplex,
 )
-from oracles import brute_force_chain_faces, quadratic_facets
+from oracles import brute_force_chain_faces, quadratic_facets, remote_lemma_quadruples
 
 
 def test_complex_from_facets_counts():
@@ -219,15 +218,12 @@ def test_subdivided_subcomplex_matches_chain_oracle():
 
 
 def test_remoteness_lemma_small_skeleton():
-    report = remoteness_lemma_check(skeleton_complex(4, 1), 1)
-    assert report.ok
-    assert report.disjoint_pairs == 15
-    # 25 faces in each subdivided edge: 3 vertices + 2 edges, squared per pair
-    assert report.quadruples_checked == 15 * 5 * 5
+    quads = remote_lemma_quadruples(skeleton_complex(4, 1), 1)
+    assert all(remote for *_, remote in quads)
+    assert len({quad[:2] for quad in quads}) == 15
+    # 5 faces in each subdivided edge: 3 vertices + 2 edges, squared per pair
+    assert len(quads) == 15 * 5 * 5
 
 
 def test_remoteness_lemma_vacuous_for_triangle():
-    report = remoteness_lemma_check(complex_from_facets([[1, 2, 3]]), 1)
-    assert report.ok
-    assert report.disjoint_pairs == 0
-    assert report.quadruples_checked == 0
+    assert remote_lemma_quadruples(complex_from_facets([[1, 2, 3]]), 1) == []

@@ -28,13 +28,8 @@ from nervecert.cli import main
 from nervecert.convex import hulls_intersect
 from nervecert.fileio import family_from_doc
 from nervecert.nerve import nerve_helly
-from nervecert.witness import (
-    build_witness_map,
-    corrupt_witness,
-    verify_remote_disjointness,
-    verify_witness_membership,
-)
-from conftest import clustered_family, random_family
+from nervecert.witness import verify_remote_disjointness, verify_witness_membership
+from conftest import clustered_family, move_witness, random_family, witness_map
 from oracles import fm_hulls_intersect, piecewise_remote_violation
 from test_cli import PATH, PATH_FAMILY, write
 
@@ -54,12 +49,12 @@ def corrupted_family_map(seed: int, clustered: bool, n_corrupt: int):
     K = nerve_helly(F)
     if len(K.vertices) != len(F.bodies):
         return None
-    clean = g = build_witness_map(F, K)
+    clean = g = witness_map(F, K)
     faces = sorted(K.faces)
     for _ in range(n_corrupt):
         face, near = rng.choice(faces), rng.choice(faces)
         point = [c + rng.choice(OFFSETS) for c in g.witness[near]]
-        g = corrupt_witness(g, face, point)
+        g = move_witness(g, face, point)
     return F, clean, g
 
 
@@ -189,7 +184,7 @@ def test_recheck_rejects_lemma_pieces_of_the_wrong_shape(tmp_path, capsys, edit,
 
 def path_map():
     F = family_from_doc(PATH_FAMILY)
-    return build_witness_map(F, nerve_helly(F))
+    return witness_map(F, nerve_helly(F))
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,17 @@ from nervecert import (
 from conftest import random_family
 
 
+def test_family_looks_bodies_up_by_label():
+    bodies = [(label, HPolytope.box([label], [label + 1])) for label in (5, 2, 9)]
+    F = ConvexFamily.of(1, bodies)
+    assert F.labels() == (2, 5, 9)
+    assert F.labels() is F.labels()  # sorted once
+    assert [F.body(label) for label, _ in bodies] == [body for _, body in bodies]
+    assert F.bodies == tuple(bodies)  # the document order is kept
+    with pytest.raises(KeyError, match="no body labeled 3"):
+        F.body(3)
+
+
 def three_intervals() -> ConvexFamily:
     return ConvexFamily.of(
         1,

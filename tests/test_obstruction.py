@@ -11,8 +11,7 @@ import pytest
 
 from nervecert import (
     GenericityError,
-    GF2Infeasible,
-    GF2Solution,
+    ObstructionCertificate,
     coboundary_matrix,
     complex_from_facets,
     gf2_solve,
@@ -21,7 +20,7 @@ from nervecert import (
     obstruction_vanishes,
     skeleton_complex,
 )
-from oracles import moment_interleaving_parity
+from oracles import brute_force_coboundary_rows, moment_interleaving_parity
 
 K5 = skeleton_complex(4, 1)
 D26 = skeleton_complex(6, 2)
@@ -33,6 +32,11 @@ def k4():
 
 def k33():
     return complex_from_facets([[i, j] for i in range(3) for j in range(3, 6)])
+
+
+def support(cochain) -> list:
+    """The pairs whose bit is set, in index order."""
+    return [pair for i, pair in enumerate(cochain.index) if cochain.bits >> i & 1]
 
 
 def test_placement_points_sit_on_the_moment_curve():
@@ -63,9 +67,9 @@ def test_k5_cocycle_is_the_interleaving_pattern():
         ((a, c), (b, d))
         for a, b, c, d in combinations(range(5), 4)
     }
-    assert set(coc.support()) == expected
-    for gamma, delta in coc.index:
-        assert coc.bit((gamma, delta)) == moment_interleaving_parity(
+    assert set(support(coc)) == expected
+    for i, (gamma, delta) in enumerate(coc.index):
+        assert coc.bits >> i & 1 == moment_interleaving_parity(
             [g + 1 for g in gamma], [h + 1 for h in delta]
         )
 
@@ -75,7 +79,7 @@ def test_k4_cocycle_single_bit():
     coc = intersection_cocycle(K, 1, moment_curve_placement(K, 1))
     assert len(coc.index) == 3
     assert coc.weight == 1
-    assert coc.support() == [((1, 3), (2, 4))]
+    assert support(coc) == [((1, 3), (2, 4))]
 
 
 def test_path_has_empty_pair_index():
@@ -89,8 +93,8 @@ def test_d2_cocycle_counts_interleaved_triples():
     pl = moment_curve_placement(D26, 2)
     coc = intersection_cocycle(D26, 2, pl)
     assert len(coc.index) == 70
-    for gamma, delta in coc.index:
-        assert coc.bit((gamma, delta)) == moment_interleaving_parity(gamma, delta)
+    for i, (gamma, delta) in enumerate(coc.index):
+        assert coc.bits >> i & 1 == moment_interleaving_parity(gamma, delta)
     # one interleaved split per 6-subset of the 7 parameters
     assert coc.weight == 7
 
@@ -110,7 +114,8 @@ def test_coboundary_shapes():
 def test_k4_row_construction_detail():
     K = k4()
     M = coboundary_matrix(K, 1)
-    row = M.rows[M.row_keys.index(((1,), (2, 4)))]
+    keys, _, _ = brute_force_coboundary_rows(K.facets(), 1)
+    row = M.rows[keys.index(((1,), (2, 4)))]
     assert row == 1 << M.columns.index(((1, 3), (2, 4)))
 
 
@@ -119,7 +124,7 @@ def test_gf2_solver_against_brute_force_on_k4():
     M = coboundary_matrix(K, 1)
     coc = intersection_cocycle(K, 1, moment_curve_placement(K, 1))
     outcome = gf2_solve(M, coc)
-    assert isinstance(outcome, GF2Solution)
+    assert outcome.vanishes
     reachable = set()
     for combo in range(1 << M.n_rows):
         acc = 0
@@ -137,7 +142,7 @@ def test_gf2_solver_zero_vector():
     zero = intersection_cocycle(K5, 1, moment_curve_placement(K5, 1))
     zero = type(zero)(zero.index, 0)
     outcome = gf2_solve(M, zero)
-    assert isinstance(outcome, GF2Solution)
+    assert outcome.vanishes
     assert outcome.combination == 0
 
 
@@ -145,7 +150,7 @@ def test_gf2_infeasibility_witness_for_k5():
     M = coboundary_matrix(K5, 1)
     coc = intersection_cocycle(K5, 1, moment_curve_placement(K5, 1))
     outcome = gf2_solve(M, coc)
-    assert isinstance(outcome, GF2Infeasible)
+    assert not outcome.vanishes
     y = outcome.witness
     assert all((row & y).bit_count() % 2 == 0 for row in M.rows)
     assert (coc.bits & y).bit_count() % 2 == 1
@@ -213,3 +218,23 @@ def test_cocycle_dimension_guard():
     coc = intersection_cocycle(K, 1, moment_curve_placement(K, 1))
     with pytest.raises(ValueError):
         gf2_solve(M, coc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_van_kampen_flores_parity_oracle(d):
+    # Row (rho, tau) has a one for each d-face sigma = rho + v disjoint from
+    # tau, so it has n - 2d - 1 ones on n vertices: an even number on
+    # 2d + 3 vertices, where the all-ones functional is orthogonal to every
+    # row, and an odd one on 2d + 4.  On Delta_{2d+2}^(d) the cocycle has
+    # odd weight (one interleaved split per 2d+2 of the 2d+3 parameters),
+    # so the all-ones functional proves the obstruction nonvanishing with
+    # no elimination.
+    for n, accepted in ((2 * d + 3, True), (2 * d + 4, False)):
+        K = skeleton_complex(n - 1, d)
+        cocycle = intersection_cocycle(K, d, moment_curve_placement(K, d))
+        M = coboundary_matrix(K, d)
+        ones = (1 << M.n_cols) - 1
+        # verify does not read the rank
+        cert = ObstructionCertificate(False, cocycle, 0, M.n_rows, None, ones)
+        assert cert.verify(M) is accepted, n
+    assert not obstruction_vanishes(skeleton_complex(2 * d + 2, d), d).vanishes

@@ -15,9 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nervecert.certificates import consistency_failure_cert, vkf_pipeline_cert
+from nervecert.certificates import consistency_failure_cert
 from nervecert.cli import main
-from nervecert.complexes import complex_from_facets
 from nervecert.fileio import document_to_text
 
 from test_cli import EDGE, PATH, PATH_FAMILY, TRIANGLE_FAMILY
@@ -55,10 +54,6 @@ def certificates(workdir) -> dict[str, dict]:
         "obstruction-vanishes": _cli_cert(workdir, "vk4", "vk", k4_path, "-d", "1"),
         "obstruction-nonvanishing": _cli_cert(workdir, "vk5", "vk", k5_path, "-d", "1"),
         "vkf-demo": _cli_cert(workdir, "demo", "vkf-demo", "-d", "1"),
-        "vkf-pipeline": vkf_pipeline_cert(
-            (1, 2), (3, 4), [(0, 0), (2, 2)], [(0, 2), (2, 0)],
-            complex_from_facets([[1, 2], [3, 4]]), 1,
-        ),
         "nerve-mismatch": _cli_cert(workdir, "nm", "certificate", tri, edge, "-d", "1"),
         "witness-violation": _cli_cert(
             workdir, "wv", *corrupt, "--corrupt-stage", "witness"
@@ -68,10 +63,7 @@ def certificates(workdir) -> dict[str, dict]:
     docs["consistency-failure"] = consistency_failure_cert(
         docs["obstruction-nonvanishing"], "planted for the fuzz"
     )
-    kinds = {doc["kind"] for doc in docs.values()}
-    assert len(kinds) == 6 and {doc.get("mode") for doc in docs.values()} >= {
-        "demo", "pipeline"
-    }
+    assert len({doc["kind"] for doc in docs.values()}) == 6
     return docs
 
 

@@ -14,9 +14,7 @@ from nervecert import (
     NotAFaceError,
     SourceLabelingError,
     barycentric_subdivision,
-    build_witness_map,
     complex_from_facets,
-    corrupt_witness,
     disjoint_simplex_pairs,
     hulls_intersect,
     image_of_face,
@@ -26,7 +24,7 @@ from nervecert import (
     verify_witness_membership,
     witness_points,
 )
-from conftest import clustered_family, random_family
+from conftest import clustered_family, move_witness, random_family, witness_map
 
 
 def two_intervals():
@@ -95,7 +93,7 @@ def test_witness_refusal_carries_the_mismatch():
 
 def test_image_of_face_shapes():
     F, K = two_intervals()
-    g = build_witness_map(F, K)
+    g = witness_map(F, K)
     assert image_of_face(g, (1, 2)) == (
         ((Fraction(3, 2),), (Fraction(2),)),
         ((Fraction(3, 2),), (Fraction(1),)),
@@ -115,7 +113,7 @@ def test_image_of_triangle_face_has_six_pieces():
         ],
     )
     K = complex_from_facets([[1, 2, 3]])
-    g = build_witness_map(F, K)
+    g = witness_map(F, K)
     pieces = image_of_face(g, (1, 2, 3))
     assert len(pieces) == 6
     assert all(len(piece) == 3 for piece in pieces)
@@ -123,7 +121,7 @@ def test_image_of_triangle_face_has_six_pieces():
 
 def test_honest_maps_pass_all_verifications():
     F, K = chain_of_intervals()
-    g = build_witness_map(F, K)
+    g = witness_map(F, K)
     disjointness = verify_remote_disjointness(g)
     assert disjointness.ok
     assert disjointness.remote_pairs > 0
@@ -132,9 +130,9 @@ def test_honest_maps_pass_all_verifications():
 
 def test_corrupted_witness_is_caught_by_both_audits():
     F, K = chain_of_intervals()
-    g = build_witness_map(F, K)
+    g = witness_map(F, K)
     # p({1}) moved onto p({3}), far outside body 1
-    bad = corrupt_witness(g, (1,), (Fraction(5, 2),))
+    bad = move_witness(g, (1,), (Fraction(5, 2),))
     membership = verify_witness_membership(F, bad.witness)
     assert not membership.ok
     assert membership.violation.face == (1,)
@@ -149,8 +147,8 @@ def test_witness_map_determinism():
     rng = random.Random(211)
     F = clustered_family(rng, m=2, clusters=2, per=2)
     K = nerve_helly(F)
-    first = build_witness_map(F, K)
-    second = build_witness_map(F, K)
+    first = witness_map(F, K)
+    second = witness_map(F, K)
     assert first.witness == second.witness  # bit-for-bit identical rationals
 
 
@@ -166,7 +164,7 @@ def test_image_of_source_simplex_edge():
             (2, HPolytope.box([8, 0], [20, 1])),
         ],
     )
-    g = build_witness_map(F, sdL.complex)
+    g = witness_map(F, sdL.complex)
     pieces = image_of_source_simplex(g, sdL, (1, 2))
     assert len(pieces) == 4  # maximal chains of the twice-subdivided edge
     assert all(len(piece) == 2 for piece in pieces)
@@ -194,7 +192,7 @@ def test_source_images_of_disjoint_edges_do_not_meet():
             (5, HPolytope.box([108, 0], [120, 1])),
         ],
     )
-    g = build_witness_map(F, sdL.complex)
+    g = witness_map(F, sdL.complex)
     assert verify_remote_disjointness(g).ok
     pairs = disjoint_simplex_pairs(L, 1)
     assert pairs == [((1, 2), (3, 4))]
@@ -224,7 +222,7 @@ def test_source_piece_tests_are_covered_by_remote_pair_tests():
             (5, HPolytope.box([108, 0], [120, 1])),
         ],
     )
-    g = build_witness_map(F, sdL.complex)
+    g = witness_map(F, sdL.complex)
     K = sdL.complex
 
     def source_chains(gamma):
@@ -253,6 +251,6 @@ def test_random_families_satisfy_the_witness_audits():
         K = nerve_helly(F)
         if len(K.vertices) != len(F.bodies):
             continue  # an empty body cannot be represented in the nerve
-        g = build_witness_map(F, K)
+        g = witness_map(F, K)
         assert verify_witness_membership(F, g.witness).ok
         assert verify_remote_disjointness(g).ok
