@@ -181,12 +181,14 @@ def cmd_certificate(args) -> int:
         raise ParseError(f"source complex has dimension {L.dim}, expected {d}")
     if F.ambient != 2 * d:
         raise ParseError(f"family ambient is {F.ambient}, expected 2d = {2 * d}")
+    K = barycentric_subdivision(L).complex
     face = pt = stage = None
     if args.corrupt_witness:
         face, pt = _parse_corruption(args.corrupt_witness, F.ambient)
+        if face not in K.faces:
+            raise ParseError(f"corruption face {face} is not a face of the subdivision")
         stage = args.corrupt_stage
 
-    K = barycentric_subdivision(L).complex
     try:  # the nerve check inside witness_points is the only one
         points = witness_points(F, K)
     except NerveMismatchError as exc:
@@ -195,8 +197,6 @@ def cmd_certificate(args) -> int:
         print(f"NERVE_MISMATCH: {match.verdict} {list(match.face)}")
         _emit(doc, args.out)
         return _CERT_EXIT[NERVE_MISMATCH]
-    if face is not None and face not in K.faces:
-        raise ParseError(f"corruption face {face} is not a face of the subdivision")
     if stage == "witness":
         points[face] = pt
     membership = verify_witness_membership(F, points)

@@ -32,10 +32,11 @@ form for a feasible basis (`convex` makes its starting pivot with `pivot`):
   minimizes one objective over that face from the basis the one before
   ended in, so `convex.HPolytope.bound` pays only for the bounds it reads.
 
-`solve_lp` is the rational two-phase wrapper: it accepts free variables
-(split internally), inequality rows (slacked internally) and either
-optimization sense, adds one artificial per row for phase 1, and runs its
-phase 2 through `lex_stages` with a single objective.  In the package it
+`solve_lp` is the rational front end: it accepts free variables (split
+internally), inequality rows (slacked internally) and either optimization
+sense, adds one artificial per row and decides feasibility with
+`least_face`, which is the only phase 1 in the package.  It then minimizes
+its objective in one `lex_stages` stage over that face.  In the package it
 serves only `convex.hulls_intersect` (V-hull intersection); the tests use it
 as the reference LP.
 """
@@ -135,53 +136,6 @@ def _run_simplex(T: list[list[int]], basis: list[int]) -> str:
         if row is None:
             return UNBOUNDED
         pivot(T, basis, row, col)
-
-
-def _solve_standard(
-    A: list[list[int]], b: list[int], c: list[int], scale: int
-) -> tuple[str, list[Fraction] | None]:
-    """min c.x subject to A x = b, x >= 0; returns (status, x).
-
-    A and b are ``scale`` times a rational system, so the artificial
-    columns carry ``scale`` on the diagonal; c is any positive multiple of
-    the rational costs.
-    """
-    m = len(A)
-    n = len(c)
-
-    # Phase 1: one artificial per row, minimize their sum.
-    T: list[list[int]] = []
-    for i in range(m):
-        art = [0] * m
-        art[i] = scale
-        if b[i] < 0:
-            T.append([-v for v in A[i]] + art + [-b[i]])
-        else:
-            T.append(A[i] + art + [b[i]])
-    basis = [n + i for i in range(m)]
-    obj = [-sum(col) for col in zip(*T)] if T else [0] * (n + m + 1)
-    obj[n : n + m] = [0] * m
-    T = [_primitive(row) for row in T]
-    T.append(_primitive(obj))
-    _run_simplex(T, basis)  # bounded below by zero, never unbounded
-    if T[-1][-1] != 0:
-        return INFEASIBLE, None
-
-    # Drive artificials out of the (degenerate) basis; drop redundant rows.
-    drop: list[int] = []
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
-            if col is None:
-                drop.append(i)
-            else:
-                pivot(T, basis, i, col)
-    keep = [i for i in range(m) if i not in drop]
-    T = [_primitive(T[i][:n] + [T[i][-1]]) for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # Phase 2: the true objective from the phase-1 basis.
-    return next(lex_stages(T, basis, [c]))
 
 
 def _cost_row(T: list[list[int]], basis: list[int], c: list[int]) -> list[int]:
@@ -308,36 +262,45 @@ def solve_lp(
     if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
         raise ValueError("right-hand side length disagrees with constraint count")
 
-    # Column layout: per original variable one or two standard columns,
-    # then one slack per inequality.
-    cols: list[tuple[int, int]] = []  # (variable, sign)
+    # Column layout: per original variable one or two standard columns, one
+    # slack per inequality, then one artificial per row.  One common scale
+    # turns every row into integers, so slacks and artificials carry it.
+    split: list[tuple[int, int]] = []  # (variable, sign)
     for j in range(n):
-        cols.append((j, 1))
+        split.append((j, 1))
         if not nonneg[j]:
-            cols.append((j, -1))
-    nslack = len(A_ub)
-
-    # One common scale turns every constraint into integers, slacks included.
-    rows, scale = _integer_rows(
-        row + [b] for row, b in zip(A_ub + A_eq, b_ub + b_eq)
-    )
-    A_std: list[list[int]] = []
+            split.append((j, -1))
+    rows, scale = _integer_rows(row + [b] for row, b in zip(A_ub + A_eq, b_ub + b_eq))
+    m, nslack = len(rows), len(A_ub)
+    n_std = len(split) + nslack
+    T: list[list[int]] = []
     for i, row in enumerate(rows):
-        slack = [0] * nslack
+        std = [row[j] * s for j, s in split] + [0] * (nslack + m) + [row[-1]]
         if i < nslack:
-            slack[i] = scale
-        A_std.append([row[j] * s for j, s in cols] + slack)
-    b_std = [row[-1] for row in rows]
+            std[len(split) + i] = scale
+        if row[-1] < 0:
+            std = [-v for v in std]
+        std[n_std + i] = scale
+        T.append(_primitive(std))
 
+    # Phase 1's face is the feasible set: every artificial is zero on it, so
+    # the artificials it keeps (basic at level zero, or priced zero) and any
+    # redundant rows cannot move the optimum of the one stage after it.
+    basis = list(range(n_std, n_std + m))
+    face = least_face(T, basis, [0] * n_std + [1] * m)
+    if face is None:
+        return LPResult(INFEASIBLE, None, None)
+    T, cols = face
     sense = -1 if maximize else 1
     c_ints = _integer_rows([c])[0][0]
-    c_std = [sense * c_ints[j] * s for j, s in cols] + [0] * nslack
-    status, xs = _solve_standard(A_std, b_std, c_std, scale)
+    c_std = [sense * c_ints[j] * s for j, s in split] + [0] * (nslack + m)
+    status, xs = next(lex_stages(T, basis, [[c_std[j] for j in cols]]))
     if status != OPTIMAL:
         return LPResult(status, None, None)
     x = [ZERO] * n
-    for (j, s), v in zip(cols, xs):
-        if v:
+    for k, v in zip(cols, xs):
+        if v and k < len(split):
+            j, s = split[k]
             x[j] += v if s > 0 else -v
     objective = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), ZERO)
     return LPResult(OPTIMAL, objective, tuple(x))

@@ -183,29 +183,43 @@ def gauss_crossing_cocycle_bits(K, d, placement) -> int:
 
 
 def fm_hulls_intersect(a_pts, b_pts) -> bool:
-    """Hull intersection decided by eliminating the combination variables."""
+    """Hull intersection decided by eliminating the combination variables.
+
+    The equalities (matching coordinates, each side's weights summing to 1)
+    are solved first by a rational Gauss-Jordan pass, which writes each
+    pivot weight in the free ones; Fourier-Motzkin then decides whether the
+    free weights can keep every weight nonnegative.  Substituting before
+    projecting keeps the projection small in R^4.
+    """
     m = len(a_pts[0])
     na, nb = len(a_pts), len(b_pts)
     n = na + nb
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def add(coeffs, b):
-        rows.append([Fraction(c) for c in coeffs])
-        rhs.append(Fraction(b))
-
-    for k in range(m):  # equalities as inequality pairs
-        row = [p[k] for p in a_pts] + [-q[k] for q in b_pts]
-        add(row, 0)
-        add([-c for c in row], 0)
-    add([1] * na + [0] * nb, 1)
-    add([-1] * na + [0] * nb, -1)
-    add([0] * na + [1] * nb, 1)
-    add([0] * na + [-1] * nb, -1)
-    for j in range(n):  # nonnegativity
-        row = [Fraction(0)] * n
-        row[j] = Fraction(-1)
-        add(row, 0)
+    eqs = [[Fraction(p[k]) for p in a_pts] + [-Fraction(q[k]) for q in b_pts] + [ZERO]
+           for k in range(m)]
+    eqs.append([ONE] * na + [ZERO] * nb + [ONE])
+    eqs.append([ZERO] * na + [ONE] * nb + [ONE])
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(eqs)) if eqs[i][col]), None)
+        if piv is None:
+            continue
+        eqs[r], eqs[piv] = eqs[piv], eqs[r]
+        eqs[r] = [v / eqs[r][col] for v in eqs[r]]
+        for i, row in enumerate(eqs):
+            if i != r and row[col]:
+                f = row[col]
+                eqs[i] = [v - f * w for v, w in zip(row, eqs[r])]
+        pivots.append(col)
+    if any(row[-1] for row in eqs[len(pivots):]):
+        return False
+    free = [j for j in range(n) if j not in pivots]
+    # w_p = rhs - sum_f row[f] w_f >= 0 for each pivot row, and w_f >= 0.
+    rows = [[row[j] for j in free] for row in eqs[: len(pivots)]]
+    rhs = [row[-1] for row in eqs[: len(pivots)]]
+    for k in range(len(free)):
+        rows.append([-ONE if i == k else ZERO for i in range(len(free))])
+        rhs.append(ZERO)
     return fm_feasible(rows, rhs)
 
 

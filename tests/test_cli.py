@@ -773,3 +773,20 @@ def test_d2_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     code, stdout = run(capsys, "recheck", str(out))
     assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+@pytest.mark.parametrize("data", ["pipeline_d2_seed11.json", "missing_face_d2_seed11.json"])
+def test_a_corruption_face_outside_the_subdivision_exits_1(tmp_path, capsys, data):
+    # The face is checked before the nerve walk, so a family whose nerve
+    # mismatches gives the same exit as a clean one, and no certificate.
+    doc = json.loads((DATA / data).read_text())
+    out = tmp_path / "cert.json"
+    code = main([
+        "certificate", write(tmp_path / "fam.json", doc["family"]),
+        write(tmp_path / "K.json", {"facets": doc["facets"]}), "-d", "2",
+        "--corrupt-witness", "0,999:0,0,0,0", "-o", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "corruption face (0, 999) is not a face of the subdivision" in captured.err
+    assert captured.out == "" and not out.exists()

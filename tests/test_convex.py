@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nervecert.linprog
 from nervecert import (
     EmptyPolytopeError,
     GenericityError,
@@ -191,6 +192,70 @@ def test_hulls_agree_with_fourier_motzkin():
         a = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(m)) for _ in range(rng.randint(1, 3))]
         b = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(m)) for _ in range(rng.randint(1, 3))]
         assert hulls_intersect(a, b) == fm_hulls_intersect(a, b)
+
+
+def random_hull_pair(rng) -> tuple[list, list]:
+    """Two point sets in one of R^1 to R^4 with rational coordinates.
+
+    Each side may gain a repeated point, a point on the line through two of
+    its own (so its points are affinely dependent), or a point of the other
+    side's hull (so the hulls meet).  Such inputs leave an artificial basic
+    at level zero when `solve_lp`'s phase 1 ends.
+    """
+    m = rng.randint(1, 4)
+
+    def point():
+        return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(m))
+
+    def on_line(pts, t):
+        p, q = rng.choice(pts), rng.choice(pts)
+        return tuple(x + t * (y - x) for x, y in zip(p, q))
+
+    a = [point() for _ in range(rng.randint(1, 3))]
+    b = [point() for _ in range(rng.randint(1, 3))]
+    for pts, other in ((a, b), (b, a)):
+        r = rng.random()
+        if r < 0.25:
+            pts.append(rng.choice(pts))
+        elif r < 0.5:
+            pts.append(on_line(pts, Fraction(rng.randint(-2, 4), 2)))
+        elif r < 0.7:
+            pts.append(on_line(other, Fraction(rng.randint(0, 2), 2)))
+        rng.shuffle(pts)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_hulls_agree_with_fourier_motzkin_up_to_r4(seed):
+    a, b = random_hull_pair(random.Random(seed))
+    assert hulls_intersect(a, b) == fm_hulls_intersect(a, b)
+
+
+def test_the_hull_property_reaches_every_outcome(monkeypatch):
+    # The same generator, seeded: in each of R^1 to R^4 the hulls both meet
+    # and miss, and phase 1 ends with an artificial basic at level zero.
+    real = nervecert.linprog.least_face
+    zero_level = []
+
+    def spy(T, basis, face_cost):
+        face = real(T, basis, face_cost)
+        zero_level.append(face is not None and any(face_cost[face[1][j]] for j in basis))
+        return face
+
+    monkeypatch.setattr(nervecert.linprog, "least_face", spy)
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(300):
+        a, b = random_hull_pair(rng)
+        meets = hulls_intersect(a, b)
+        assert meets == fm_hulls_intersect(a, b)
+        m = len(a[0])
+        seen[m, "meet" if meets else "miss"] += 1
+        seen[m, "artificial at level zero"] += zero_level.pop()
+    for m in range(1, 5):
+        for outcome in ("meet", "miss", "artificial at level zero"):
+            assert seen[m, outcome] >= 5, seen
 
 
 def test_crossing_parabola_examples():

@@ -4,7 +4,8 @@
 replaces every binding of each while a trace runs.  Deleting or renaming one
 of them breaks `bench/run.py --trace 1`, which the tier-1 suite does not
 run; this test loads the tracer by path and enters and leaves it once.  The
-bindings that `bench/test_bench.py` reads directly are checked as well.
+bindings that `bench/test_bench.py` reads directly are checked as well, and
+so are the `LPResult` fields the tracer's `solve_lp` counters read.
 """
 
 from __future__ import annotations
@@ -66,3 +67,19 @@ def test_bindings_the_bench_tests_read_exist():
     for module in (witness, cli, certificates):
         assert module.hulls_intersect is convex.hulls_intersect, module.__name__
     assert nerve.nerve_matches.__defaults__[0] is nerve.nerve_helly
+
+
+def test_the_tracer_reads_the_hull_lp_results():
+    # `_on_linprog_solve_lp` reads the status, x and objective of `LPResult`.
+    from nervecert import convex
+
+    layertrace = _load_layertrace()
+    with layertrace.LayerTrace() as trace:
+        assert convex.hulls_intersect([(0, 0), (1, 1)], [(0, 1), (1, 0)])
+        assert not convex.hulls_intersect([(0, 0), (1, 0)], [(0, 1), (1, 1)])
+    metrics = trace.metrics()
+    assert metrics["convex.hulls_intersect.calls"] == 2
+    assert metrics["convex.hulls_intersect.hits"] == 1
+    assert metrics["linprog.solve_lp.calls"] == 2
+    assert metrics["linprog.solve_lp.infeasible"] == 1
+    assert metrics["linprog.solve_lp.max_bits"] >= 1

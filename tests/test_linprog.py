@@ -211,8 +211,8 @@ PINNED = [
         (2, 4, 0),
     ),
     (
-        # An artificial stays basic at level zero, and the drive-out step
-        # pivots on a negative entry.
+        # An artificial stays basic at level zero inside `least_face`'s face,
+        # and the optimum over that face keeps its pivot path.
         dict(
             c=[0, 1],
             A_ub=[[-4, 2], [1, 1], [4, -4], [-4, 4], [2, 2]],
