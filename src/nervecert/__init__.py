@@ -52,6 +52,7 @@ from .obstruction import (
     intersection_cocycle,
     moment_curve_placement,
     obstruction_vanishes,
+    reverse_columns,
 )
 from .witness import (
     WitnessMap,

@@ -2,8 +2,8 @@
 
 Every certificate embeds the data its verdict depends on, so `recheck` can
 re-run the underlying exact predicate from the document alone and either
-confirm or refute it.  Bit vectors are serialized as lowercase hex strings,
-rationals as exact strings.
+confirm or refute it.  Bit vectors are serialized as lowercase hex strings
+with column (or row) j at bit j, rationals as exact strings.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .obstruction import (
     gf2_rank,
     intersection_cocycle,
     moment_curve_placement,
+    reverse_columns,
 )
 
 NERVE_MISMATCH = "NERVE_MISMATCH"
@@ -68,13 +69,6 @@ def _hex_to_bits(text, what: str) -> int:
         f"{what} is not a canonical hex bit vector: {text!r}",
     )
     return int(text, 16)
-
-
-def _bits_field(doc, key: str, required: bool) -> int | None:
-    raw = doc.get(key)
-    if raw is None and not required:
-        return None
-    return _hex_to_bits(raw, f"'{key}'")
 
 
 def _params_to_doc(placement: Placement) -> dict:
@@ -181,18 +175,22 @@ def vkf_demo_cert(
 def obstruction_report_cert(
     K: SimplicialComplex, d: int, placement: Placement, cert: ObstructionCertificate
 ) -> dict:
+    n_pairs = len(cert.cocycle.index)
     return {
         "kind": OBSTRUCTION_REPORT,
         "vanishes": cert.vanishes,
         "complex": complex_to_doc(K),
         "d": d,
         "params": _params_to_doc(placement),
-        "cocycle": _bits_to_hex(cert.cocycle.bits),
-        "n_pairs": len(cert.cocycle.index),
+        "cocycle": _bits_to_hex(reverse_columns(cert.cocycle.bits, n_pairs)),
+        "n_pairs": n_pairs,
         "rank": cert.rank,
         "n_rows": cert.n_rows,
         "combination": None if cert.combination is None else _bits_to_hex(cert.combination),
-        "witness": None if cert.witness is None else _bits_to_hex(cert.witness),
+        "witness": (
+            None if cert.witness is None
+            else _bits_to_hex(reverse_columns(cert.witness, n_pairs))
+        ),
     }
 
 
@@ -310,23 +308,31 @@ def _recheck_obstruction(doc) -> tuple[bool, str]:
     vanishes = doc["vanishes"]
     _require(isinstance(vanishes, bool), "'vanishes' must be a boolean")
     stated_cocycle = _hex_to_bits(doc["cocycle"], "'cocycle'")
-    combination = _bits_field(doc, "combination", required=vanishes)
-    witness = _bits_field(doc, "witness", required=not vanishes)
+    # the verdict's proof field; the other one must be null
+    used, unused, size, what = (
+        ("combination", "witness", n_rows, "n_rows") if vanishes
+        else ("witness", "combination", n_pairs, "n_pairs")
+    )
+    _require(
+        doc.get(unused) is None,
+        f"'{unused}' must be null when 'vanishes' is {str(vanishes).lower()}",
+    )
+    proof = _hex_to_bits(doc.get(used), f"'{used}'")
     placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
     cocycle = intersection_cocycle(K, d, placement)
     if len(cocycle.index) != n_pairs:
         return False, "pair index size disagrees"
-    if cocycle.bits != stated_cocycle:
+    if reverse_columns(cocycle.bits, n_pairs) != stated_cocycle:
         return False, "recomputed cocycle disagrees"
     M = coboundary_matrix(K, d)
     if M.n_rows != n_rows:
         return False, "coboundary row count disagrees"
-    for key, bits, size, what in (
-        ("combination", combination, n_rows, "n_rows"),
-        ("witness", witness, n_pairs, "n_pairs"),
-    ):
-        if bits is not None and bits >> size:
-            raise ParseError(f"'{key}' has a bit at or above {what} = {size}")
+    if proof >> size:
+        raise ParseError(f"'{used}' has a bit at or above {what} = {size}")
+    if vanishes:
+        combination, witness = proof, None
+    else:
+        combination, witness = None, reverse_columns(proof, n_pairs)
     cert = ObstructionCertificate(vanishes, cocycle, rank, n_rows, combination, witness)
     if not cert.verify(M):
         return False, "certificate fails against the rebuilt system"

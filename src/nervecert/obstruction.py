@@ -24,12 +24,18 @@ exact barycentric solve in `convex.crossing` returns.
 
 Unordered-pair indexing bakes the swap symmetry of the deleted product into
 the data; bit rows are plain ints, so elimination is ordinary integer xor.
+Every GF(2) vector over the pair index (the cocycle, the coboundary rows and
+the witness) keeps column j at bit n-1-j, so the lowest column a vector
+holds is its top bit, ``x.bit_length() - 1``: finding it allocates nothing,
+and a row loses its leading bits as it is reduced, so later xors run on
+shorter ints.  Only `reverse_columns` knows this layout; certificate
+documents keep column j at bit j and convert through it.
 The pair index is found once per complex and dimension
 (`SimplicialComplex.pair_index`); the cocycle and the coboundary rows both
 read it by face position, and both carry its one tuple of pairs.  The
 coboundary rows are built from d-face ids, vertex bitmasks and a flat table
 of column bits, and elimination keeps an echelon basis keyed by each pivot
-row's lowest set bit: a row is reduced only while that bit hits a stored
+row's lowest column: a row is reduced only while that column hits a stored
 pivot, and once every column has a pivot the rest are not reduced.  The
 pass carries no combination bitmask: it keeps each pivot and the input row
 it came from, and that is all `gf2_rank` (what `recheck` runs) needs.
@@ -37,7 +43,7 @@ Only when the cochain reduces to 0 is the combination rebuilt, in one pass
 over the pivots, newest first.  The rank, the combination over the pivot
 rows and the witness supported on the pivot columns plus one free column
 are each unique, so they do not depend on how the elimination is
-organized.
+organized; the layout changes only the cost of each step.
 
 `gf2_solve` returns the `ObstructionCertificate` but does not check it.
 Each verdict is verified once, by `ObstructionCertificate.verify` in
@@ -129,9 +135,23 @@ def moment_curve_placement(K: SimplicialComplex, d: int, params=None) -> Placeme
     return Placement(d, tuple((v, assigned[v]) for v in verts))
 
 
+def reverse_columns(bits: int, n: int) -> int:
+    """Swap column j between bit j and bit n-1-j of an n-column vector.
+
+    An involution: it maps a document's vector (column j at bit j) to the
+    engine's (column j at bit n-1-j) and back.  ``bits`` must be below 2**n.
+    """
+    if bits >> n:
+        raise ValueError(f"vector has a bit at or above its {n} columns")
+    return int(format(bits, f"0{n}b")[::-1], 2)
+
+
 @dataclass(frozen=True)
 class Cochain2:
-    """A mod-2 vector over the canonically ordered disjoint d-pair index."""
+    """A mod-2 vector over the canonically ordered disjoint d-pair index.
+
+    Column j is bit n-1-j of ``bits`` (module docstring).
+    """
 
     index: tuple[PairKey, ...]
     bits: int
@@ -146,7 +166,8 @@ class GF2Matrix:
     """Elementary coboundary generators as bit rows over the pair index.
 
     Row (rho, tau) has a one in column {sigma, tau'} exactly when tau' = tau
-    and sigma is a d-face containing rho and disjoint from tau.
+    and sigma is a d-face containing rho and disjoint from tau.  Column j
+    is bit n-1-j of a row, as in `Cochain2`.
     """
 
     columns: tuple[PairKey, ...]
@@ -173,10 +194,11 @@ def intersection_cocycle(K: SimplicialComplex, d: int, placement: Placement) -> 
     pair_index = K.pair_index(d)
     rank = placement.ranks
     ranks = [sorted(rank[v] for v in f) for f in pair_index.faces]
+    top = len(pair_index.ids) - 1
     bits = 0
     for pos, (i, j) in enumerate(pair_index.ids):
         if _interleave(ranks[i], ranks[j]):
-            bits |= 1 << pos
+            bits |= 1 << (top - pos)
     return Cochain2(pair_index.pairs, bits)
 
 
@@ -194,8 +216,9 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> GF2Matrix:
     taus, masks = pair_index.faces, pair_index.masks
     m = len(taus)
     col_bit = [0] * (m * m)
+    top = len(pair_index.ids) - 1
     for pos, (g, h) in enumerate(pair_index.ids):
-        col_bit[g * m + h] = col_bit[h * m + g] = 1 << pos
+        col_bit[g * m + h] = col_bit[h * m + g] = 1 << (top - pos)
     # cofaces[rho]: the ids of the d-faces containing rho
     cofaces: dict[Face, list[int]] = {}
     for s, sigma in enumerate(taus):
@@ -213,20 +236,18 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> GF2Matrix:
     return GF2Matrix(pair_index.pairs, tuple(rows))
 
 
-def _low_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 def _echelon(M: GF2Matrix) -> tuple[dict[int, int], list[int]]:
-    """Echelon basis of M's row space: each pivot row keyed by its lowest set bit.
+    """Echelon basis of M's row space: each pivot row keyed by its lowest column.
 
-    A row is reduced only while its lowest bit hits a stored pivot; what
-    remains, if nonzero, becomes the pivot for its new lowest bit, so the
-    pivots are exactly the rows outside the span of the rows before them.
-    Once every column has a pivot the remaining rows are in the span and
-    are not reduced.  The lowest bit is computed inline, as this loop is the
-    hot path.  Returns the pivots in creation order and, aligned with
-    them, the index of the input row each came from.
+    With column j at bit n-1-j that column is the top bit, found without
+    allocating, and each xor that clears it shortens the row; the pivots are
+    the same as when keying on the lowest set bit with column j at bit j.  A
+    row is reduced only while its top bit hits a stored pivot; what remains,
+    if nonzero, becomes the pivot for its new top bit, so the pivots are
+    exactly the rows outside the span of the rows before them.  Once every
+    column has a pivot the remaining rows are in the span and are not
+    reduced.  Returns the pivots, keyed by bit, in creation order and,
+    aligned with them, the index of the input row each came from.
     """
     pivots: dict[int, int] = {}
     sources: list[int] = []
@@ -235,7 +256,7 @@ def _echelon(M: GF2Matrix) -> tuple[dict[int, int], list[int]]:
         if len(pivots) == full:
             break
         while r:
-            col = (r & -r).bit_length() - 1
+            col = r.bit_length() - 1
             hit = pivots.get(col)
             if hit is None:
                 pivots[col] = r
@@ -246,14 +267,14 @@ def _echelon(M: GF2Matrix) -> tuple[dict[int, int], list[int]]:
 
 
 def _combination(M: GF2Matrix, pivots: dict[int, int], sources: list[int], odd: set[int]) -> int:
-    """The input rows that xor to the sum of the pivots whose columns are in ``odd``.
+    """The input rows that xor to the sum of the pivots whose keys are in ``odd``.
 
     Newest pivot first: a pivot's input row enters the combination iff the
     pivot is still in ``odd``, and then every pivot that was xored into that
     row to make it flips parity.  Those are all older, so each parity is
     final when its turn comes.  They are found again by reducing the input
-    row xor the pivot (the sum of exactly those pivots, whose lowest bits
-    are distinct), and only for the pivots that enter the combination.
+    row xor the pivot (the sum of exactly those pivots, whose top bits are
+    distinct), and only for the pivots that enter the combination.
     """
     combo = 0
     for col, idx in zip(reversed(pivots), reversed(sources)):
@@ -263,9 +284,9 @@ def _combination(M: GF2Matrix, pivots: dict[int, int], sources: list[int], odd: 
         r = M.rows[idx] ^ pivots[col]
         used = []
         while r:
-            low = _low_bit(r)
-            r ^= pivots[low]
-            used.append(low)
+            top = r.bit_length() - 1
+            r ^= pivots[top]
+            used.append(top)
         odd.symmetric_difference_update(used)
     return combo
 
@@ -290,7 +311,8 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> ObstructionCertificate:
     the span of earlier rows); it is rebuilt from the pivots only when v
     reduces to 0.  The witness is the unique functional orthogonal to
     every row whose support lies in the pivot columns plus the lowest column
-    the reduced cochain keeps.
+    the reduced cochain keeps; like v, it has column j at bit n-1-j.  None
+    of the three outputs depends on the bit layout.
     """
     if v.index != M.columns:
         raise ValueError("cochain index disagrees with the matrix columns")
@@ -298,7 +320,7 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> ObstructionCertificate:
     target = v.bits
     odd: set[int] = set()
     while target:
-        col = _low_bit(target)
+        col = target.bit_length() - 1
         hit = pivots.get(col)
         if hit is None:
             break
@@ -308,12 +330,13 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> ObstructionCertificate:
         combination = _combination(M, pivots, sources, odd)
         return ObstructionCertificate(True, v, len(pivots), M.n_rows, combination, None)
 
-    # Back-substitution: pivot row p has no bit below p, so solving the
-    # pivots in descending order fixes the witness bit at p from the bits
-    # above it; pivots above the free column get 0.
-    free_col = _low_bit(target)
-    witness = 1 << free_col
-    for col in sorted((c for c in pivots if c < free_col), reverse=True):
+    # Back-substitution: a pivot row has no bit above its key (its lowest
+    # column), so solving the pivots in ascending key order, from the one
+    # just above the free bit, fixes the witness bit at each key from the
+    # bits below it; pivots below the free bit (higher columns) get 0.
+    free = target.bit_length() - 1
+    witness = 1 << free
+    for col in sorted(c for c in pivots if c > free):
         if (pivots[col] & witness).bit_count() & 1:
             witness |= 1 << col
     return ObstructionCertificate(False, v, len(pivots), M.n_rows, None, witness)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nervecert
-from nervecert.certificates import recheck_certificate
+from nervecert.certificates import consistency_failure_cert, recheck_certificate
 from nervecert.cli import main
 from nervecert.fileio import document_to_text
 from test_gf2 import torus
@@ -425,6 +425,11 @@ def _vk_k5_cert(tmp_path, capsys) -> dict:
     return _vk_cert(tmp_path, capsys, n=4)
 
 
+def _consistency_cert(tmp_path, capsys) -> dict:
+    """CONSISTENCY_FAILURE around the nonvanishing K5 certificate."""
+    return consistency_failure_cert(_vk_k5_cert(tmp_path, capsys), "planted")
+
+
 def _demo_cert(tmp_path, capsys) -> dict:
     out = tmp_path / "demo.json"
     run(capsys, "vkf-demo", "-d", "1", "-o", str(out))
@@ -440,6 +445,12 @@ def _set(key, value):
 def _edit(key, change):
     def mutate(doc):
         doc[key] = change(doc[key])
+    return mutate
+
+
+def _set_inner(key, value):
+    def mutate(doc):
+        doc["obstruction"][key] = value
     return mutate
 
 
@@ -496,6 +507,12 @@ INCREASING = "must list one or more labels in strictly increasing order"
         (_vk_k5_cert, _edit("cocycle", " {} ".format), "'cocycle' is not a canonical hex"),
         (_vk_k5_cert, _edit("witness", "0{}".format), "'witness' is not a canonical hex"),
         (_vk_k5_cert, _edit("witness", str.upper), "'witness' is not a canonical hex"),
+        (_vk_k5_cert, _set("combination", "ffff"), "'combination' must be null when 'vanishes' is false"),
+        (_vk_cert, _set("witness", "1"), "'witness' must be null when 'vanishes' is true"),
+        (
+            _consistency_cert, _set_inner("combination", "ffff"),
+            "'combination' must be null when 'vanishes' is false",
+        ),
         (_vk_cert, _repeat_first_param, "'params' repeats the value 1"),
         (_demo_cert, _repeat_first_param, "'params' repeats the value 1"),
         (_vk_cert, _alias_first_param, "'params' names vertex 0 twice"),
@@ -534,6 +551,9 @@ INCREASING = "must list one or more labels in strictly increasing order"
         "spaced-cocycle",
         "leading-zero-witness",
         "uppercase-witness",
+        "stray-combination",
+        "stray-witness",
+        "stray-combination-consistency",
         "repeated-params-obstruction",
         "repeated-params-vkf-demo",
         "aliased-params-key",
@@ -671,6 +691,24 @@ def test_vk_d2_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
         "--params", ",".join(map(str, params)), "-o", str(out),
     )[0] == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code, stdout = run(capsys, "recheck", str(out))
+    assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+# `vk -d 3` on skeleton(9,3) with the default parameters: nonvanishing with
+# nullity 1575 - 1449 = 126, so the witness depends on the pivot columns
+# the elimination picks.  The sha256 is the certificate as the elimination
+# over rows with column j at bit j wrote it.
+VK_D3_DIGEST = "c19efe1628f6cbe42d5e7bd783991d146855c1cfafc9396ea4b5665ddc126cd3"
+
+
+def test_vk_d3_certificate_is_pinned_and_rechecks(tmp_path, capsys):
+    out = tmp_path / "vk.json"
+    K = write(tmp_path / "K.json", {"facets": [list(f) for f in combinations(range(10), 4)]})
+    assert run(capsys, "vk", K, "-d", "3", "-o", str(out))[0] == 3
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VK_D3_DIGEST
+    doc = load(out)
+    assert (doc["n_pairs"], doc["rank"], doc["vanishes"]) == (1575, 1449, False)
     code, stdout = run(capsys, "recheck", str(out))
     assert code == 0 and stdout.startswith("confirmed"), stdout
 

@@ -2,13 +2,16 @@
 
 Both are checked against the oracles in ``oracles.py``: the dense
 Gauss-Jordan pass the echelon solver replaced, and coboundary rows read off
-the definition.
+the definition.  The oracles keep column j at bit j, as certificate
+documents do; the engine keeps it at bit n-1-j, so every vector crosses
+between the two through `reverse_columns`.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -24,6 +27,7 @@ from nervecert import (
     gf2_solve,
     intersection_cocycle,
     moment_curve_placement,
+    reverse_columns,
     skeleton_complex,
 )
 from oracles import brute_force_coboundary_rows, dense_gauss_jordan_gf2
@@ -50,6 +54,46 @@ def torus(n: int):
 
 
 TORUS_PARAMS = [3, 14, 8, 1, 11, 16, 5, 9, 2, 13, 7, 15, 4, 10, 12, 6]
+
+
+@pytest.mark.parametrize(
+    "bits, n, flipped",
+    [
+        (0, 0, 0),
+        (0, 5, 0),
+        (0b11111, 5, 0b11111),
+        (1, 1, 1),
+        (0b1, 4, 0b1000),  # columns 1..3 are zero
+        (0b0110, 4, 0b0110),
+        (0b0011, 6, 0b110000),
+        (0b001011001, 9, 0b100110100),
+        ((1 << 70) - 1, 70, (1 << 70) - 1),
+    ],
+)
+def test_reverse_columns_is_an_involution(bits, n, flipped):
+    assert reverse_columns(bits, n) == flipped
+    assert all(flipped >> (n - 1 - j) & 1 == bits >> j & 1 for j in range(n))
+    assert reverse_columns(flipped, n) == bits
+
+
+@pytest.mark.parametrize("bits, n", [(1, 0), (0b100, 2), (-1, 3)])
+def test_reverse_columns_refuses_a_bit_past_the_columns(bits, n):
+    with pytest.raises(ValueError, match="at or above"):
+        reverse_columns(bits, n)
+
+
+def solve_by_column(M: GF2Matrix, v: Cochain2):
+    """gf2_solve and gf2_rank of a system with column j at bit j.
+
+    The rows and the cochain go into the engine through `reverse_columns`,
+    and the certificate's cochain and witness come back through it.
+    """
+    n = M.n_cols
+    engine_M = GF2Matrix(M.columns, tuple(reverse_columns(r, n) for r in M.rows))
+    cert = gf2_solve(engine_M, Cochain2(v.index, reverse_columns(v.bits, n)))
+    witness = None if cert.witness is None else reverse_columns(cert.witness, n)
+    cocycle = Cochain2(v.index, reverse_columns(cert.cocycle.bits, n))
+    return replace(cert, cocycle=cocycle, witness=witness), gf2_rank(engine_M)
 
 
 @st.composite
@@ -82,7 +126,7 @@ def gf2_systems(draw):
 @given(gf2_systems())
 def test_echelon_solver_matches_dense_gauss_jordan(system):
     M, v = system
-    outcome = gf2_solve(M, v)
+    outcome, rank = solve_by_column(M, v)
     reference = dense_gauss_jordan_gf2(M, v)
     assert outcome.vanishes == reference.vanishes
     assert outcome == reference  # rank and combination, or rank and witness
@@ -90,7 +134,7 @@ def test_echelon_solver_matches_dense_gauss_jordan(system):
     for row in M.rows:
         span |= {x ^ row for x in span}
     assert 1 << outcome.rank == len(span)
-    assert gf2_rank(M) == outcome.rank
+    assert rank == outcome.rank
 
 
 def sparse_gf2_system(rng: random.Random) -> tuple[GF2Matrix, Cochain2]:
@@ -133,9 +177,9 @@ def sparse_gf2_system(rng: random.Random) -> tuple[GF2Matrix, Cochain2]:
 
 
 def check_against_dense_gauss_jordan(M: GF2Matrix, v: Cochain2):
-    outcome = gf2_solve(M, v)
+    outcome, rank = solve_by_column(M, v)
     assert outcome == dense_gauss_jordan_gf2(M, v)
-    assert gf2_rank(M) == outcome.rank
+    assert rank == outcome.rank
     return outcome
 
 
@@ -183,7 +227,8 @@ def test_pinned_solutions_and_witnesses(name):
     outcome = gf2_solve(coboundary_matrix(K, d), cocycle)
     assert outcome.vanishes is vanishes
     assert outcome.rank == rank
-    bits = outcome.combination if vanishes else outcome.witness
+    n = len(cocycle.index)
+    bits = outcome.combination if vanishes else reverse_columns(outcome.witness, n)
     assert format(bits, "x") == proof
 
 
@@ -202,5 +247,6 @@ def test_coboundary_rows_match_the_definition(name, K, d):
     assert M.n_rows > 0
     # the oracle's rows come in canonical (rho, tau) key order
     _keys, columns, rows = brute_force_coboundary_rows(K.facets(), d)
-    assert (M.columns, M.rows) == (columns, rows)
+    n = M.n_cols
+    assert (M.columns, tuple(reverse_columns(r, n) for r in M.rows)) == (columns, rows)
     assert M.columns is intersection_cocycle(K, d, moment_curve_placement(K, d)).index
