@@ -26,7 +26,7 @@ from .fileio import (
     parse_point,
     parse_rational,
 )
-from .nerve import ConvexFamily, NerveMatch
+from .nerve import ConvexFamily, NerveMatch, check_labels
 from .obstruction import (
     ObstructionCertificate,
     Placement,
@@ -207,6 +207,7 @@ def consistency_failure_cert(obstruction_doc: dict, detail: str) -> dict:
 def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
     F = family_from_doc(doc["family"])
     K, _ = complex_from_doc(doc["complex"])
+    check_labels(F, K)  # as `certificate` does
     face = _face_field(doc, "witness_face")
     direction = doc.get("direction")
     if direction not in (NerveMatch.MISSING, NerveMatch.EXTRA):

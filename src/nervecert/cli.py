@@ -2,15 +2,15 @@
 and the end-to-end certificate pipeline.
 
 The pipeline checks the nerve against sd L face by face while it computes
-the canonical witness points, then runs the membership audit and the
-obstruction verdict.  Membership proves the
-remote-face lemma; the hull-test audit runs only when the
-`--corrupt-stage lemma` hook moves a point out of its bodies.
-`VKF_CERTIFICATE` comes only from `vkf-demo`.
+the canonical witness points, then runs the one membership audit, which
+proves the remote-face lemma, and the obstruction verdict.  The
+`--corrupt-witness` hook places its point before that audit; the stage
+decides whether a violation is reported (`witness`) or goes to the
+hull-test audit (`lemma`).  `VKF_CERTIFICATE` comes only from `vkf-demo`.
 
-Exit codes are a stable contract: 0 ok/vanishes, 1 parse or validation
-error, 2 mismatch-class certificates, 3 nonvanishing or contradiction
-certificates, 4 genericity failure, 5 consistency failure.
+Exit codes are a stable contract, kept by `_finish`: 0 ok/vanishes, 1 parse
+or validation error, 2 mismatch-class certificates, 3 nonvanishing or
+contradiction certificates, 4 genericity failure, 5 consistency failure.
 """
 
 from __future__ import annotations
@@ -80,7 +80,9 @@ _CERT_EXIT = {
 }
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _finish(line: str, doc: dict, out: str | None) -> int:
+    """Print the summary line, write the document, return the exit code it implies."""
+    print(line)
     text = document_to_text(doc)
     if out:
         try:
@@ -90,6 +92,9 @@ def _emit(doc: dict, out: str | None) -> None:
             raise ParseError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
+    if doc.get("kind") == OBSTRUCTION_REPORT:
+        return EXIT_OK if doc["vanishes"] else EXIT_CONTRADICTION
+    return _CERT_EXIT.get(doc.get("kind"), EXIT_OK)  # a complex has no kind
 
 
 def _parse_params(text: str | None):
@@ -126,23 +131,18 @@ def cmd_build(args) -> int:
             K = skeleton_complex(n, k)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        print(f"skeleton({n},{k}): f-vector {K.f_vector()}")
-        _emit(complex_to_doc(K), args.out)
-        return EXIT_OK
+        return _finish(f"skeleton({n},{k}): f-vector {K.f_vector()}", complex_to_doc(K), args.out)
     if args.kind in ("sd", "sd2"):
         if len(args.args) != 1:
             raise ParseError(f"usage: build {args.kind} COMPLEX_FILE")
         doc = load_document(args.args[0])
         K, _ = complex_from_doc(doc)
-        sd1 = barycentric_subdivision(K)
-        if args.kind == "sd":
-            print(f"sd: f-vector {sd1.complex.f_vector()}")
-            _emit(sd_to_doc(sd1, base_doc=doc), args.out)
-            return EXIT_OK
-        sd2 = barycentric_subdivision(sd1.complex)
-        print(f"sd2: f-vector {sd2.complex.f_vector()}")
-        _emit(sd_to_doc(sd2, base_doc=sd_to_doc(sd1, base_doc=doc)), args.out)
-        return EXIT_OK
+        sd = barycentric_subdivision(K)
+        doc = sd_to_doc(sd, base_doc=doc)
+        if args.kind == "sd2":
+            sd = barycentric_subdivision(sd.complex)
+            doc = sd_to_doc(sd, base_doc=doc)
+        return _finish(f"{args.kind}: f-vector {sd.complex.f_vector()}", doc, args.out)
     raise ParseError(f"unknown build kind {args.kind!r}")
 
 
@@ -150,25 +150,19 @@ def cmd_nerve(args) -> int:
     F = family_from_doc(load_document(args.family))
     engine = nerve_helly if args.mode == "helly" else nerve_exhaustive
     N = engine(F)
-    print(f"nerve ({args.mode}): f-vector {N.f_vector()}")
-    _emit(complex_to_doc(N), args.out)
-    return EXIT_OK
+    return _finish(f"nerve ({args.mode}): f-vector {N.f_vector()}", complex_to_doc(N), args.out)
 
 
 def cmd_vk(args) -> int:
     K, _ = complex_from_doc(load_document(args.complex))
     placement = moment_curve_placement(K, args.d, _parse_params(args.params))
     cert = obstruction_vanishes(K, args.d, placement)
-    doc = obstruction_report_cert(K, args.d, placement, cert)
-    if cert.vanishes:
-        print(f"vanishes: cocycle of weight {cert.cocycle.weight} is a coboundary")
-    else:
-        print(
-            f"nonvanishing: cocycle of weight {cert.cocycle.weight} "
-            f"outside the rank-{cert.rank} row space"
-        )
-    _emit(doc, args.out)
-    return EXIT_OK if cert.vanishes else EXIT_CONTRADICTION
+    weight = cert.cocycle.weight
+    line = (
+        f"vanishes: cocycle of weight {weight} is a coboundary" if cert.vanishes
+        else f"nonvanishing: cocycle of weight {weight} outside the rank-{cert.rank} row space"
+    )
+    return _finish(line, obstruction_report_cert(K, args.d, placement, cert), args.out)
 
 
 def cmd_certificate(args) -> int:
@@ -193,49 +187,38 @@ def cmd_certificate(args) -> int:
         points = witness_points(F, K)
     except NerveMismatchError as exc:
         match = exc.match
-        doc = nerve_mismatch_cert(match, F, K)
-        print(f"NERVE_MISMATCH: {match.verdict} {list(match.face)}")
-        _emit(doc, args.out)
-        return _CERT_EXIT[NERVE_MISMATCH]
-    if stage == "witness":
+        line = f"NERVE_MISMATCH: {match.verdict} {list(match.face)}"
+        return _finish(line, nerve_mismatch_cert(match, F, K), args.out)
+    if stage is not None:
         points[face] = pt
-    membership = verify_witness_membership(F, points)
-    if not membership.ok:
-        doc = witness_violation_cert(membership.violation, F)
-        v = membership.violation
-        print(f"WITNESS_VIOLATION: p({list(v.face)}) breaks row {v.row} of body {v.label}")
-        _emit(doc, args.out)
-        return _CERT_EXIT[WITNESS_VIOLATION]
-
-    # membership proves the lemma; the audit only names a hook's violating pair
-    if stage == "lemma" and not all(F.body(v).contains(pt) for v in face):
-        points[face] = pt
-        disjointness = verify_remote_disjointness(assemble_witness_map(K, points, F.ambient))
-        if not disjointness.ok:
-            v = disjointness.violation
-            doc = lemma_violation_cert(v, K)
-            print(
+    # every other point passed its centre's check, so only p(face) can fail here
+    v = verify_witness_membership(F, points).violation
+    if v is not None:
+        if stage != "lemma":
+            line = f"WITNESS_VIOLATION: p({list(v.face)}) breaks row {v.row} of body {v.label}"
+            return _finish(line, witness_violation_cert(v, F), args.out)
+        # membership proves the lemma; the audit only names a hook's violating pair
+        v = verify_remote_disjointness(assemble_witness_map(K, points, F.ambient)).violation
+        if v is not None:
+            line = (
                 f"LEMMA_VIOLATION: remote pair {list(v.alpha)}, {list(v.beta)} "
                 "has intersecting images"
             )
-            _emit(doc, args.out)
-            return _CERT_EXIT[LEMMA_VIOLATION]
+            return _finish(line, lemma_violation_cert(v, K), args.out)
 
     placement = moment_curve_placement(L, d)
     obs = obstruction_vanishes(L, d, placement)
     obs_doc = obstruction_report_cert(L, d, placement, obs)
     if obs.vanishes:
-        print("OBSTRUCTION_REPORT: clean run, source obstruction vanishes")
-        _emit(obs_doc, args.out)
-        return EXIT_OK
+        line = "OBSTRUCTION_REPORT: clean run, source obstruction vanishes"
+        return _finish(line, obs_doc, args.out)
     doc = consistency_failure_cert(
         obs_doc,
         "pipeline ran clean on a source with nonvanishing obstruction; "
         "this indicates a library fault, not a property of the input",
     )
-    print("CONSISTENCY_FAILURE: clean run contradicts the nonvanishing obstruction")
-    _emit(doc, args.out)
-    return _CERT_EXIT[CONSISTENCY_FAILURE]
+    line = "CONSISTENCY_FAILURE: clean run contradicts the nonvanishing obstruction"
+    return _finish(line, doc, args.out)
 
 
 def cmd_vkf_demo(args) -> int:
@@ -260,12 +243,9 @@ def cmd_vkf_demo(args) -> int:
     if result.parity != 1:
         raise AssertionError(f"interleaving pair {list(gamma)}, {list(delta)} does not cross")
     doc = vkf_demo_cert(gamma, delta, d, placement, result.point, K)
-    print(
-        f"VKF_CERTIFICATE: {list(gamma)} and {list(delta)} cross at "
-        f"({', '.join(doc['point'])})"
-    )
-    _emit(doc, args.out)
-    return _CERT_EXIT[VKF_CERTIFICATE]
+    point = ", ".join(doc["point"])
+    line = f"VKF_CERTIFICATE: {list(gamma)} and {list(delta)} cross at ({point})"
+    return _finish(line, doc, args.out)
 
 
 def cmd_recheck(args) -> int:

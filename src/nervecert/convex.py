@@ -303,11 +303,11 @@ def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
 
     Coordinates are scanned in order, and the scan stops at the first
     separating coordinate.  A body's bounds share one tableau, built on its
-    first `HPolytope.bound` read and memoized on the body with every bound
-    it has read, so the test costs at most one tableau and one minimization
-    per (body, coordinate, side) however many pairs it meets, and none for
-    a coordinate past the separating one.  An empty body has an empty box.  False proves nothing: disjoint bodies can have
-    overlapping boxes.
+    first `HPolytope.bound` read, and each bound read is memoized on the
+    body.  So the test costs at most one tableau and one minimization per
+    (body, coordinate, side), however many pairs it meets, and none for a
+    coordinate past the separating one.  An empty body has an empty box.
+    False proves nothing: disjoint bodies can have overlapping boxes.
     """
     if P.ambient != Q.ambient:
         raise DimensionMismatchError("bodies live in different ambient dimensions")

@@ -75,7 +75,6 @@ class MembershipViolation:
 @dataclass
 class MembershipReport:
     violation: MembershipViolation | None
-    faces_checked: int
 
     @property
     def ok(self) -> bool:
@@ -169,15 +168,13 @@ def _mismatch(verdict: str, face: Face) -> NerveMismatchError:
 
 def verify_witness_membership(F: ConvexFamily, witness: dict[Face, Point]) -> MembershipReport:
     """Exact membership audit: p(face) must satisfy every row of every member body."""
-    checked = 0
     for face in sorted(witness, key=lambda f: (len(f), f)):
         p = witness[face]
-        checked += 1
         for label in face:
             row = F.body(label).violated_row(p)
             if row is not None:
-                return MembershipReport(MembershipViolation(face, label, row, p), checked)
-    return MembershipReport(None, checked)
+                return MembershipReport(MembershipViolation(face, label, row, p))
+    return MembershipReport(None)
 
 
 def assemble_witness_map(

@@ -133,6 +133,42 @@ def test_vk_exit_codes(tmp_path, capsys):
     assert recheck_certificate(load(out))[0]
 
 
+@pytest.mark.parametrize(
+    "argv, line, code",
+    [
+        (["build", "skeleton", "4", "1"], "skeleton(4,1): f-vector (5, 10)", 0),
+        (["build", "sd", "tri.json"], "sd: f-vector (7, 12, 6)", 0),
+        (["build", "sd2", "path.json"], "sd2: f-vector (9, 8)", 0),
+        (["nerve", "fam.json"], "nerve (helly): f-vector (3, 3, 1)", 0),
+        (
+            ["nerve", "fam.json", "--mode", "exhaustive"],
+            "nerve (exhaustive): f-vector (3, 3, 1)",
+            0,
+        ),
+        (["vk", "k4.json", "-d", "1"], "vanishes: cocycle of weight 1 is a coboundary", 0),
+        (
+            ["vk", "k5.json", "-d", "1"],
+            "nonvanishing: cocycle of weight 5 outside the rank-14 row space",
+            3,
+        ),
+        (["vkf-demo", "-d", "1"], "VKF_CERTIFICATE: [1, 3] and [2, 4] cross at (5/2, 7)", 3),
+    ],
+    ids=["skeleton", "sd", "sd2", "nerve-helly", "nerve-exhaustive", "vk-k4", "vk-k5", "vkf-demo"],
+)
+def test_summary_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, line, code):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "tri.json", {"facets": [[1, 2, 3]]})
+    write(tmp_path / "path.json", PATH)
+    write(tmp_path / "fam.json", INTERVAL_FAMILY)
+    write(tmp_path / "k4.json", {"facets": [list(e) for e in combinations(range(4), 2)]})
+    write(tmp_path / "k5.json", {"facets": [list(e) for e in combinations(range(5), 2)]})
+    for out in ([], ["-o", "out.json"]):  # the line comes first either way
+        result, stdout = run(capsys, *argv, *out)
+        assert (result, stdout.splitlines()[0]) == (code, line)
+    assert stdout == line + "\n"
+    assert load(tmp_path / "out.json")
+
+
 def test_vk_duplicate_params_fail_generically(tmp_path, capsys):
     k4 = tmp_path / "k4.json"
     run(capsys, "build", "skeleton", "3", "1", "-o", str(k4))
@@ -256,17 +292,20 @@ def test_certificate_audits_membership_once(tmp_path, capsys, monkeypatch, stage
 
 
 @pytest.mark.parametrize(
-    "corruption, code, audits",
+    "corruption, code, audits, stage",
     [
-        (None, 0, 0),
-        ("0:37/2,1/2", 2, 1),  # leaves body 0 and meets p({1})
-        ("0:1,1/2", 0, 0),  # moves p({0}) inside body 0: containment accepts
-        ("0,3:12,1/2", 0, 1),  # leaves body 0 but meets no remote image
+        (None, 0, 0, None),
+        ("0:37/2,1/2", 2, 1, None),  # leaves body 0 and meets p({1})
+        ("0:1,1/2", 0, 0, None),  # moves p({0}) inside body 0: containment accepts
+        ("0,3:12,1/2", 0, 1, None),  # leaves body 0 but meets no remote image
+        ("0:1,1/2", 0, 0, "witness"),  # inside body 0: nothing to report
+        ("0:37/2,1/2", 2, 0, "witness"),  # outside: reported, never audited
     ],
-    ids=["clean", "violation", "contained", "audit-clears"],
+    ids=["clean", "violation", "contained", "audit-clears",
+         "witness-contained", "witness-violation"],
 )
 def test_certificate_proves_the_lemma_by_containment(
-    tmp_path, capsys, monkeypatch, corruption, code, audits
+    tmp_path, capsys, monkeypatch, corruption, code, audits, stage
 ):
     import nervecert.certificates
     import nervecert.cli
@@ -295,12 +334,15 @@ def test_certificate_proves_the_lemma_by_containment(
     if corruption is None:
         return
     out = tmp_path / "cert.json"
+    extra = ["--corrupt-stage", stage] if stage else []
     result = run(
         capsys, "certificate", fam, path, "-d", "1",
-        "--corrupt-witness", corruption, "-o", str(out),
+        "--corrupt-witness", corruption, *extra, "-o", str(out),
     )
     assert result[0] == code
     assert calls["audit"] == audits
+    if stage == "witness" and code:
+        assert load(out)["kind"] == "WITNESS_VIOLATION"
     if code == 0:  # a corruption the lemma clears changes no byte
         assert result[1] == clean_stdout
         assert out.read_bytes() == clean.read_bytes()
@@ -585,6 +627,46 @@ def test_recheck_rejects_a_witness_point_of_the_wrong_length(tmp_path, capsys, p
     assert f"'point' has {len(point)} coordinates, ambient is 2" in captured.err
     assert "confirmed" not in captured.out
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "family, facets, direction, face, labels",
+    [
+        # bodies 0 and 1 meet, and the complex shares no label with the family
+        (
+            {"ambient": 2, "bodies": TRIANGLE_FAMILY["bodies"][:2]},
+            [[100], [101]],
+            "extra_face",
+            [0, 1],
+            "[0, 1] != complex vertices [100, 101]",
+        ),
+        # bodies 0 and 1 are disjoint, and the complex lacks labels 2, 3 and 4
+        (
+            PATH_FAMILY,
+            [[0, 1]],
+            "missing_face",
+            [0, 1],
+            "[0, 1, 2, 3, 4] != complex vertices [0, 1]",
+        ),
+    ],
+    ids=["extra-face", "missing-face"],
+)
+def test_recheck_of_a_nerve_mismatch_checks_labels(
+    tmp_path, capsys, family, facets, direction, face, labels
+):
+    # `certificate` refuses a family whose labels are not the complex's vertices
+    doc = {
+        "kind": "NERVE_MISMATCH",
+        "direction": direction,
+        "witness_face": face,
+        "family": family,
+        "complex": {"facets": facets},
+    }
+    bad = write(tmp_path / "bad.json", doc)
+    assert main(["recheck", bad]) == 1
+    captured = capsys.readouterr()
+    assert f"family labels {labels}" in captured.err
+    assert "confirmed" not in captured.out
 
 
 def test_recheck_refuses_the_removed_pipeline_mode(tmp_path, capsys):
