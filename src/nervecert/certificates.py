@@ -212,8 +212,10 @@ def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
     direction = doc.get("direction")
     if direction not in (NerveMatch.MISSING, NerveMatch.EXTRA):
         raise ParseError(f"unknown mismatch direction {direction!r}")
-    if not set(face) <= set(F.labels()):
-        return False, "witness face names labels outside the family"
+    _require(
+        set(face) <= set(F.labels()),
+        f"'witness_face' {list(face)} names labels outside the family",
+    )
     empty = polytope_is_empty(F.subfamily_polytope(face))
     if direction == NerveMatch.MISSING:
         if not K.has_face(face):
@@ -288,6 +290,10 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
         return False, "pair is not a pair of complex faces"
     placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
     point = parse_point(doc["point"], "'point'")
+    _require(
+        len(point) == 2 * d,
+        f"'point' has {len(point)} coordinates, ambient is 2d = {2 * d}",
+    )
     result = crossing(
         [placement.point(v) for v in gamma],
         [placement.point(v) for v in delta],

@@ -320,9 +320,6 @@ def main(argv=None) -> int:
         print(f"genericity failure: {exc}", file=sys.stderr)
         print("hint: pass --params with fresh distinct rationals", file=sys.stderr)
         return EXIT_GENERICITY
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (NerveCertError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,9 +9,9 @@ subdivides, because later stages need lookups in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .errors import NotAFaceError
@@ -48,6 +48,17 @@ def downward_closure(faces) -> frozenset[Face]:
         for size in range(1, len(f) + 1):
             closed.update(combinations(f, size))
     return frozenset(closed)
+
+
+def maximal_chains(top: Face):
+    """Maximal chains of the faces of ``top``: drop one vertex per step, in permutation order."""
+    for perm in permutations(top):
+        chain = [top]
+        rest = list(top)
+        for v in perm[:-1]:
+            rest.remove(v)
+            chain.append(tuple(rest))
+        yield tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -184,11 +195,7 @@ class SdComplex:
     complex: SimplicialComplex
     base: SimplicialComplex
     labels: dict[int, Face]
-    vertex_ids: dict[Face, int] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.vertex_ids is None:
-            self.vertex_ids = {f: v for v, f in self.labels.items()}
+    vertex_ids: dict[Face, int]
 
     def vertex_for(self, f: Face) -> int:
         return self.vertex_ids[tuple(f)]
@@ -213,27 +220,18 @@ def barycentric_subdivision(K: SimplicialComplex) -> SdComplex:
 
     New vertex ids are assigned in canonical (dimension, lex) order of the
     faces of ``K``, so the construction is deterministic and the geometric
-    realization is unchanged.
+    realization is unchanged.  Every chain lies in a maximal chain of a facet,
+    so the faces are the downward closure of those chains' vertex-id sets.
     """
     order = canonical_faces(K.faces)
     vertex_ids = {f: i for i, f in enumerate(order)}
-    labels = {i: f for f, i in vertex_ids.items()}
-    # chains_from[f] holds every strict descending chain starting at f; faces
-    # are processed smallest first so all proper subsets are already done.
-    chains_from: dict[Face, list[tuple[Face, ...]]] = {}
-    for f in order:
-        tails: list[tuple[Face, ...]] = [(f,)]
-        for size in range(1, len(f)):
-            for sub in combinations(f, size):
-                tails.extend((f,) + c for c in chains_from[sub])
-        chains_from[f] = tails
-    faces = frozenset(
+    faces = downward_closure(
         tuple(sorted(vertex_ids[m] for m in chain))
-        for f in order
-        for chain in chains_from[f]
+        for facet in K.facets()
+        for chain in maximal_chains(facet)
     )
-    sd = SimplicialComplex(frozenset(labels), faces)
-    return SdComplex(sd, K, labels, vertex_ids)
+    sd = SimplicialComplex(frozenset(vertex_ids.values()), faces)
+    return SdComplex(sd, K, dict(enumerate(order)), vertex_ids)
 
 
 def is_remote(K: SimplicialComplex, alpha, beta) -> bool:
@@ -272,9 +270,6 @@ def subdivided_subcomplex(sdK: SdComplex, alpha) -> list[Face]:
     a = tuple(alpha)
     if a not in sdK.base.faces:
         raise NotAFaceError(f"{a} is not a face of the subdivided complex's base")
-    inside = frozenset(
-        v for v, lab in sdK.labels.items() if set(lab) <= set(a)
-    )
-    return canonical_faces(
-        f for f in sdK.complex.faces if all(v in inside for v in f)
-    )
+    return canonical_faces(downward_closure(
+        tuple(sorted(sdK.vertex_ids[m] for m in chain)) for chain in maximal_chains(a)
+    ))

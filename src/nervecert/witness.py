@@ -17,17 +17,18 @@ scans the pieces of every remote pair and is kept to name the two pieces
 of a map that fails membership.
 
 The map can also be pushed through a second subdivision: when the nerve is
-itself the subdivision of some source complex, the image of a source simplex
-is a union of pieces indexed by maximal chains.  The certificate pipeline
-does not test those images: pieces of disjoint source simplices are pieces
-of remote faces, which membership already proves disjoint.
+itself the subdivision of some source complex, the maximal chains of a
+source simplex are the top faces of its subdivision, and its image is the
+union of the images of those tops (`complexes.maximal_chains` at both
+levels).  The certificate pipeline does not test those images: pieces of
+disjoint source simplices are pieces of remote faces, which membership
+already proves disjoint.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import permutations
 
 from .complexes import (
     Face,
@@ -35,7 +36,7 @@ from .complexes import (
     SimplicialComplex,
     canonical_faces,
     is_remote,
-    subdivided_subcomplex,
+    maximal_chains,
 )
 from .convex import Point, hulls_intersect, inscribed_radius
 from .errors import (
@@ -193,24 +194,13 @@ def assemble_witness_map(
     return WitnessMap(K, dict(witness), ambient)
 
 
-def _descending_chains(top: Face):
-    """Maximal chains of the subset poset below ``top``: drop one vertex per step."""
-    for perm in permutations(top):
-        chain = [top]
-        rest = list(top)
-        for v in perm[:-1]:
-            rest.remove(v)
-            chain.append(tuple(rest))
-        yield tuple(chain)
-
-
 def image_of_face(g: WitnessMap, alpha) -> tuple[tuple[Point, ...], ...]:
     """g(|sd alpha|): one hull piece per maximal chain of the subdivided face."""
     a = tuple(alpha)
     if a not in g.nerve.faces:
         raise NotAFaceError(f"{a} is not a face of the nerve")
     return tuple(
-        tuple(g.witness[member] for member in chain) for chain in _descending_chains(a)
+        tuple(g.witness[member] for member in chain) for chain in maximal_chains(a)
     )
 
 
@@ -254,27 +244,18 @@ def image_of_source_simplex(
     """g(|gamma|) for a face of the source complex, via the double subdivision.
 
     Requires the nerve to be the subdivision of the source complex under the
-    explicit labeling carried by ``sd_source``; the image decomposes into one
-    piece per maximal chain of the subdivided subcomplex sitting over gamma.
+    explicit labeling carried by ``sd_source``.  The tops of sd gamma are the
+    vertex-id sets of the maximal chains of gamma; the pieces are those of
+    `image_of_face` for each top, tops in canonical order.
     """
-    if (
-        sd_source.complex.faces != g.nerve.faces
-        or sd_source.complex.vertices != g.nerve.vertices
-    ):
+    if sd_source.complex != g.nerve:
         raise SourceLabelingError(
             "witness map nerve is not the given subdivision of the source complex"
         )
     gam = tuple(gamma)
     if gam not in sd_source.base.faces:
         raise NotAFaceError(f"{gam} is not a face of the source complex")
-    sub = subdivided_subcomplex(sd_source, gam)
-    members = set(sub)
-    sets = {f: frozenset(f) for f in sub}
-    facets = [f for f in sub if not any(sets[f] < sets[h] for h in sub)]
-    pieces = []
-    for facet in canonical_faces(facets):
-        for chain in _descending_chains(facet):
-            if any(part not in members for part in chain):
-                raise AssertionError("subdivided subcomplex is not downward closed")
-            pieces.append(tuple(g.witness[part] for part in chain))
-    return tuple(pieces)
+    tops = canonical_faces(
+        tuple(sorted(sd_source.vertex_ids[m] for m in chain)) for chain in maximal_chains(gam)
+    )
+    return tuple(piece for top in tops for piece in image_of_face(g, top))

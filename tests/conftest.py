@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from nervecert import ConvexFamily, HPolytope, WitnessMap, witness_points
+from nervecert import ConvexFamily, HPolytope, WitnessMap, complex_from_facets, witness_points
 from nervecert.convex import make_point
 from nervecert.witness import assemble_witness_map
 
@@ -70,6 +70,24 @@ def clustered_family(rng: random.Random, m: int, clusters: int, per: int) -> Con
             bodies.append((label, HPolytope.box(lo, hi)))
             label += 1
     return ConvexFamily.of(m, bodies)
+
+
+# A tetrahedron, a triangle and an edge on it, and two lone vertices.
+MIXED_COMPLEX_FACETS = [[0, 1, 2, 3], [2, 3, 4], [4, 5], [6], [8]]
+
+
+def random_complexes(seed: int, count: int) -> list:
+    """The fixed mixed complex, then ``count`` seeded random ones.
+
+    Each random complex has one to four facets of one to four vertices over
+    ids 0..6, and a lone vertex 7 or 8.
+    """
+    rng = random.Random(seed)
+    complexes = [complex_from_facets(MIXED_COMPLEX_FACETS)]
+    for _ in range(count):
+        facets = [rng.sample(range(7), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        complexes.append(complex_from_facets(facets + [[rng.choice([7, 8])]]))
+    return complexes
 
 
 def witness_map(F: ConvexFamily, K) -> WitnessMap:

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the engine it checks: a complex's
 facets are the faces no larger face strictly contains (the quadratic scan
 the codimension-1 rule replaced), chain faces are enumerated by brute
-force over subsets, feasibility goes through
+force over subsets or grown upward one superset at a time, the
+subdivision of a face is the label filter over every face of sd K and a
+source simplex's image goes through that filter and a facet scan (the
+construction the maximal-chain tops replaced), feasibility goes through
 Fourier-Motzkin elimination instead of simplex pivoting (so do the
 coordinate ranges of a body, by projection onto one axis), segment crossing
 uses orientation signs instead of a linear solve, moment-curve crossing
@@ -24,7 +27,7 @@ replaced).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from nervecert.complexes import (
     barycentric_subdivision,
@@ -61,6 +64,53 @@ def brute_force_chain_faces(faces) -> set[frozenset]:
             ):
                 chains.add(frozenset(subset))
     return chains
+
+
+def grown_chain_faces(faces) -> set[frozenset]:
+    """All strict inclusion chains, each grown upward one strict superset at a time.
+
+    Polynomial in the number of chains, so it reaches complexes whose face
+    set is too large for the subset scan of `brute_force_chain_faces`.
+    """
+    faces = list(faces)
+    sets = {f: frozenset(f) for f in faces}
+    above = {f: [h for h in faces if sets[f] < sets[h]] for f in faces}
+    chains: set[frozenset] = set()
+    stack = [(f,) for f in faces]
+    while stack:
+        chain = stack.pop()
+        chains.add(frozenset(chain))
+        stack.extend(chain + (h,) for h in above[chain[-1]])
+    return chains
+
+
+def label_filter_subcomplex(sdK, alpha) -> list:
+    """The faces of sd K whose vertex labels all lie inside ``alpha``: every face is scanned."""
+    inside = {v for v, label in sdK.labels.items() if set(label) <= set(alpha)}
+    return canonical_faces(f for f in sdK.complex.faces if set(f) <= inside)
+
+
+def facet_scan_source_image(g, sd_source, gamma) -> tuple:
+    """g(|gamma|) through the double subdivision, built from its definition.
+
+    The subdivided subcomplex over gamma comes from the label filter, its
+    facets from a quadratic scan in canonical order, and each facet gives
+    one piece per permutation of its vertices: the chain that drops them
+    in that order.
+    """
+    sub = label_filter_subcomplex(sd_source, gamma)
+    sets = {f: frozenset(f) for f in sub}
+    facets = canonical_faces(f for f in sub if not any(sets[f] < sets[h] for h in sub))
+    pieces = []
+    for facet in facets:
+        for perm in permutations(facet):
+            rest = list(facet)
+            chain = [facet]
+            for v in perm[:-1]:
+                rest.remove(v)
+                chain.append(tuple(rest))
+            pieces.append(tuple(g.witness[part] for part in chain))
+    return tuple(pieces)
 
 
 def _fm_project(rows, rhs, keep: int):

@@ -669,6 +669,39 @@ def test_recheck_of_a_nerve_mismatch_checks_labels(
     assert "confirmed" not in captured.out
 
 
+@pytest.mark.parametrize("direction", ["extra_face", "missing_face"])
+def test_recheck_of_a_nerve_mismatch_rejects_a_face_outside_the_family(
+    tmp_path, capsys, direction
+):
+    # the complex's vertices are the family's labels {0, 1, 2}; label 9 is neither
+    doc = {
+        "kind": "NERVE_MISMATCH",
+        "direction": direction,
+        "witness_face": [0, 9],
+        "family": TRIANGLE_FAMILY,
+        "complex": {"facets": [[0, 1], [2]]},
+    }
+    assert main(["recheck", write(tmp_path / "bad.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert "'witness_face' [0, 9] names labels outside the family" in captured.err
+    assert "REFUTED" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "point", [["5/2"], ["5/2", "7", "0"]], ids=["too-short", "too-long"]
+)
+def test_recheck_rejects_a_crossing_point_of_the_wrong_length(tmp_path, capsys, point):
+    doc = _demo_cert(tmp_path, capsys)
+    assert doc["point"] == ["5/2", "7"]
+    doc["point"] = point
+    assert main(["recheck", write(tmp_path / "bad.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert f"'point' has {len(point)} coordinates, ambient is 2d = 2" in captured.err
+    assert "REFUTED" not in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_recheck_refuses_the_removed_pipeline_mode(tmp_path, capsys):
     # A VKF_CERTIFICATE of mode "pipeline", as `certificate` once wrote it:
     # no command writes that mode any more, and recheck no longer reads it.

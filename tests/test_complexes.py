@@ -18,7 +18,14 @@ from nervecert import (
     skeleton_complex,
     subdivided_subcomplex,
 )
-from oracles import brute_force_chain_faces, quadratic_facets, remote_lemma_quadruples
+from conftest import random_complexes
+from oracles import (
+    brute_force_chain_faces,
+    grown_chain_faces,
+    label_filter_subcomplex,
+    quadratic_facets,
+    remote_lemma_quadruples,
+)
 
 
 def test_complex_from_facets_counts():
@@ -127,6 +134,50 @@ def test_subdivision_matches_brute_force_chains(facets):
         frozenset(sd.labels[v] for v in face) for face in sd.complex.faces
     }
     assert via_labels == brute_force_chain_faces(K.faces)
+
+
+def _chain_faces_by_label(sd):
+    return {frozenset(sd.labels[v] for v in face) for face in sd.complex.faces}
+
+
+def test_subdivision_matches_brute_force_chains_on_random_complexes():
+    for K in random_complexes(seed=23, count=12):
+        sd = barycentric_subdivision(K)
+        order = sorted(K.faces, key=lambda f: (len(f), f))
+        assert sd.labels == dict(enumerate(order))
+        assert sd.vertex_ids == {f: v for v, f in sd.labels.items()}
+        assert sd.complex.vertices == frozenset(range(len(order)))
+        assert _chain_faces_by_label(sd) == grown_chain_faces(K.faces)
+        if len(K.faces) <= 15:  # the subset scan is exponential in the face count
+            assert _chain_faces_by_label(sd) == brute_force_chain_faces(K.faces)
+
+
+def test_double_subdivision_matches_the_chain_oracle():
+    for K in random_complexes(seed=29, count=3):
+        sd = barycentric_subdivision(K)
+        sd2 = barycentric_subdivision(sd.complex)
+        assert _chain_faces_by_label(sd2) == grown_chain_faces(sd.complex.faces)
+    # the tetrahedron's double subdivision: (4!)^2 facets of 4 vertices each
+    tetrahedron = complex_from_facets([[0, 1, 2, 3]])
+    sd2 = barycentric_subdivision(barycentric_subdivision(tetrahedron).complex)
+    assert sd2.complex.f_vector()[-1] == 24 * 24
+
+
+def test_subdivided_subcomplex_matches_the_label_filter():
+    for K in random_complexes(seed=31, count=8):
+        sd = barycentric_subdivision(K)
+        for alpha in K.faces:
+            assert subdivided_subcomplex(sd, alpha) == label_filter_subcomplex(sd, alpha)
+        sd2 = barycentric_subdivision(sd.complex)
+        for alpha in sd.complex.faces:
+            assert subdivided_subcomplex(sd2, alpha) == label_filter_subcomplex(sd2, alpha)
+
+
+def test_random_complexes_reach_tetrahedra_and_lone_vertices():
+    complexes = random_complexes(seed=23, count=12)
+    assert any(len(f) == 4 for K in complexes[1:] for f in K.facets())
+    assert all(any(len(f) == 1 for f in K.facets()) for K in complexes)
+    assert len({K.dim for K in complexes}) >= 3
 
 
 def test_subdivision_vertex_count_is_face_count():

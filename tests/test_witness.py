@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,15 @@ from nervecert import (
     verify_witness_membership,
     witness_points,
 )
-from conftest import clustered_family, move_witness, random_family, witness_map
+from conftest import (
+    clustered_family,
+    move_witness,
+    random_complexes,
+    random_family,
+    witness_map,
+)
+from nervecert.witness import assemble_witness_map
+from oracles import facet_scan_source_image
 
 
 def two_intervals():
@@ -207,7 +216,7 @@ def test_source_piece_tests_are_covered_by_remote_pair_tests():
     # every piece pair the pipeline tests for disjoint source simplices is a
     # piece pair of a remote face pair, so the two audits can never disagree
     from nervecert import is_remote, subdivided_subcomplex
-    from nervecert.witness import _descending_chains
+    from nervecert.complexes import maximal_chains
 
     L = complex_from_facets([[1, 2], [3, 4]])
     sdL = barycentric_subdivision(L)
@@ -228,7 +237,7 @@ def test_source_piece_tests_are_covered_by_remote_pair_tests():
     def source_chains(gamma):
         sub = subdivided_subcomplex(sdL, gamma)
         tops = [f for f in sub if not any(set(f) < set(h) for h in sub)]
-        return [c for top in tops for c in _descending_chains(top)]
+        return [c for top in tops for c in maximal_chains(top)]
 
     (gamma, delta), = disjoint_simplex_pairs(L, 1)
     for chain_a in source_chains(gamma):
@@ -239,6 +248,20 @@ def test_source_piece_tests_are_covered_by_remote_pair_tests():
             piece_b = tuple(g.witness[f] for f in chain_b)
             assert piece_a in image_of_face(g, top_a)
             assert piece_b in image_of_face(g, top_b)
+
+
+def test_source_images_match_the_facet_scan():
+    # vertex images need no geometry here: face i of sd L in canonical order
+    # goes to (i, size), so every piece names its chain
+    for L in random_complexes(seed=37, count=10):
+        sdL = barycentric_subdivision(L)
+        order = sorted(sdL.complex.faces, key=lambda f: (len(f), f))
+        points = {f: (Fraction(i), Fraction(len(f))) for i, f in enumerate(order)}
+        g = assemble_witness_map(sdL.complex, points, 2)
+        for gamma in L.faces:
+            pieces = image_of_source_simplex(g, sdL, gamma)
+            assert pieces == facet_scan_source_image(g, sdL, gamma)
+            assert len(pieces) == math.factorial(len(gamma)) ** 2
 
 
 def test_random_families_satisfy_the_witness_audits():
