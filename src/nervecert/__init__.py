@@ -10,7 +10,6 @@ from .complexes import (
     disjoint_simplex_pairs,
     is_remote,
     skeleton_complex,
-    subdivided_subcomplex,
 )
 from .convex import (
     Crossing,

@@ -260,16 +260,3 @@ def disjoint_simplex_pairs(K: SimplicialComplex, d: int) -> list[tuple[Face, Fac
         raise ValueError(f"dimension must be nonnegative, got {d}")
     return list(K.pair_index(d).pairs)
 
-
-def subdivided_subcomplex(sdK: SdComplex, alpha) -> list[Face]:
-    """The faces of sd K whose vertex labels all lie inside ``alpha``.
-
-    This is the subdivision of ``alpha`` sitting inside the subdivision of
-    the whole complex.
-    """
-    a = tuple(alpha)
-    if a not in sdK.base.faces:
-        raise NotAFaceError(f"{a} is not a face of the subdivided complex's base")
-    return canonical_faces(downward_closure(
-        tuple(sorted(sdK.vertex_ids[m] for m in chain)) for chain in maximal_chains(a)
-    ))

@@ -6,25 +6,31 @@ Every predicate here is exact; there are no tolerance parameters.  Convex
 sets are H-polytopes {x : Ax <= b} with Fraction entries (boxes are sugar),
 which keeps nerve membership and disjointness verification decidable.
 
-Every question about an H-system runs on an integer tableau built straight
-from `HPolytope.reduced_rows`, never through `solve_lp`.  A stacked system
+Every question about an H-system runs on an integer dictionary built
+straight from `HPolytope.reduced_rows`, never through `solve_lp`: the free
+coordinates x_0..x_{m-1}, one more variable, and one basic slack per row,
+so a row stores m + 1 columns and its right-hand side.  A stacked system
 (`HPolytope.stack`) merges its members' memoized reduced rows instead of
-deriving its own from `Fraction`s.
+deriving its own from `Fraction`s.  What these dictionaries yield, the
+emptiness verdict, every bound, the radius and the lex-least centre, is
+unique, so none of it depends on the pivot path.
 
-- Emptiness and the bounding box share one feasibility tableau
-  (`_feasibility_tableau`): one artificial column makes the start feasible,
-  and phase 1 minimizes it.  Its optimal face is the body; it is memoized
-  on the body, so `polytope_is_empty` reads it, and `HPolytope.bound`
-  minimizes each (coordinate, side) over it on first request, from the
-  basis the one before ended in.  The bounds give `boxes_disjoint`, a
-  sufficient test that two bodies are disjoint without an LP on the pair.
+- Emptiness and the bounding box share one feasibility dictionary
+  (`_feasibility_dictionary`): one artificial t >= 0 makes the start
+  feasible, and phase 1 minimizes it.  Its optimal face is the body; it is
+  memoized on the body, so `polytope_is_empty` reads it, and
+  `HPolytope.bound` minimizes each (coordinate, side) over it on first
+  request, from the basis the one before ended in.  The bounds give
+  `boxes_disjoint`, a sufficient test that two bodies are disjoint without
+  an LP on the pair.
 - The canonical point of a polytope is the lex-least centre of its largest
   inscribed L-infinity ball, which is unique.  It comes from a second
-  tableau: the radius and then each coordinate are minimized in turn, each
-  over the optimal face of the ones before, from a start that one pivot
-  makes feasible.  The radius stage alone decides emptiness, so
-  `inscribed_radius` stops there and hands back the coordinate stages as a
-  call; the nerve walk runs them only once every face has passed.
+  dictionary, over the free radius r: the radius and then each coordinate
+  are minimized in turn, each over the optimal face of the ones before,
+  from a start that one pivot makes feasible.  The radius stage alone
+  decides emptiness, so `inscribed_radius` stops there and hands back the
+  coordinate stages as a call; the nerve walk runs them only once every
+  face has passed.
 
 `solve_lp` serves only `hulls_intersect`, whose inputs are point sets
 (V-hulls), not H-systems.
@@ -49,6 +55,7 @@ from .linprog import (
     OPTIMAL,
     UNBOUNDED,
     ZERO,
+    Dictionary,
     face_minimum,
     frac,
     gauss_solve,
@@ -179,18 +186,16 @@ class HPolytope:
 
     @cached_property
     def _body_face(self):
-        """The body as a face of its feasibility tableau: (T, basis, cols, bounds), or None.
+        """The body as a face of its feasibility dictionary: (D, bounds), or None.
 
         Phase 1 minimizes the artificial t (`linprog.least_face`); a nonzero
         minimum means empty, and its optimal face is exactly the body.
         ``bounds`` memoizes what `bound` has read.
         """
-        start = _feasibility_tableau(self)
-        face = None if start is None else least_face(*start)
-        if face is None:
+        D = _feasibility_dictionary(self)
+        if D is None or not least_face(D, {self.ambient: 1}):
             return None
-        T, cols = face
-        return T, start[1], cols, {}
+        return D, {}
 
     def bound(self, j: int, upper: bool) -> Fraction | None:
         """Exact max (``upper``) or min of coordinate j.
@@ -203,11 +208,10 @@ class HPolytope:
         face = self._body_face
         if face is None:
             raise EmptyPolytopeError("polytope is empty")
-        T, basis, cols, bounds = face
+        D, bounds = face
         if (j, upper) not in bounds:
             sign = -1 if upper else 1
-            c = [sign if k == 2 * j else -sign if k == 2 * j + 1 else 0 for k in cols]
-            least = face_minimum(T, basis, c)
+            least = face_minimum(D, {j: sign})
             bounds[j, upper] = None if least is None else sign * least
         return bounds[j, upper]
 
@@ -244,56 +248,46 @@ def _first_violated(rows, p: Point) -> int | None:
     return None
 
 
-def _slack_tableau(rows, m: int, extra) -> list[list[int]]:
-    """Integer rows of a_i.(x^+ - x^-) + e_i.z + s_i = b_i, over reduced rows.
+def _slack_dictionary(rows, m: int, extra, free: int) -> Dictionary:
+    """The dictionary of a_i.x + e_i z + s_i = b_i over reduced rows, slacks basic.
 
-    Columns: x_j^+ and x_j^- at 2j and 2j+1, then the columns z whose
-    coefficients ``extra[i]`` gives per row, then one slack per row.  Row i
-    is scaled by the denominator of b_i, which makes it integral (a_i is
-    primitive) and primitive, and the all-slack basis canonical.
+    Variables: x_0..x_{m-1}, then z (id m) with coefficient ``extra[i]`` in
+    row i, then the slack s_i (id m + 1 + i); those below ``free`` are free.
+    Row i is scaled by the denominator of b_i, which makes it integral (a_i
+    is primitive) and primitive, with that denominator as its diagonal.
     """
-    k = len(rows)
-    T = []
-    for i, ((row, bi), ext) in enumerate(zip(rows, extra)):
+    out, diag = [], []
+    for (row, bi), e in zip(rows, extra):
         den = bi.denominator
-        scaled = [den * a for a in row]
-        std = [0] * (2 * m) + [den * e for e in ext] + [0] * (k + 1)
-        std[0 : 2 * m : 2] = scaled
-        std[1 : 2 * m : 2] = [-v for v in scaled]
-        std[2 * m + len(ext) + i] = den
-        std[-1] = bi.numerator
-        T.append(std)
-    return T
+        out.append([den * a for a in row] + [den * e, bi.numerator])
+        diag.append(den)
+    return Dictionary(out, diag, list(range(m + 1, m + 1 + len(rows))), list(range(m + 1)), free)
 
 
-def _feasibility_tableau(P: HPolytope):
+def _feasibility_dictionary(P: HPolytope) -> Dictionary | None:
     """A feasible start for phase 1 over P's reduced rows, or None for a zero row.
 
-    One integer tableau: x^+ and x^-, then one artificial column t, then
-    the slacks.  t enters with coefficient -1 only the rows with b_i < 0,
-    so one pivot of t into the row with the least b_i makes every slack
-    nonnegative.  Returns (T, basis, t_cost); P is empty iff the least t
-    is nonzero, and at t = 0 the feasible set is exactly P.
+    The free x, then one artificial t >= 0 (id m), then the slacks.  t
+    enters with coefficient -1 only the rows with b_i < 0, so one pivot of t
+    into the row with the least b_i makes every slack nonnegative.  P is
+    empty iff the least t is nonzero; at t = 0 the feasible set is P.
     """
     rows = P.reduced_rows
     if rows is None:
         return None
     m = P.ambient
-    T = _slack_tableau(rows, m, [(-1,) if bi < 0 else (0,) for _, bi in rows])
-    basis = [2 * m + 1 + i for i in range(len(rows))]
+    D = _slack_dictionary(rows, m, [-1 if bi < 0 else 0 for _, bi in rows], m)
     if rows:
         low = min(range(len(rows)), key=lambda i: rows[i][1])
         if rows[low][1] < 0:
-            pivot(T, basis, low, 2 * m)
-    t_cost = [0] * (2 * m + 1 + len(rows))
-    t_cost[2 * m] = 1
-    return T, basis, t_cost
+            pivot(D, low, m)
+    return D
 
 
 def polytope_is_empty(P: HPolytope) -> bool:
-    """Exact emptiness of {x : Ax <= b}: phase 1 of P's feasibility tableau.
+    """Exact emptiness of {x : Ax <= b}: phase 1 of P's feasibility dictionary.
 
-    The tableau stays memoized on P, where `HPolytope.bound` reads it.
+    The dictionary stays memoized on P, where `HPolytope.bound` reads it.
     """
     return P._body_face is None
 
@@ -302,9 +296,9 @@ def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
     """True when the exact bounding boxes of P and Q are disjoint, so P n Q = {}.
 
     Coordinates are scanned in order, and the scan stops at the first
-    separating coordinate.  A body's bounds share one tableau, built on its
-    first `HPolytope.bound` read, and each bound read is memoized on the
-    body.  So the test costs at most one tableau and one minimization per
+    separating coordinate.  A body's bounds share one dictionary, built on
+    its first `HPolytope.bound` read, and each bound read is memoized on the
+    body.  So the test costs at most one dictionary and one minimization per
     (body, coordinate, side), however many pairs it meets, and none for a
     coordinate past the separating one.  An empty body has an empty box.
     False proves nothing: disjoint bodies can have overlapping boxes.
@@ -330,56 +324,45 @@ def inscribed_radius(P: HPolytope) -> tuple[Fraction, Callable[[], Point]]:
     The radius LP maximizes r subject to A x + r * ||a_i||_1 <= b; then the
     coordinates, in order, are minimized over the optimal face of everything
     before, which makes the centre unique even for degenerate polytopes.
-    Those m + 1 objectives run on one integer tableau (`linprog.lex_stages`),
-    built straight from `HPolytope.reduced_rows` with each row scaled by the
-    denominator of its b_i, so its all-slack basis is already canonical.
-    The start needs no phase 1: one pivot of r's negative part into the row
-    with the least b_i / ||a_i||_1 makes every slack nonnegative.
+    Those m + 1 objectives run on one integer dictionary
+    (`linprog.lex_stages`) built straight from `HPolytope.reduced_rows`:
+    x and r are free, and the slacks start basic, each row scaled by the
+    denominator of its b_i.  The start needs no phase 1: one pivot of r into
+    the row with the least b_i / ||a_i||_1 makes every slack nonnegative.
 
-    Only the radius stage runs here.  A zero row with b_i < 0 makes the
-    polytope empty, and so does a negative radius; an unbounded radius
-    raises too.  The returned call runs the coordinate stages from the
-    tableau and basis where the radius stage stopped, raises
-    UnboundedPolytopeError for a coordinate unbounded below, and checks the
-    centre against the reduced rows.
+    Only the radius stage runs here, and it reads one value, r.  A zero row
+    with b_i < 0 makes the polytope empty, and so does a negative radius; an
+    unbounded radius raises too.  The returned call runs the coordinate
+    stages from the dictionary and basis where the radius stage stopped,
+    raises UnboundedPolytopeError for a coordinate unbounded below, and
+    checks the centre against the reduced rows.
     """
     m = P.ambient
     rows = P.reduced_rows
     if rows is None:
         raise EmptyPolytopeError("polytope is empty")
-    k = len(rows)
-    norms = [sum(map(abs, row)) for row, _ in rows]
-    # Columns: x_j^+ and x_j^- at 2j and 2j+1, r^+ and r^- at 2m and 2m+1,
-    # then one slack per row.
-    T = _slack_tableau(rows, m, [(norm, -norm) for norm in norms])
-    basis = [2 * m + 2 + i for i in range(k)]
-    if k:
+    D = _slack_dictionary(rows, m, [sum(map(abs, row)) for row, _ in rows], m + 1)
+    if rows:
         # row i reads (den_i a_i).x + (den_i ||a_i||_1) r <= num_i: compare
         # b_i / ||a_i||_1 by cross-multiplying, the first least row winning
+        ints = D.rows
         tight = 0
-        for i in range(1, k):
-            if T[i][-1] * T[tight][2 * m] < T[tight][-1] * T[i][2 * m]:
+        for i in range(1, len(ints)):
+            if ints[i][-1] * ints[tight][m] < ints[tight][-1] * ints[i][m]:
                 tight = i
-        if T[tight][-1] < 0:
-            pivot(T, basis, tight, 2 * m + 1)
-    costs = [[0] * (2 * m + 2 + k) for _ in range(m + 1)]
-    costs[0][2 * m], costs[0][2 * m + 1] = -1, 1
-    for j in range(m):
-        costs[j + 1][2 * j], costs[j + 1][2 * j + 1] = 1, -1
-    stages = lex_stages(T, basis, costs)
-    status, x = next(stages)
-    if status == UNBOUNDED:
+        pivot(D, tight, m)
+    stages = lex_stages(D, [{m: -1}] + [{j: 1} for j in range(m)])
+    if next(stages) == UNBOUNDED:
         raise UnboundedPolytopeError("inscribed radius is unbounded")
-    radius = x[2 * m] - x[2 * m + 1]
+    radius = D.value(m)
     if radius < 0:
         raise EmptyPolytopeError("polytope is empty")
 
     def centre() -> Point:
-        last = x
-        for j, (status, last) in enumerate(stages):
+        for j, status in enumerate(stages):
             if status == UNBOUNDED:
                 raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")
-        point = tuple(last[2 * j] - last[2 * j + 1] for j in range(m))
+        point = tuple(D.value(j) for j in range(m))
         if _first_violated(rows, point) is not None:
             raise AssertionError("canonical point escaped its polytope")
         return point

@@ -19,7 +19,7 @@ from .convex import HPolytope, Point
 from .errors import ParseError
 from .nerve import ConvexFamily
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(value) -> Fraction:

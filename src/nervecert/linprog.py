@@ -5,40 +5,49 @@ every verdict is exact, and every run is bit-for-bit deterministic.  No
 tolerances exist anywhere.  Also houses the exact Gauss solver used for
 square crossing systems.
 
-Both cores pivot fraction-free on rows of Python ints (Edmonds 1967;
-Bareiss 1968).  Each integer row is kept a positive multiple of the row a
-rational tableau would hold at the same step: the whole initial tableau is
-scaled by one common denominator, a pivot row with a negative pivot is
-negated, a row update is ``p * row - f * pivot_row`` followed by division
-by the row's gcd, and a value is read back as ``Fraction(rhs, diagonal)``.
-Signs, ratio comparisons (by cross-multiplication) and zero tests are thus
-those of the rational tableau, so Bland's rule takes the same pivots and
-returns the same optimum.
+The simplex runs on an integer `Dictionary`, which stores only the
+nonbasic columns and one positive diagonal per row; row i stands for
+``diag[i] * x[basis[i]] + sum_c rows[i][c] * x[cols[c]] = rows[i][-1]``.
+Variables with ids below ``free`` are free and never split; the others are
+nonnegative.  A pivot is fraction-free (Edmonds 1967; Bareiss 1968): a
+pivot row with a negative pivot is negated, every other row becomes
+``p * row - f * pivot_row``, the entering column takes the leaving
+variable, and each row is divided by the gcd of its entries and its
+diagonal.  Each row stays a positive multiple of the row a rational
+dictionary would hold, so signs, ratio comparisons (by cross-multiplying)
+and zero tests are those of rational pivoting, and a value is
+``Fraction(rhs, diag)``.
 
-The drivers work on integer tableaux that the caller builds in canonical
-form for a feasible basis (`convex` makes its starting pivot with `pivot`):
+Bland's rule goes by variable id.  The least id with an improving reduced
+cost enters: a negative one, or for a free variable any nonzero one (it
+then moves down).  The row of least ratio leaves, among rows whose basic
+variable is not free, ties going to the least basic id; so a free
+variable, once basic, stays basic.
 
-- `lex_stages` minimizes several objectives in turn on one tableau
+The drivers take a feasible dictionary from the caller (`convex` makes its
+starting pivot with `pivot`) and costs that map variable ids to ints.
+
+- `lex_stages` minimizes several costs in turn on one dictionary
   (sequential lexicographic simplex, Isermann 1982): once a stage is
   optimal, every column with a nonzero (hence positive) reduced cost is
-  deleted, which leaves exactly the optimal face, and the next cost row is
-  reduced against the current basis.  It is a generator, so a caller can
-  stop after one stage and resume from the tableau and basis where that
-  stage stopped: `convex.inscribed_radius` runs the radius stage of a ball
-  and leaves its coordinate stages for later.
-- `least_face` restricts once and then stops restricting: it minimizes a
-  phase-1 artificial and keeps that cost's optimal face, which is how
-  `convex.polytope_is_empty` decides every H-system.  `face_minimum` then
-  minimizes one objective over that face from the basis the one before
-  ended in, so `convex.HPolytope.bound` pays only for the bounds it reads.
+  deleted, which leaves exactly the optimal face, and the next cost is
+  reduced against the current basis.  It yields a status per stage and the
+  caller reads just the values it needs with `Dictionary.value` before
+  resuming, so `convex.inscribed_radius` can run the radius stage of a
+  ball, read r, and leave the coordinate stages for later.
+- `least_face` minimizes a phase-1 artificial and keeps that cost's
+  optimal face, which is how `convex.polytope_is_empty` decides every
+  H-system.  `face_minimum` then minimizes one cost over that face from
+  the basis the one before ended in, so `convex.HPolytope.bound` pays only
+  for the bounds it reads.
 
-`solve_lp` is the rational front end: it accepts free variables (split
-internally), inequality rows (slacked internally) and either optimization
-sense, adds one artificial per row and decides feasibility with
-`least_face`, which is the only phase 1 in the package.  It then minimizes
-its objective in one `lex_stages` stage over that face.  In the package it
-serves only `convex.hulls_intersect` (V-hull intersection); the tests use it
-as the reference LP.
+`solve_lp` is the rational front end: it splits free variables itself,
+slacks inequality rows, adds one artificial per row and decides
+feasibility with `least_face`, the only phase 1 in the package, then
+minimizes in one `lex_stages` stage over that face.  Its variables are
+numbered as a full tableau's columns, so it takes a full tableau's Bland
+pivots.  In the package it serves only `convex.hulls_intersect`; the tests
+use it as the reference LP.
 """
 
 from __future__ import annotations
@@ -84,151 +93,166 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [v // g for v in row]
 
 
-def pivot(T: list[list[int]], basis: list[int], row: int, col: int) -> None:
-    """Fraction-free pivot of column ``col`` into ``row``; basis[row] becomes col."""
-    prow = T[row]
-    p = prow[col]
+def _reduced(row: list[int], d: int) -> tuple[list[int], int]:
+    """A dictionary row and its diagonal, divided by the gcd of them all."""
+    g = gcd(d, *row)
+    return ([v // g for v in row], d // g) if g > 1 else (row, d)
+
+
+@dataclass(slots=True)
+class Dictionary:
+    """An integer simplex dictionary; the module docstring says what a row means.
+
+    ``rows`` holds the constraint rows and, while a cost is minimized, its
+    reduced-cost row last; ``diag`` has one positive entry per row,
+    ``basis`` one variable per constraint row, and ``cols`` the variable of
+    each stored column.  A cost row has the negated cost as its basic
+    variable, so the cost is ``-row[-1] / diag`` at the current basis.
+    """
+
+    rows: list[list[int]]
+    diag: list[int]
+    basis: list[int]
+    cols: list[int]
+    free: int = 0
+
+    def value(self, v: int) -> Fraction:
+        """The value of variable v at the current basic solution."""
+        if v not in self.basis:
+            return ZERO
+        i = self.basis.index(v)
+        return Fraction(self.rows[i][-1], self.diag[i])
+
+
+def pivot(D: Dictionary, r: int, j: int) -> None:
+    """Fraction-free exchange of basis[r] with cols[j]."""
+    rows, diag = D.rows, D.diag
+    prow = rows[r]
+    p, d = prow[j], diag[r]
     if p < 0:
-        prow = T[row] = [-v for v in prow]
-        p = -p
-    for i, r in enumerate(T):
-        if i == row:
-            continue
-        f = r[col]
-        if f:
-            T[i] = _primitive([p * a - f * b for a, b in zip(r, prow)])
-    basis[row] = col
+        prow, p, d = [-v for v in prow], -p, -d
+    for i, row in enumerate(rows):
+        f = row[j]
+        if f and i != r:
+            new = [p * a - f * b for a, b in zip(row, prow)]
+            new[j] = -f * d
+            rows[i], diag[i] = _reduced(new, p * diag[i])
+    prow[j] = d
+    rows[r], diag[r] = prow, p
+    D.basis[r], D.cols[j] = D.cols[j], D.basis[r]
 
 
-def _bland_entering(obj: list[int], ncols: int) -> int | None:
-    for j in range(ncols):
-        if obj[j] < 0:
-            return j
-    return None
+def _entering(D: Dictionary) -> int | None:
+    """The column of the least variable id with an improving reduced cost."""
+    obj, cols, free = D.rows[-1], D.cols, D.free
+    best = None
+    for j, v in enumerate(cols):
+        a = obj[j]
+        if (a < 0 or (a and v < free)) and (best is None or v < cols[best]):
+            best = j
+    return best
 
 
-def _bland_leaving(T: list[list[int]], basis: list[int], col: int, m: int) -> int | None:
-    # Ratios rhs/a with a > 0 are compared as rhs_i * a_k against rhs_k * a_i.
-    best_rhs = best_a = best_row = None
-    for i in range(m):
-        a = T[i][col]
-        if a > 0:
-            rhs = T[i][-1]
-            if best_row is None:
-                better = True
-            else:
-                lhs, rhs_k = rhs * best_a, best_rhs * a
-                better = lhs < rhs_k or (lhs == rhs_k and basis[i] < basis[best_row])
-            if better:
-                best_rhs, best_a, best_row = rhs, a, i
-    return best_row
+def _leaving(D: Dictionary, j: int, sign: int) -> int | None:
+    # The least ratio rhs/a over rows with a = sign * entry > 0 and a basic
+    # variable that is not free, by cross-multiplying; ties to the least id.
+    rows, free, best = D.rows, D.free, None  # best: (row, rhs, a, variable)
+    for i, v in enumerate(D.basis):
+        a = sign * rows[i][j]
+        if a > 0 and v >= free:
+            rhs = rows[i][-1]
+            if best is None or (d := rhs * best[2] - best[1] * a) < 0 or (d == 0 and v < best[3]):
+                best = (i, rhs, a, v)
+    return None if best is None else best[0]
 
 
-def _run_simplex(T: list[list[int]], basis: list[int]) -> str:
-    """Pivot to optimality; T's last row is the reduced-cost row."""
-    m = len(T) - 1
-    ncols = len(T[0]) - 1
+def _run_simplex(D: Dictionary) -> bool:
+    """Pivot to optimality on the cost row last in D.rows; False if unbounded."""
     while True:
-        col = _bland_entering(T[-1], ncols)
-        if col is None:
-            return OPTIMAL
-        row = _bland_leaving(T, basis, col, m)
-        if row is None:
-            return UNBOUNDED
-        pivot(T, basis, row, col)
+        j = _entering(D)
+        if j is None:
+            return True
+        r = _leaving(D, j, -1 if D.rows[-1][j] > 0 else 1)
+        if r is None:
+            return False
+        pivot(D, r, j)
 
 
-def _cost_row(T: list[list[int]], basis: list[int], c: list[int]) -> list[int]:
-    """The reduced-cost row of c against the basis, as a positive multiple.
+def _push_cost(D: Dictionary, cost: dict[int, int]) -> None:
+    """Append the reduced-cost row of ``cost`` against the basis, and its diagonal."""
+    rows, diag = D.rows, D.diag
+    basic = [(i, c) for i, v in enumerate(D.basis) if (c := cost.get(v))]
+    scale = lcm(*(diag[i] for i, _ in basic))
+    obj = [scale * cost.get(v, 0) for v in D.cols] + [0]
+    for i, c in basic:
+        f = c * (scale // diag[i])
+        obj = [a - f * t for a, t in zip(obj, rows[i])]
+    obj, scale = _reduced(obj, scale)
+    rows.append(obj)
+    diag.append(scale)
 
-    Row i stands for itself divided by its diagonal entry T[i][basis[i]] > 0.
+
+def _optimal_face(D: Dictionary) -> None:
+    """Pop the optimal cost row and delete every column it prices nonzero.
+
+    At an optimum those reduced costs are positive (a free column is priced
+    zero), so the optimal face is exactly the feasible set with those
+    columns at zero.
     """
-    m = len(T)
-    diag = [T[i][basis[i]] for i in range(m)]
-    D = lcm(*(diag[i] for i in range(m) if c[basis[i]]))
-    obj = [D * v for v in c] + [0]
-    for i in range(m):
-        cb = c[basis[i]]
-        if cb:
-            f = cb * (D // diag[i])
-            obj = [a - f * t for a, t in zip(obj, T[i])]
-    return _primitive(obj)
+    obj = D.rows.pop()
+    D.diag.pop()
+    keep = [j for j in range(len(D.cols)) if not obj[j]]
+    if len(keep) == len(D.cols):
+        return
+    D.cols = [D.cols[j] for j in keep]
+    keep.append(-1)
+    for i, row in enumerate(D.rows):
+        D.rows[i], D.diag[i] = _reduced([row[j] for j in keep], D.diag[i])
 
 
-def _optimal_face(T: list[list[int]], basis: list[int], cols: list[int]):
-    """Pop T's optimal cost row and delete every column it prices nonzero.
-
-    At an optimum those reduced costs are positive, so the optimal face is
-    exactly the feasible set with those columns at zero.  ``cols`` maps each
-    remaining column to its original index; returns the new (T, cols) and
-    renumbers ``basis`` in place.
-    """
-    obj = T.pop()
-    keep = [j for j in range(len(cols)) if obj[j] == 0]
-    if len(keep) == len(cols):
-        return T, cols
-    where = {j: k for k, j in enumerate(keep)}
-    basis[:] = [where[j] for j in basis]
-    return [_primitive([row[j] for j in keep] + [row[-1]]) for row in T], [cols[j] for j in keep]
-
-
-def lex_stages(T: list[list[int]], basis: list[int], costs: list[list[int]]):
+def lex_stages(D: Dictionary, costs: list[dict[int, int]]):
     """Minimize each cost in turn over the optimal face of the ones before.
 
-    T holds the constraint rows of a feasible integer tableau in canonical
-    form for ``basis`` (no objective row); both are consumed.  Costs are
-    integer rows over T's columns.  Yields ``(OPTIMAL, x)`` per stage, x
-    being the basic solution over all the original columns, or
-    ``(UNBOUNDED, None)`` once and stops.
+    D must be feasible and hold no cost row; it is consumed.  Yields OPTIMAL
+    per stage, with D at that stage's optimal basis until the generator
+    resumes, or UNBOUNDED once and stops.
     """
-    n = len(costs[0])
-    cols = list(range(n))  # original index of each remaining column
     for stage, c in enumerate(costs):
         if stage:
-            T, cols = _optimal_face(T, basis, cols)
-        T.append(_cost_row(T, basis, [c[j] for j in cols]))
-        if _run_simplex(T, basis) != OPTIMAL:
-            yield UNBOUNDED, None
+            _optimal_face(D)
+        _push_cost(D, c)
+        if not _run_simplex(D):
+            yield UNBOUNDED
             return
-        x = [ZERO] * n
-        for i in range(len(T) - 1):
-            if T[i][-1]:
-                x[cols[basis[i]]] = Fraction(T[i][-1], T[i][basis[i]])
-        yield OPTIMAL, x
+        yield OPTIMAL
 
 
-def least_face(
-    T: list[list[int]], basis: list[int], face_cost: list[int]
-) -> tuple[list[list[int]], list[int]] | None:
-    """The face where ``face_cost`` is least, as (T, cols); None for a nonzero minimum.
+def least_face(D: Dictionary, face_cost: dict[int, int]) -> bool:
+    """Restrict D to the face where ``face_cost`` is least; False for a nonzero minimum.
 
-    T and ``basis`` are as in `lex_stages`.  ``face_cost`` must be bounded
-    below by zero on the feasible set, as a phase-1 artificial is.  At a zero
-    minimum the columns it prices nonzero are deleted, which leaves exactly
-    the face; ``cols`` maps each remaining column to its original index, and
-    ``basis`` is renumbered in place.
+    D is as in `lex_stages`.  ``face_cost`` must be bounded below by zero on
+    the feasible set, as a phase-1 artificial is.  At a zero minimum the
+    columns it prices nonzero are deleted, which leaves exactly the face.
     """
-    T.append(_cost_row(T, basis, face_cost))
-    _run_simplex(T, basis)
-    if T[-1][-1]:
-        return None
-    return _optimal_face(T, basis, list(range(len(face_cost))))
+    _push_cost(D, face_cost)
+    _run_simplex(D)
+    if D.rows[-1][-1]:
+        return False
+    _optimal_face(D)
+    return True
 
 
-def face_minimum(T: list[list[int]], basis: list[int], c: list[int]) -> Fraction | None:
-    """The minimum of cost ``c`` (over T's columns) from the current basis; None if unbounded.
+def face_minimum(D: Dictionary, c: dict[int, int]) -> Fraction | None:
+    """The minimum of cost ``c`` from the current basis; None if unbounded.
 
-    T and ``basis`` stay at the basis the simplex ended in, so minimizing
-    several costs one after another over a face from `least_face` starts
-    each from where the one before stopped.
+    D stays at the basis the simplex ended in, so minimizing several costs
+    one after another over a face from `least_face` starts each from where
+    the one before stopped.
     """
-    T.append(_cost_row(T, basis, c))
-    optimal = _run_simplex(T, basis) == OPTIMAL
-    T.pop()
-    if not optimal:
-        return None
-    basic = (Fraction(c[j] * T[i][-1], T[i][j]) for i, j in enumerate(basis) if c[j])
-    return sum(basic, ZERO)
+    _push_cost(D, c)
+    bounded = _run_simplex(D)
+    least = Fraction(-D.rows.pop()[-1], D.diag.pop())
+    return least if bounded else None
 
 
 def solve_lp(
@@ -262,9 +286,10 @@ def solve_lp(
     if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
         raise ValueError("right-hand side length disagrees with constraint count")
 
-    # Column layout: per original variable one or two standard columns, one
-    # slack per inequality, then one artificial per row.  One common scale
-    # turns every row into integers, so slacks and artificials carry it.
+    # Variables: per original variable one or two standard ones, one slack
+    # per inequality, then one artificial per row, basic in its row.  One
+    # common scale turns every row into integers, so slacks and artificials
+    # carry it.
     split: list[tuple[int, int]] = []  # (variable, sign)
     for j in range(n):
         split.append((j, 1))
@@ -273,35 +298,28 @@ def solve_lp(
     rows, scale = _integer_rows(row + [b] for row, b in zip(A_ub + A_eq, b_ub + b_eq))
     m, nslack = len(rows), len(A_ub)
     n_std = len(split) + nslack
-    T: list[list[int]] = []
+    D = Dictionary([], [], list(range(n_std, n_std + m)), list(range(n_std)))
     for i, row in enumerate(rows):
-        std = [row[j] * s for j, s in split] + [0] * (nslack + m) + [row[-1]]
+        std = [row[j] * s for j, s in split] + [0] * nslack + [row[-1]]
         if i < nslack:
             std[len(split) + i] = scale
-        if row[-1] < 0:
-            std = [-v for v in std]
-        std[n_std + i] = scale
-        T.append(_primitive(std))
+        std, d = _reduced([-v for v in std] if row[-1] < 0 else std, scale)
+        D.rows.append(std)
+        D.diag.append(d)
 
     # Phase 1's face is the feasible set: every artificial is zero on it, so
     # the artificials it keeps (basic at level zero, or priced zero) and any
     # redundant rows cannot move the optimum of the one stage after it.
-    basis = list(range(n_std, n_std + m))
-    face = least_face(T, basis, [0] * n_std + [1] * m)
-    if face is None:
+    if not least_face(D, {n_std + i: 1 for i in range(m)}):
         return LPResult(INFEASIBLE, None, None)
-    T, cols = face
     sense = -1 if maximize else 1
     c_ints = _integer_rows([c])[0][0]
-    c_std = [sense * c_ints[j] * s for j, s in split] + [0] * (nslack + m)
-    status, xs = next(lex_stages(T, basis, [[c_std[j] for j in cols]]))
-    if status != OPTIMAL:
-        return LPResult(status, None, None)
+    c_std = {k: sense * c_ints[j] * s for k, (j, s) in enumerate(split) if c_ints[j]}
+    if next(lex_stages(D, [c_std])) != OPTIMAL:
+        return LPResult(UNBOUNDED, None, None)
     x = [ZERO] * n
-    for k, v in zip(cols, xs):
-        if v and k < len(split):
-            j, s = split[k]
-            x[j] += v if s > 0 else -v
+    for k, (j, s) in enumerate(split):
+        x[j] += s * D.value(k)
     objective = sum((ci * xi for ci, xi in zip(c, x) if ci and xi), ZERO)
     return LPResult(OPTIMAL, objective, tuple(x))
 
@@ -311,8 +329,11 @@ def gauss_solve(
 ) -> tuple[str, list[Fraction] | None]:
     """Exact Gauss-Jordan elimination for M x = rhs.
 
-    Returns ("unique", x), ("inconsistent", None), or ("underdetermined",
-    None); the latter means consistent with more than one solution.
+    Fraction-free on full integer rows: a pivot row with a negative pivot is
+    negated, and every other row becomes ``p * row - f * pivot_row`` divided
+    by its gcd.  Returns ("unique", x), ("inconsistent", None), or
+    ("underdetermined", None); the latter means consistent with more than
+    one solution.
     """
     if len(M) != len(rhs):
         raise ValueError("row count and right-hand side length disagree")
@@ -327,7 +348,15 @@ def gauss_solve(
             continue
         A[r], A[piv] = A[piv], A[r]
         pivot_col.append(col)
-        pivot(A, pivot_col, r, col)
+        prow = A[r]
+        p = prow[col]
+        if p < 0:
+            prow = A[r] = [-v for v in prow]
+            p = -p
+        for i, row in enumerate(A):
+            f = row[col]
+            if f and i != r:
+                A[i] = _primitive([p * a - f * b for a, b in zip(row, prow)])
     r = len(pivot_col)
     for i in range(r, nrows):
         if A[i][-1] != 0:

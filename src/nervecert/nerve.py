@@ -8,7 +8,7 @@ m+1 of its members do.  The exhaustive engine is kept as a cross-check
 oracle.  Both grow the nerve level by level from `next_candidates`, and a
 pair is first tried by its exact bounding boxes (`convex.boxes_disjoint`),
 which settle most disjoint pairs without a pair LP.  A body's bounds are
-computed only as the scan reads them, on the feasibility tableau that
+computed only as the scan reads them, on the feasibility dictionary that
 already decided the body's own vertex, since a one-body face system is the
 body itself (`subfamily_polytope`).  Only these enumerating engines have a
 body cap.

@@ -34,7 +34,6 @@ from nervecert.complexes import (
     canonical_faces,
     disjoint_simplex_pairs,
     is_remote,
-    subdivided_subcomplex,
 )
 from nervecert.convex import HPolytope, Point, crossing
 from nervecert.errors import EmptyPolytopeError, GenericityError, UnboundedPolytopeError
@@ -117,7 +116,9 @@ def _fm_project(rows, rhs, keep: int):
     """Fourier-Motzkin elimination of every variable from index ``keep`` on.
 
     Returns the projected system on the first ``keep`` variables as
-    (coefficients, rhs) pairs (small systems only).
+    (coefficients, rhs) pairs (small systems only).  After each step every
+    row is scaled to largest |coefficient| 1, and a direction that repeats
+    keeps only its least rhs, which the others are implied by.
     """
     system = [
         ([Fraction(a) for a in row], Fraction(b)) for row, b in zip(rows, rhs)
@@ -142,7 +143,14 @@ def _fm_project(rows, rhs, keep: int):
                     pc[i] * scale_p + nc[i] * scale_n for i in range(var)
                 ]
                 combined.append((coeffs, pb * scale_p + nb * scale_n))
-        system = [(list(c), b) for c, b in {(tuple(c), b) for c, b in rest + combined}]
+        least: dict[tuple, Fraction] = {}
+        for coeffs, b in rest + combined:
+            top = max(map(abs, coeffs), default=0)
+            key = tuple(a / top for a in coeffs) if top else tuple(coeffs)
+            b = b / top if top else b
+            if key not in least or b < least[key]:
+                least[key] = b
+        system = [(list(c), b) for c, b in least.items()]
     return system
 
 
@@ -348,7 +356,7 @@ def remote_lemma_quadruples(L, d: int) -> list[tuple]:
     holds.
     """
     sdL = barycentric_subdivision(L)
-    sub = {f: subdivided_subcomplex(sdL, f) for f in L.faces_of_dim(d)}
+    sub = {f: label_filter_subcomplex(sdL, f) for f in L.faces_of_dim(d)}
     return [
         (gamma, delta, alpha, beta, is_remote(sdL.complex, alpha, beta))
         for gamma, delta in disjoint_simplex_pairs(L, d)

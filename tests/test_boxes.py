@@ -1,7 +1,7 @@
 """Exact bounding boxes against Fourier-Motzkin projection and per-side LPs.
 
 `HPolytope.bound` minimizes each side of each coordinate on its first read,
-over one integer tableau per body, so the bounds must not depend on the
+over one integer dictionary per body, so the bounds must not depend on the
 order they are read in.  One
 oracle projects the body onto each coordinate by elimination, in ambient
 dimension at most 2, where elimination stays small; the other runs one

@@ -629,6 +629,24 @@ def test_recheck_rejects_a_witness_point_of_the_wrong_length(tmp_path, capsys, p
     assert "Traceback" not in captured.err
 
 
+def test_non_ascii_digits_are_not_rationals(tmp_path, capsys):
+    # int() reads any Unicode decimal digit, so "\u0663/\u0664" used to parse
+    # as 3/4 in a family body and in a certificate field alike
+    family = json.loads(json.dumps(INTERVAL_FAMILY))
+    family["bodies"][0]["box"]["hi"] = ["\u0663/\u0664"]
+    fam = write(tmp_path / "fam.json", family)
+    assert main(["nerve", fam]) == 1
+    captured = capsys.readouterr()
+    assert "'\u0663/\u0664'" in captured.err and "Traceback" not in captured.err
+    doc = _corrupt_witness_cert(tmp_path, capsys)
+    doc["point"][1] = "\u0663/\u0664"
+    bad = write(tmp_path / "bad.json", doc)
+    assert main(["recheck", bad]) == 1
+    captured = capsys.readouterr()
+    assert "'\u0663/\u0664'" in captured.err and "Traceback" not in captured.err
+    assert "confirmed" not in captured.out
+
+
 @pytest.mark.parametrize(
     "family, facets, direction, face, labels",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -16,7 +17,6 @@ from nervecert import (
     disjoint_simplex_pairs,
     is_remote,
     skeleton_complex,
-    subdivided_subcomplex,
 )
 from conftest import random_complexes
 from oracles import (
@@ -163,14 +163,22 @@ def test_double_subdivision_matches_the_chain_oracle():
     assert sd2.complex.f_vector()[-1] == 24 * 24
 
 
-def test_subdivided_subcomplex_matches_the_label_filter():
+def faces_of(alpha) -> list[tuple]:
+    return [f for k in range(1, len(alpha) + 1) for f in itertools.combinations(alpha, k)]
+
+
+def test_the_label_filter_matches_the_chain_oracle():
+    # the faces of sd K over alpha, read as label chains, are the chains of
+    # faces of alpha: the label filter is the subdivision of alpha
     for K in random_complexes(seed=31, count=8):
         sd = barycentric_subdivision(K)
-        for alpha in K.faces:
-            assert subdivided_subcomplex(sd, alpha) == label_filter_subcomplex(sd, alpha)
         sd2 = barycentric_subdivision(sd.complex)
-        for alpha in sd.complex.faces:
-            assert subdivided_subcomplex(sd2, alpha) == label_filter_subcomplex(sd2, alpha)
+        for sdK, base in ((sd, K), (sd2, sd.complex)):
+            for alpha in base.faces:
+                sub = label_filter_subcomplex(sdK, alpha)
+                via_labels = {frozenset(sdK.labels[v] for v in f) for f in sub}
+                assert len(via_labels) == len(sub)
+                assert via_labels == grown_chain_faces(faces_of(alpha))
 
 
 def test_random_complexes_reach_tetrahedra_and_lone_vertices():
@@ -248,21 +256,19 @@ def test_disjoint_pairs_match_the_definition(facets, d):
     ]
 
 
-def test_subdivided_subcomplex_counts():
+def test_label_filter_subcomplex_counts():
     tri = complex_from_facets([[1, 2, 3]])
     sd = barycentric_subdivision(tri)
-    assert len(subdivided_subcomplex(sd, (1, 2))) == 5
-    assert len(subdivided_subcomplex(sd, (1,))) == 1
+    assert len(label_filter_subcomplex(sd, (1, 2))) == 5
+    assert len(label_filter_subcomplex(sd, (1,))) == 1
     # the facet's subdivision is all of sd, one face per chain
-    assert len(subdivided_subcomplex(sd, (1, 2, 3))) == sum(sd.complex.f_vector())
-    with pytest.raises(NotAFaceError):
-        subdivided_subcomplex(sd, (1, 4))
+    assert len(label_filter_subcomplex(sd, (1, 2, 3))) == sum(sd.complex.f_vector())
 
 
-def test_subdivided_subcomplex_matches_chain_oracle():
+def test_label_filter_subcomplex_matches_chain_oracle():
     tri = complex_from_facets([[1, 2, 3]])
     sd = barycentric_subdivision(tri)
-    sub = subdivided_subcomplex(sd, (1, 2))
+    sub = label_filter_subcomplex(sd, (1, 2))
     via_labels = {frozenset(sd.labels[v] for v in f) for f in sub}
     edge_faces = [(1,), (2,), (1, 2)]
     assert via_labels == brute_force_chain_faces(edge_faces)

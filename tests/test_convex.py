@@ -238,10 +238,10 @@ def test_the_hull_property_reaches_every_outcome(monkeypatch):
     real = nervecert.linprog.least_face
     zero_level = []
 
-    def spy(T, basis, face_cost):
-        face = real(T, basis, face_cost)
-        zero_level.append(face is not None and any(face_cost[face[1][j]] for j in basis))
-        return face
+    def spy(D, face_cost):
+        feasible = real(D, face_cost)
+        zero_level.append(feasible and any(v in face_cost for v in D.basis))
+        return feasible
 
     monkeypatch.setattr(nervecert.linprog, "least_face", spy)
     rng = random.Random(17)

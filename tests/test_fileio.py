@@ -38,10 +38,17 @@ def test_rational_codec_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("text", ["\u0663/\u0664", "\u0969", "\uff17", "1/\u0664"])
+def test_parse_rational_takes_ascii_digits_only(text):
+    # int() reads any Unicode decimal digit; a document's rationals are ASCII
+    with pytest.raises(ParseError, match=re.escape(repr(text))):
+        parse_rational(text)
+
+
 def slow_parse_rational(value: str) -> Fraction:
-    """The string branch of `parse_rational` as it was: validate, then let
-    `Fraction` parse the whole string a second time."""
-    if not re.match(r"^[+-]?\d+(/\d+)?$", value.strip()):
+    """The string branch of `parse_rational` as it was, on ASCII digits:
+    validate, then let `Fraction` parse the whole string a second time."""
+    if not re.match(r"^[+-]?[0-9]+(/[0-9]+)?$", value.strip()):
         raise ParseError(f"not an exact rational string: {value!r}")
     try:
         return Fraction(value)

@@ -23,12 +23,13 @@ from nervecert import (
     HPolytope,
     UnboundedPolytopeError,
     inscribed_ball,
+    polytope_is_empty,
     witness_points,
 )
 from nervecert.complexes import barycentric_subdivision, complex_from_facets
 from nervecert.fileio import family_from_doc
-from nervecert.linprog import OPTIMAL, UNBOUNDED, lex_stages, solve_lp
-from oracles import staged_inscribed_ball
+from nervecert.linprog import OPTIMAL, UNBOUNDED, Dictionary, lex_stages, solve_lp
+from oracles import fm_polytope_is_empty, staged_inscribed_ball
 
 DATA = Path(__file__).parent / "data"
 
@@ -173,6 +174,78 @@ def test_the_property_reaches_every_outcome():
     assert seen["coordinate"] >= 10  # a coordinate unbounded below
 
 
+def apex_polytope(rng) -> tuple[str, HPolytope]:
+    """At least m + 2 rows tight at one rational apex in R^1..R^4, rows shuffled.
+
+    A "pointed" cone has random row directions, so it is mostly the apex
+    alone; an "open" cone has every direction flipped into one half-space,
+    so it has interior.  Tight rows are duplicated or rescaled, a bounding
+    box around the apex may be added (a side of it may touch the apex), and
+    a "cut" row, the reverse of a tight row moved by 0, 1/2 or 1, may pin
+    the cone to a hyperplane or empty it.  Every vertex of the start is
+    degenerate, so Bland's tie rules decide every pivot.
+    """
+    m = rng.randint(1, 4)
+    apex = [_q(rng) for _ in range(m)]
+    shape = rng.choice(("pointed", "open"))
+    toward = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 3)) for _ in range(m)]
+    rows: list = []
+    for _ in range(m + 2 + rng.randint(0, 2)):
+        row = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
+        if not any(row):
+            row[rng.randrange(m)] = Fraction(1)
+        if shape == "open" and sum(a * u for a, u in zip(row, toward)) > 0:
+            row = [-a for a in row]
+        rows.append(row)
+    for _ in range(rng.choice((0, 1, 2))):
+        scale = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        rows.append([scale * a for a in rng.choice(rows)])
+    rhs = [sum(a * x for a, x in zip(row, apex)) for row in rows]
+    if rng.random() < 0.3:
+        shape += "+cut"
+        i = rng.randrange(len(rows))
+        rows.append([-a for a in rows[i]])
+        rhs.append(-rhs[i] - Fraction(rng.choice((0, 1, 2)), 2))
+    if rng.random() < 0.5:
+        shape += "+box"
+        for j in range(m):
+            r, b = _interval_rows(m, j, apex[j] - rng.randint(0, 3), apex[j] + rng.randint(0, 3))
+            rows.extend(r)
+            rhs.extend(b)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return shape, HPolytope.from_rows([rows[i] for i in order], [rhs[i] for i in order], m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_degenerate_apexes_agree_with_the_staged_solve_and_elimination(rng):
+    _, P = apex_polytope(rng)
+    assert outcome(inscribed_ball, P) == outcome(staged_inscribed_ball, P)
+    assert polytope_is_empty(P) == fm_polytope_is_empty(P)
+
+
+def test_the_apex_property_reaches_every_outcome():
+    # The same generator, seeded: in each of R^1 to R^4 the apex is the whole
+    # body and a boundary point of a ball, and some bodies are empty.
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(300):
+        shape, P = apex_polytope(rng)
+        got = outcome(inscribed_ball, P)
+        assert got == outcome(staged_inscribed_ball, P)
+        empty = polytope_is_empty(P)
+        assert empty == fm_polytope_is_empty(P)
+        if isinstance(got[0], Fraction):
+            seen[P.ambient, "zero radius" if got[0] == 0 else "ball"] += 1
+        else:
+            seen[P.ambient, got[1].split(" is ")[0].split()[0]] += 1
+        seen[P.ambient, "empty"] += empty
+    for m in range(1, 5):
+        for kind in ("zero radius", "ball", "inscribed", "empty"):
+            assert seen[m, kind] >= 3, seen
+
+
 def test_empty_slab_with_a_free_coordinate_is_empty():
     # The radius -1/2 is read before any coordinate stage; the stage for the
     # free coordinate y would be unbounded below.
@@ -207,19 +280,15 @@ def test_canonical_points_of_a_pipeline_d2_family_are_pinned():
 
 def test_lex_stages_match_fixed_re_solves():
     # min x + y, then min x, over the square [0, 2]^2 cut by x + y >= 1.
-    # Columns x, y, s1, s2, s3 of x + s1 = 2, y + s2 = 2, -x - y + s3 = -1,
-    # in canonical form for the feasible basis (s1, s2, x): stage 1's face
-    # is the cut, stage 2 picks its x-least end.
-    T = [
-        [0, -1, 1, 0, 1, 1],
-        [0, 1, 0, 1, 0, 2],
-        [1, 1, 0, 0, -1, 1],
-    ]
-    stages = lex_stages(T, [2, 3, 0], [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
-    status, x = next(stages)
-    assert status == OPTIMAL and x[0] + x[1] == 1
-    status, x = next(stages)
-    assert status == OPTIMAL and (x[0], x[1]) == (0, 1)
+    # Variables x, y, s1, s2, s3 of x + s1 = 2, y + s2 = 2, -x - y + s3 = -1,
+    # as the dictionary of the feasible basis (s1, s2, x), nonbasic y and s3:
+    # stage 1's face is the cut, stage 2 picks its x-least end.
+    D = Dictionary(
+        [[-1, 1, 1], [1, 0, 2], [1, -1, 1]], [1, 1, 1], [2, 3, 0], [1, 4]
+    )
+    stages = lex_stages(D, [{0: 1, 1: 1}, {0: 1}])
+    assert next(stages) == OPTIMAL and D.value(0) + D.value(1) == 1
+    assert next(stages) == OPTIMAL and (D.value(0), D.value(1)) == (0, 1)
     assert next(stages, None) is None
     staged = solve_lp([1, 0], A_ub=[[-1, -1], [1, 0], [0, 1]], b_ub=[-1, 2, 2],
                       A_eq=[[1, 1]], b_eq=[1], nonneg=[True, True])
@@ -230,7 +299,5 @@ def test_lex_stages_report_an_unbounded_stage_and_stop():
     # The ray x = y >= 0, as the row x - y = 0 with x basic: a zero first
     # stage keeps all of it, min -y runs off along it, and the third stage
     # never runs.
-    stages = list(lex_stages([[1, -1, 0]], [0], [[0, 0], [0, -1], [1, 0]]))
-    assert stages[0][0] == OPTIMAL
-    assert stages[1] == (UNBOUNDED, None)
-    assert len(stages) == 2
+    stages = list(lex_stages(Dictionary([[-1, 0]], [1], [0], [1]), [{}, {1: -1}, {0: 1}]))
+    assert stages == [OPTIMAL, UNBOUNDED]

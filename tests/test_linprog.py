@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nervecert.linprog
 from nervecert.linprog import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    Dictionary,
     gauss_solve,
+    lex_stages,
     solve_lp,
 )
 from oracles import fm_feasible
@@ -230,6 +233,39 @@ def test_degenerate_optima_keep_their_pivot_path(kwargs, expected):
     assert res.status == OPTIMAL
     assert res.x == tuple(Fraction(v) for v in expected)
     assert all(type(v) is Fraction for v in res.x)
+
+
+@pytest.mark.parametrize("slacks_first", [False, True])
+def test_beale_cycling_lp_terminates_at_its_optimum(monkeypatch, slacks_first):
+    # Beale (1955): min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 subject to
+    #   1/4 x4 -  60 x5 - 1/25 x6 + 9 x7 + x1 = 0
+    #   1/2 x4 -  90 x5 - 1/50 x6 + 3 x7 + x2 = 0
+    #                          x6        + x3 = 1,
+    # on which the most-negative-cost rule cycles from the slack basis.  The
+    # optimum -1/20 is at x4 = 1/25, x6 = 1, x1 = 3/100.  Bland's rule must
+    # reach it with the slacks numbered after the decision variables or before.
+    decision, slack = ([3, 4, 5, 6], [0, 1, 2]) if slacks_first else ([0, 1, 2, 3], [4, 5, 6])
+    D = Dictionary(
+        [[25, -6000, -4, 900, 0], [25, -4500, -1, 150, 0], [0, 0, 1, 0, 1]],
+        [100, 50, 1],
+        list(slack),
+        list(decision),
+    )
+    cost = dict(zip(decision, [-75, 15000, -2, 600]))  # 100 times Beale's
+    pivots = []
+    real = nervecert.linprog.pivot
+
+    def counted(*args):
+        pivots.append(args[1:])
+        assert len(pivots) <= 50, "the pivot rule cycles"
+        return real(*args)
+
+    monkeypatch.setattr(nervecert.linprog, "pivot", counted)
+    assert list(lex_stages(D, [cost])) == [OPTIMAL]
+    x4, x5, x6, x7 = (D.value(v) for v in decision)
+    assert (x4, x5, x6, x7) == (Fraction(1, 25), 0, 1, 0)
+    assert [D.value(v) for v in slack] == [Fraction(3, 100), 0, 0]
+    assert sum(c * D.value(v) for v, c in cost.items()) / 100 == Fraction(-1, 20)
 
 
 small_rationals = st.builds(

@@ -214,16 +214,16 @@ def sd_of(name: str):
 
 
 def stages_per_ball(monkeypatch) -> list[int]:
-    """Counts, per inscribed-ball tableau, the lexicographic stages it runs."""
+    """Counts, per inscribed-ball dictionary, the lexicographic stages it runs."""
     import nervecert.convex
 
     runs: list[int] = []
     real = nervecert.convex.lex_stages
 
-    def counted(T, basis, costs):
+    def counted(D, costs):
         runs.append(0)
         k = len(runs) - 1
-        for out in real(T, basis, costs):
+        for out in real(D, costs):
             runs[k] += 1
             yield out
 
@@ -249,3 +249,34 @@ def test_a_clean_walk_finishes_each_face_once(monkeypatch):
     points = witness_points(F, K)
     assert len(points) == len(runs) == len(K.faces) == 50
     assert runs == [F.ambient + 1] * 50
+
+
+@pytest.mark.parametrize(
+    "name, pivots",
+    [("pipeline_d2_seed11.json", 421), ("missing_face_d2_seed11.json", 307)],
+)
+def test_the_walk_pivots_on_rows_of_the_nonbasic_columns(monkeypatch, name, pivots):
+    # A counter gate: every pivot of the walk, the starting pivots included,
+    # on dictionary rows that store only x, r and the right-hand side.
+    import nervecert.convex
+    import nervecert.linprog
+
+    F, K = sd_of(name)
+    calls, widths = [], []
+    real = nervecert.linprog.pivot
+
+    def counted(D, r, j):
+        calls.append((r, j))
+        widths.append(max(map(len, D.rows)))
+        return real(D, r, j)
+
+    monkeypatch.setattr(nervecert.linprog, "pivot", counted)
+    monkeypatch.setattr(nervecert.convex, "pivot", counted)
+    try:
+        witness_points(F, K)
+        mismatched = False
+    except NerveMismatchError:
+        mismatched = True
+    assert mismatched == name.startswith("missing_face")
+    assert len(calls) == pivots
+    assert max(widths) <= F.ambient + 2

@@ -33,7 +33,7 @@ from conftest import (
     witness_map,
 )
 from nervecert.witness import assemble_witness_map
-from oracles import facet_scan_source_image
+from oracles import facet_scan_source_image, label_filter_subcomplex
 
 
 def two_intervals():
@@ -215,7 +215,7 @@ def test_source_images_of_disjoint_edges_do_not_meet():
 def test_source_piece_tests_are_covered_by_remote_pair_tests():
     # every piece pair the pipeline tests for disjoint source simplices is a
     # piece pair of a remote face pair, so the two audits can never disagree
-    from nervecert import is_remote, subdivided_subcomplex
+    from nervecert import is_remote
     from nervecert.complexes import maximal_chains
 
     L = complex_from_facets([[1, 2], [3, 4]])
@@ -235,7 +235,7 @@ def test_source_piece_tests_are_covered_by_remote_pair_tests():
     K = sdL.complex
 
     def source_chains(gamma):
-        sub = subdivided_subcomplex(sdL, gamma)
+        sub = label_filter_subcomplex(sdL, gamma)
         tops = [f for f in sub if not any(set(f) < set(h) for h in sub)]
         return [c for top in tops for c in maximal_chains(top)]
 
