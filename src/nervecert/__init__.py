@@ -23,7 +23,6 @@ from .convex import (
 )
 from .errors import (
     EmptyPolytopeError,
-    FamilyCapError,
     GenericityError,
     LabelMismatchError,
     NerveCertError,

@@ -15,6 +15,7 @@ from .convex import crossing, hulls_intersect, polytope_is_empty
 from .errors import ParseError
 from .fileio import (
     _int_field,
+    _int_key,
     _int_list,
     _require,
     complex_from_doc,
@@ -82,12 +83,7 @@ def _params_from_doc(raw) -> dict:
     out = {}
     values = set()
     for key, val in raw.items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise ParseError(f"params key {key!r} is not an integer") from None
-        if v in out:
-            raise ParseError(f"'params' names vertex {v} twice")
+        v = _int_key(key, "'params'")  # one spelling per vertex, so none repeats
         t = parse_rational(val)
         if t in values:
             raise ParseError(

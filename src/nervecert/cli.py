@@ -8,8 +8,8 @@ proves the remote-face lemma, and the obstruction verdict.  The
 decides whether a violation is reported (`witness`) or goes to the
 hull-test audit (`lemma`).  `VKF_CERTIFICATE` comes only from `vkf-demo`.
 
-Exit codes are a stable contract, kept by `_finish`: 0 ok/vanishes, 1 parse
-or validation error, 2 mismatch-class certificates, 3 nonvanishing or
+Exit codes are a stable contract, kept by `_finish`: 0 ok/vanishes, 1 usage,
+parse or validation error, 2 mismatch-class certificates, 3 nonvanishing or
 contradiction certificates, 4 genericity failure, 5 consistency failure.
 """
 
@@ -55,7 +55,7 @@ from .fileio import (
     parse_rational,
     sd_to_doc,
 )
-from .nerve import nerve_exhaustive, nerve_helly
+from .nerve import nerve_helly
 from .obstruction import moment_curve_placement, obstruction_vanishes
 from .witness import (
     assemble_witness_map,
@@ -147,10 +147,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    F = family_from_doc(load_document(args.family))
-    engine = nerve_helly if args.mode == "helly" else nerve_exhaustive
-    N = engine(F)
-    return _finish(f"nerve ({args.mode}): f-vector {N.f_vector()}", complex_to_doc(N), args.out)
+    N = nerve_helly(family_from_doc(load_document(args.family)))
+    return _finish(f"nerve: f-vector {N.f_vector()}", complex_to_doc(N), args.out)
 
 
 def cmd_vk(args) -> int:
@@ -258,9 +256,17 @@ def cmd_recheck(args) -> int:
     return EXIT_CONSISTENCY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a `ParseError`, so it exits 1 like any bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nervecert",
         description=(
             "Exact nerves of convex families, barycentric subdivision, and "
@@ -276,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nerve", help="compute the nerve of a convex family")
     p.add_argument("family")
-    p.add_argument("--mode", choices=["helly", "exhaustive"], default="helly")
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("vk", help="mod-2 obstruction verdict for a complex")
@@ -311,11 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # Looked up at call time, so a rebound cmd_* (a trace, a test double) runs.
-    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        args = _build_parser().parse_args(argv)
+        # Looked up at call time, so a rebound cmd_* (a trace, a test double) runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except GenericityError as exc:
         print(f"genericity failure: {exc}", file=sys.stderr)
         print("hint: pass --params with fresh distinct rationals", file=sys.stderr)

@@ -29,10 +29,6 @@ class GenericityError(NerveCertError):
     """
 
 
-class FamilyCapError(NerveCertError):
-    """A convex family exceeded the configured body cap for nerve enumeration."""
-
-
 class LabelMismatchError(NerveCertError, ValueError):
     """Family labels and complex vertices do not coincide."""
 

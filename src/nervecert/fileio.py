@@ -1,11 +1,12 @@
 """JSON document formats for complexes, convex families, and certificates.
 
-Rationals travel as exact strings ("3/2", "-1/4", "7"); plain JSON integers
-are accepted on input, decimals never are.  A complex document lists facets
-plus, for subdivision outputs, the vertex-label table (the face each new
-vertex subdivides) and optionally the document of the complex those labels
-refer to.  Documents are always dumped with sorted keys so byte output is
-deterministic.
+Rationals travel as exact strings ("3/2", "-1/4", "7"), read only in the
+spelling `format_rational` writes, and integer keys only as `str` writes
+them; plain JSON integers are accepted on input, decimals never are.  A
+complex document lists facets plus, for subdivision outputs, the
+vertex-label table (the face each new vertex subdivides) and optionally the
+document of the complex those labels refer to.  Documents are always dumped
+with sorted keys so byte output is deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .convex import HPolytope, Point
 from .errors import ParseError
 from .nerve import ConvexFamily
 
-_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+# ASCII digits, no sign but '-', no "-0", no leading zeros, no zero denominator
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(value) -> Fraction:
@@ -28,14 +30,16 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL_RE.match(value.strip())
-        if not match:
-            raise ParseError(f"not an exact rational string: {value!r}")
-        num, den = match.groups()
-        den = 1 if den is None else int(den)
-        if not den:
-            raise ParseError(f"zero denominator in {value!r}")
-        return Fraction(int(num), den)
+        match = _RATIONAL_RE.fullmatch(value)
+        if match:
+            num, den = match.groups()
+            if den is None:
+                return Fraction(int(num))
+            d = int(den)
+            q = Fraction(int(num), d)
+            if q.denominator == d != 1:  # lowest terms and not over 1, as format_rational writes
+                return q
+        raise ParseError(f"not a canonical rational string: {value!r}")
     raise ParseError(f"not a rational: {value!r}")
 
 
@@ -55,6 +59,18 @@ def format_point(p) -> list[str]:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ParseError(message)
+
+
+def _int_key(key: str, what: str) -> int:
+    """An object key that names an integer, spelled as `str` writes it."""
+    try:
+        v = int(key)
+    except ValueError:
+        v = None
+    _require(
+        v is not None and str(v) == key, f"{what} key {key!r} is not a canonical integer"
+    )
+    return v
 
 
 def _int_field(value, what: str) -> int:
@@ -106,11 +122,7 @@ def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
         _require(isinstance(raw, dict), "'vertex_labels' must be an object")
         labels = {}
         for key, val in raw.items():
-            try:
-                v = int(key)
-            except ValueError:
-                raise ParseError(f"vertex label key {key!r} is not an integer") from None
-            labels[v] = tuple(_int_list(val, "vertex label"))
+            labels[_int_key(key, "'vertex_labels'")] = tuple(_int_list(val, "vertex label"))
         _require(set(labels) == set(K.vertices), "vertex_labels must cover exactly the vertices")
     return K, labels
 

@@ -1,34 +1,34 @@
 """Nerves of finite convex families, exactly.
 
-Two engines build the same complex: exhaustive enumeration (every candidate
-subfamily gets an LP feasibility test) and the Helly-accelerated engine,
-which only runs LPs up to subfamily size m+1 and closes larger faces
-combinatorially -- in R^m a family has a common point exactly when every
-m+1 of its members do.  The exhaustive engine is kept as a cross-check
-oracle.  Both grow the nerve level by level from `next_candidates`, and a
-pair is first tried by its exact bounding boxes (`convex.boxes_disjoint`),
-which settle most disjoint pairs without a pair LP.  A body's bounds are
-computed only as the scan reads them, on the feasibility dictionary that
-already decided the body's own vertex, since a one-body face system is the
-body itself (`subfamily_polytope`).  Only these enumerating engines have a
-body cap.
+Every nerve question runs on one level walk, `walk`: a level's candidates
+are the sets whose facets were all kept at the level before
+(`next_candidates`), and a predicate decides each in (size, lex) order.
+The exhaustive engine tests every candidate for a common point and is kept
+as a cross-check oracle; the Helly engine tests only up to size m+1 and
+closes larger faces combinatorially (`helly_closed`) -- in R^m a family has
+a common point exactly when every m+1 of its members do.  A pair is first
+tried by its exact bounding boxes (`convex.boxes_disjoint`), which settle
+most disjoint pairs without a pair LP.  A body's bounds are computed only
+as the scan reads them, on the feasibility dictionary that already decided
+the body's own vertex, since a one-body face system is the body itself
+(`subfamily_polytope`).  The walk costs about the nerve's faces times the
+bodies, so the body count is not capped.
 
 The certificate pipeline does not enumerate: `witness.witness_points`
-walks the claimed complex with the same candidate step and stops at the
-first mismatch.  A candidate outside the claim gets the same test as here;
-a claimed face is decided by the radius stage of its inscribed ball.
+walks the claimed complex and stops at the first mismatch.  A candidate
+outside the claim gets the same test as here; a claimed face is decided by
+the radius stage of its inscribed ball.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import Face, SimplicialComplex
 from .convex import HPolytope, boxes_disjoint, polytope_is_empty
-from .errors import DimensionMismatchError, FamilyCapError, LabelMismatchError
-
-DEFAULT_BODY_CAP = 20
+from .errors import DimensionMismatchError, LabelMismatchError
 
 
 @dataclass(frozen=True)
@@ -128,37 +128,35 @@ def next_candidates(level: list[Face], labels: tuple[int, ...]) -> list[Face]:
     return out
 
 
-def _build_nerve(F: ConvexFamily, cap: int, helly: bool) -> SimplicialComplex:
-    n = len(F.bodies)
-    if n > cap:
-        raise FamilyCapError(
-            f"family has {n} bodies, enumeration cap is {cap}"
-        )
+def walk(F: ConvexFamily, keep: Callable[[Face], bool]) -> SimplicialComplex:
+    """The complex of the faces ``keep`` accepts, level by level in (size, lex) order.
+
+    Each level's candidates come from the faces kept at the level before
+    (`next_candidates`), so ``keep`` sees every candidate exactly once, in
+    walk order, and never a set with a rejected facet.
+    """
     labels = F.labels()
-    level: list[Face] = [
-        (label,) for label in labels if face_has_common_point(F, (label,))
-    ]
-    faces: set[Face] = set(level)
+    level = [(label,) for label in labels if keep((label,))]
+    vertices, faces = frozenset(f[0] for f in level), set(level)
     while level:
-        level = [
-            cand
-            for cand in next_candidates(level, labels)
-            # Helly closure: a larger face needs no LP once its facets are faces
-            if (helly and len(cand) > F.ambient + 1) or face_has_common_point(F, cand)
-        ]
+        level = [cand for cand in next_candidates(level, labels) if keep(cand)]
         faces.update(level)
-    vertices = frozenset(f[0] for f in faces if len(f) == 1)
     return SimplicialComplex(vertices, frozenset(faces))
 
 
-def nerve_exhaustive(F: ConvexFamily, cap: int = DEFAULT_BODY_CAP) -> SimplicialComplex:
+def helly_closed(F: ConvexFamily, face: Face) -> bool:
+    """Helly: a candidate of more than m + 1 bodies, whose facets all meet, meets."""
+    return len(face) > F.ambient + 1
+
+
+def nerve_exhaustive(F: ConvexFamily) -> SimplicialComplex:
     """Nerve by LP-testing every candidate subfamily (supersets of empty ones pruned)."""
-    return _build_nerve(F, cap, helly=False)
+    return walk(F, lambda face: face_has_common_point(F, face))
 
 
-def nerve_helly(F: ConvexFamily, cap: int = DEFAULT_BODY_CAP) -> SimplicialComplex:
+def nerve_helly(F: ConvexFamily) -> SimplicialComplex:
     """Nerve with LPs only up to subfamily size m+1; larger faces close combinatorially."""
-    return _build_nerve(F, cap, helly=True)
+    return walk(F, lambda face: helly_closed(F, face) or face_has_common_point(F, face))
 
 
 def nerve_matches(

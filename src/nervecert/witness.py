@@ -52,7 +52,8 @@ from .nerve import (
     NerveMatch,
     check_labels,
     face_has_common_point,
-    next_candidates,
+    helly_closed,
+    walk,
 )
 
 
@@ -110,16 +111,15 @@ class DisjointnessReport:
 def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
     """Canonical witness point for every face of K, once K is the family's nerve.
 
-    The nerve is checked against K, not enumerated.  Candidates go level by
-    level in (size, lex) order, each level being the sets whose facets are
-    all faces of the level before (`nerve.next_candidates`):
+    The nerve is checked against K, not enumerated: `nerve.walk` offers
+    the candidates in (size, lex) order, and its predicate decides each:
 
     - a candidate that is a face of K runs the radius stage of its stacked
       body system's ball (`convex.inscribed_radius`), and an empty system
       is a ``missing_face``;
     - any other candidate is a minimal non-face of K, and it is an
-      ``extra_face`` when its bodies share a point: by Helly, always once
-      its size exceeds m + 1, else by the box test and an LP.
+      ``extra_face`` when its bodies share a point: by Helly
+      (`nerve.helly_closed`), else by the box test and an LP.
 
     Faces agree below the level being walked, so every face of K and every
     face of the nerve of that size is a candidate, and the first mismatch
@@ -134,24 +134,23 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
     `verify_witness_membership` themselves.  No body cap applies.
     """
     check_labels(F, K)
-    labels = F.labels()
     # each face of K in walk order, with its centre call or its unbounded radius
     passed: list[tuple[Face, Callable[[], Point] | UnboundedPolytopeError]] = []
-    level = [(label,) for label in labels]
-    while level:
-        agreed: list[Face] = []
-        for face in level:
-            if face in K.faces:
-                try:
-                    passed.append((face, inscribed_radius(F.subfamily_polytope(face))[1]))
-                except EmptyPolytopeError:
-                    raise _mismatch(NerveMatch.MISSING, face) from None
-                except UnboundedPolytopeError as exc:
-                    passed.append((face, exc))
-                agreed.append(face)
-            elif len(face) > F.ambient + 1 or face_has_common_point(F, face):
+
+    def keep(face: Face) -> bool:
+        if face not in K.faces:
+            if helly_closed(F, face) or face_has_common_point(F, face):
                 raise _mismatch(NerveMatch.EXTRA, face)
-        level = next_candidates(agreed, labels)
+            return False
+        try:
+            passed.append((face, inscribed_radius(F.subfamily_polytope(face))[1]))
+        except EmptyPolytopeError:
+            raise _mismatch(NerveMatch.MISSING, face) from None
+        except UnboundedPolytopeError as exc:
+            passed.append((face, exc))
+        return True
+
+    walk(F, keep)
     points: dict[Face, Point] = {}
     for face, centre in passed:
         if isinstance(centre, UnboundedPolytopeError):

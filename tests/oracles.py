@@ -8,7 +8,8 @@ subdivision of a face is the label filter over every face of sd K and a
 source simplex's image goes through that filter and a facet scan (the
 construction the maximal-chain tops replaced), feasibility goes through
 Fourier-Motzkin elimination instead of simplex pivoting (so do the
-coordinate ranges of a body, by projection onto one axis), segment crossing
+coordinate ranges of a body, by projection onto one axis, and the nerve of
+a family, one label subset at a time with no level walk or Helly closure), segment crossing
 uses orientation signs instead of a linear solve, moment-curve crossing
 parity reduces to a parameter-interleaving count, the crossing cocycle
 goes through one exact barycentric solve per pair (the engine the
@@ -161,6 +162,20 @@ def fm_feasible(rows, rhs) -> bool:
 
 def fm_polytope_is_empty(P) -> bool:
     return not fm_feasible([list(row) for row in P.A], list(P.b))
+
+
+def brute_force_nerve(F) -> frozenset:
+    """Every nonempty label subset whose bodies' rows, stacked, Fourier-Motzkin finds feasible."""
+    labels = F.labels()
+    return frozenset(
+        face
+        for size in range(1, len(labels) + 1)
+        for face in combinations(labels, size)
+        if fm_feasible(
+            [list(row) for label in face for row in F.body(label).A],
+            [b for label in face for b in F.body(label).b],
+        )
+    )
 
 
 def fm_coordinate_range(P, j: int):

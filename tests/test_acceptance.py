@@ -242,7 +242,6 @@ def test_criterion_8_byte_identical_runs(tmp_path):
         (["build", "sd", str(path)], 0),
         (["build", "sd2", str(edge)], 0),
         (["nerve", str(fam_path)], 0),
-        (["nerve", str(fam_path), "--mode", "exhaustive"], 0),
         (["vk", str(path), "-d", "1"], 0),
         (["vkf-demo", "-d", "1"], 3),
         (["vkf-demo", "-d", "2"], 3),

@@ -15,7 +15,8 @@ import pytest
 import nervecert
 from nervecert.certificates import consistency_failure_cert, recheck_certificate
 from nervecert.cli import main
-from nervecert.fileio import document_to_text
+from nervecert.fileio import complex_to_doc, document_to_text, family_from_doc
+from nervecert.nerve import nerve_exhaustive
 from test_gf2 import torus
 
 
@@ -102,13 +103,47 @@ def test_build_rejects_garbage(tmp_path, capsys):
 
 
 def test_nerve_modes_agree(tmp_path, capsys):
+    # the command runs the Helly engine; the exhaustive engine is the reference
     fam = write(tmp_path / "fam.json", INTERVAL_FAMILY)
-    out_h = tmp_path / "h.json"
-    out_e = tmp_path / "e.json"
-    assert run(capsys, "nerve", fam, "-o", str(out_h))[0] == 0
-    assert run(capsys, "nerve", fam, "--mode", "exhaustive", "-o", str(out_e))[0] == 0
-    assert out_h.read_bytes() == out_e.read_bytes()
-    assert load(out_h)["facets"] == [[1, 2, 3]]
+    out = tmp_path / "h.json"
+    assert run(capsys, "nerve", fam, "-o", str(out))[0] == 0
+    reference = nerve_exhaustive(family_from_doc(INTERVAL_FAMILY))
+    assert out.read_text() == document_to_text(complex_to_doc(reference))
+    assert load(out)["facets"] == [[1, 2, 3]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nerve"],
+        ["nerve", "fam.json", "--mode", "helly"],
+        ["vk", "k4.json", "-d", "abc"],
+        ["certificate", "fam.json", "path.json", "-d", "1", "--corrupt-stage", "x"],
+        [],
+        ["bogus"],
+    ],
+    ids=[
+        "missing-family", "removed-mode", "non-integer-d", "bad-choice", "no-command",
+        "unknown-command",
+    ],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
+    # exit 2 belongs to mismatch-class certificates, so a usage error is a parse error
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "fam.json", INTERVAL_FAMILY)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nervecert")
+    assert "error: nervecert" in captured.err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["nerve", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nervecert")
 
 
 def test_vk_exit_codes(tmp_path, capsys):
@@ -139,12 +174,7 @@ def test_vk_exit_codes(tmp_path, capsys):
         (["build", "skeleton", "4", "1"], "skeleton(4,1): f-vector (5, 10)", 0),
         (["build", "sd", "tri.json"], "sd: f-vector (7, 12, 6)", 0),
         (["build", "sd2", "path.json"], "sd2: f-vector (9, 8)", 0),
-        (["nerve", "fam.json"], "nerve (helly): f-vector (3, 3, 1)", 0),
-        (
-            ["nerve", "fam.json", "--mode", "exhaustive"],
-            "nerve (exhaustive): f-vector (3, 3, 1)",
-            0,
-        ),
+        (["nerve", "fam.json"], "nerve: f-vector (3, 3, 1)", 0),
         (["vk", "k4.json", "-d", "1"], "vanishes: cocycle of weight 1 is a coboundary", 0),
         (
             ["vk", "k5.json", "-d", "1"],
@@ -153,7 +183,7 @@ def test_vk_exit_codes(tmp_path, capsys):
         ),
         (["vkf-demo", "-d", "1"], "VKF_CERTIFICATE: [1, 3] and [2, 4] cross at (5/2, 7)", 3),
     ],
-    ids=["skeleton", "sd", "sd2", "nerve-helly", "nerve-exhaustive", "vk-k4", "vk-k5", "vkf-demo"],
+    ids=["skeleton", "sd", "sd2", "nerve-helly", "vk-k4", "vk-k5", "vkf-demo"],
 )
 def test_summary_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, line, code):
     monkeypatch.chdir(tmp_path)
@@ -350,8 +380,8 @@ def test_certificate_proves_the_lemma_by_containment(
 
 def test_certificate_has_no_body_cap(tmp_path, capsys):
     # 61 touching boxes in a row realize sd of a 31-vertex path: vertex i sits
-    # at [2i, 2i+1], edge {i, i+1} (sd label 31 + i) at [2i+1, 2i+2].  The
-    # nerve engines refuse a family this large; the certificate's check does not.
+    # at [2i, 2i+1], edge {i, i+1} (sd label 31 + i) at [2i+1, 2i+2].  Neither
+    # the certificate's check nor the nerve command caps the family's size.
     left = {i: 2 * i for i in range(31)} | {31 + i: 2 * i + 1 for i in range(30)}
     family = {
         "ambient": 2,
@@ -365,8 +395,10 @@ def test_certificate_has_no_body_cap(tmp_path, capsys):
     code, stdout = run(capsys, "certificate", fam, path, "-d", "1")
     assert code == 0
     assert "OBSTRUCTION_REPORT: clean run" in stdout
-    assert main(["nerve", fam]) == 1
-    assert "family has 61 bodies, enumeration cap is 20" in capsys.readouterr().err
+    nerve, sd = tmp_path / "nerve.json", tmp_path / "sd.json"
+    assert run(capsys, "nerve", fam, "-o", str(nerve)) == (0, "nerve: f-vector (61, 60)\n")
+    assert run(capsys, "build", "sd", path, "-o", str(sd))[0] == 0
+    assert load(nerve)["facets"] == load(sd)["facets"]
 
 
 def test_certificate_validation_errors(tmp_path, capsys):
@@ -557,7 +589,7 @@ INCREASING = "must list one or more labels in strictly increasing order"
         ),
         (_vk_cert, _repeat_first_param, "'params' repeats the value 1"),
         (_demo_cert, _repeat_first_param, "'params' repeats the value 1"),
-        (_vk_cert, _alias_first_param, "'params' names vertex 0 twice"),
+        (_vk_cert, _alias_first_param, "'params' key '00' is not a canonical integer"),
     ],
     ids=[
         "kind-list",
@@ -610,6 +642,28 @@ def test_recheck_rejects_malformed_fields(tmp_path, capsys, make, mutate, messag
     captured = capsys.readouterr()
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+# int() reads each of these as 0, but a document spells vertex 0 only as "0"
+OTHER_ZEROS = ["+0", " 0", "00", "-0", "0_0", "\u0660"]
+
+
+@pytest.mark.parametrize("key", OTHER_ZEROS)
+def test_recheck_rejects_a_params_key_in_another_spelling(tmp_path, capsys, key):
+    doc = _vk_cert(tmp_path, capsys)
+    doc["params"][key] = doc["params"].pop("0")
+    assert main(["recheck", write(tmp_path / "bad.json", doc)]) == 1
+    assert f"'params' key {key!r} is not a canonical integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", OTHER_ZEROS)
+def test_a_vertex_labels_key_in_another_spelling_is_exit_1(tmp_path, capsys, key):
+    sd = tmp_path / "sd.json"
+    run(capsys, "build", "sd", write(tmp_path / "edge.json", EDGE), "-o", str(sd))
+    doc = load(sd)
+    doc["vertex_labels"][key] = doc["vertex_labels"].pop("0")
+    assert main(["build", "sd", write(tmp_path / "bad.json", doc)]) == 1
+    assert f"'vertex_labels' key {key!r} is not a canonical integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,14 @@ def test_rational_codec():
     assert parse_rational(format_rational(Fraction(-355, 113))) == Fraction(-355, 113)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3/0", "1e3", "", "a/b", 1.5, None, True])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1.5", "3/0", "1e3", "", "a/b", 1.5, None, True,
+        # each names a rational, but not as format_rational spells it
+        "+3", "007/0030", " 3/4", "3/4\n", "-0", "6/4", "3/1", "0/5", "-0/3",
+    ],
+)
 def test_rational_codec_rejects(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
@@ -46,14 +54,16 @@ def test_parse_rational_takes_ascii_digits_only(text):
 
 
 def slow_parse_rational(value: str) -> Fraction:
-    """The string branch of `parse_rational` as it was, on ASCII digits:
-    validate, then let `Fraction` parse the whole string a second time."""
-    if not re.match(r"^[+-]?[0-9]+(/[0-9]+)?$", value.strip()):
-        raise ParseError(f"not an exact rational string: {value!r}")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {value!r}") from None
+    """The canonical grammar read a second way: an ASCII integer with no
+    sign but '-', no leading zero and no "-0", over an optional coprime
+    denominator of at least 2; validate, then let `Fraction` parse the
+    whole string a second time."""
+    match = re.fullmatch(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?", value)
+    if match is None or (
+        match[2] is not None and (match[2] == "1" or gcd(int(match[1]), int(match[2])) != 1)
+    ):
+        raise ParseError(f"not a canonical rational string: {value!r}")
+    return Fraction(value)
 
 
 def _outcome(parse, text):
@@ -82,6 +92,12 @@ rational_text = st.lists(
 @example("\u0663/\u0664")
 @example("1/0")
 @example("-0/00")
+@example("+3")
+@example("-0")
+@example("6/4")
+@example("3/1")
+@example("0/5")
+@example("-355/113")
 def test_parse_rational_matches_the_two_pass_parser(text):
     assert _outcome(parse_rational, text) == _outcome(slow_parse_rational, text)
 

@@ -9,7 +9,6 @@ import pytest
 
 from nervecert import (
     ConvexFamily,
-    FamilyCapError,
     HPolytope,
     LabelMismatchError,
     NerveMatch,
@@ -19,7 +18,8 @@ from nervecert import (
     nerve_matches,
     polytope_is_empty,
 )
-from conftest import random_family
+from conftest import clustered_family, random_family
+from oracles import brute_force_nerve
 
 
 def test_family_looks_bodies_up_by_label():
@@ -121,6 +121,21 @@ def test_engines_agree_on_random_families():
         helly.validate()
 
 
+def test_helly_matches_the_brute_force_nerve():
+    # the engines share `walk` and `next_candidates`; this oracle shares neither
+    rng = random.Random(20261019)
+    closed = 0  # faces the Helly rule closed without an LP
+    for i in range(30):
+        if i % 2:
+            F = clustered_family(rng, rng.randint(1, 3), 2, rng.randint(2, 4))
+        else:
+            F = random_family(rng, n_max=8, m_max=3, cuts=True)
+        faces = nerve_helly(F).faces
+        assert faces == brute_force_nerve(F)
+        closed += sum(len(face) > F.ambient + 1 for face in faces)
+    assert closed
+
+
 def test_shrinking_a_body_never_adds_faces():
     rng = random.Random(101)
     for _ in range(10):
@@ -137,12 +152,6 @@ def test_shrinking_a_body_never_adds_faces():
         ]
         after = nerve_helly(ConvexFamily.of(m, shrunk)).faces
         assert after <= before
-
-
-def test_body_cap():
-    F = ConvexFamily.of(1, [(i, HPolytope.box([0], [1])) for i in range(4)])
-    with pytest.raises(FamilyCapError):
-        nerve_helly(F, cap=3)
 
 
 def test_nerve_matches_examples():

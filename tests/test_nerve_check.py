@@ -137,8 +137,8 @@ def test_the_walk_reaches_every_verdict():
 
 
 def test_the_walk_needs_no_body_cap():
-    # 25 nested intervals: the nerve is the full simplex, too many bodies to
-    # enumerate; the walk stops at the first pair that the path lacks
+    # 25 nested intervals: the nerve is the full simplex, 2^25 - 1 faces, too
+    # many to enumerate; the walk stops at the first pair that the path lacks
     F = ConvexFamily.of(1, [(i, HPolytope.box([-i - 1], [i + 1])) for i in range(25)])
     path = complex_from_facets([[i, i + 1] for i in range(24)])
     with pytest.raises(NerveMismatchError) as refused:
