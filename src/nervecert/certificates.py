@@ -14,8 +14,8 @@ from .complexes import SimplicialComplex, is_remote
 from .convex import crossing, hulls_intersect, polytope_is_empty
 from .errors import ParseError
 from .fileio import (
+    _canonical_int,
     _int_field,
-    _int_key,
     _int_list,
     _require,
     complex_from_doc,
@@ -83,7 +83,7 @@ def _params_from_doc(raw) -> dict:
     out = {}
     values = set()
     for key, val in raw.items():
-        v = _int_key(key, "'params'")  # one spelling per vertex, so none repeats
+        v = _canonical_int(key, "'params' key")  # one spelling per vertex, so none repeats
         t = parse_rational(val)
         if t in values:
             raise ParseError(

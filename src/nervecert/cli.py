@@ -46,6 +46,7 @@ from .complexes import (
 from .convex import crossing, hulls_intersect  # noqa: F401
 from .errors import GenericityError, NerveCertError, NerveMismatchError, ParseError
 from .fileio import (
+    _canonical_int,
     complex_from_doc,
     complex_to_doc,
     document_to_text,
@@ -107,10 +108,7 @@ def _parse_corruption(text: str, ambient: int):
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError("corruption spec must look like 'v1,v2:c1,c2'")
-    try:
-        face = tuple(sorted(int(v) for v in head.split(",")))
-    except ValueError:
-        raise ParseError(f"bad corruption face in {text!r}") from None
+    face = tuple(sorted(_canonical_int(v, "corruption face label") for v in head.split(",")))
     point = parse_point([part.strip() for part in tail.split(",")])
     if len(point) != ambient:
         raise ParseError(

@@ -2,7 +2,9 @@
 
 Rationals travel as exact strings ("3/2", "-1/4", "7"), read only in the
 spelling `format_rational` writes, and integer keys only as `str` writes
-them; plain JSON integers are accepted on input, decimals never are.  A
+them; plain JSON integers are accepted on input, decimals never are.
+Within one family document each distinct rational string is decoded once,
+with the full spelling check; the documents themselves are unchanged.  A
 complex document lists facets plus, for subdivision outputs, the
 vertex-label table (the face each new vertex subdivides) and optionally the
 document of the complex those labels refer to.  Documents are always dumped
@@ -18,6 +20,7 @@ from fractions import Fraction
 from .complexes import Face, SdComplex, SimplicialComplex, complex_from_facets
 from .convex import HPolytope, Point
 from .errors import ParseError
+from .linprog import frac
 from .nerve import ConvexFamily
 
 # ASCII digits, no sign but '-', no "-0", no leading zeros, no zero denominator
@@ -44,12 +47,13 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    q = frac(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def parse_point(values, what: str = "point") -> Point:
-    return tuple(_rational_list(values, what))
+    _require(isinstance(values, list), f"{what} must be a list of rationals")
+    return tuple([parse_rational(v) for v in values])
 
 
 def format_point(p) -> list[str]:
@@ -61,15 +65,13 @@ def _require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def _int_key(key: str, what: str) -> int:
-    """An object key that names an integer, spelled as `str` writes it."""
+def _canonical_int(text: str, what: str) -> int:
+    """A string that names an integer, spelled as `str` writes it."""
     try:
-        v = int(key)
+        v = int(text)
     except ValueError:
         v = None
-    _require(
-        v is not None and str(v) == key, f"{what} key {key!r} is not a canonical integer"
-    )
+    _require(v is not None and str(v) == text, f"{what} {text!r} is not a canonical integer")
     return v
 
 
@@ -87,9 +89,21 @@ def _int_list(values, what: str) -> list[int]:
     return out
 
 
-def _rational_list(values, what: str) -> list[Fraction]:
+class _Spellings(dict):
+    """One document's decoded strings: spelling -> `parse_rational(spelling)`.
+
+    Keyed on the string alone, never on the value, since `True == 1`.  Only
+    a spelling that parsed is kept, so a bad one raises every time it is read.
+    """
+
+    def __missing__(self, spelling: str) -> Fraction:
+        q = self[spelling] = parse_rational(spelling)
+        return q
+
+
+def _rational_list(values, what: str, spellings: _Spellings) -> tuple[Fraction, ...]:
     _require(isinstance(values, list), f"{what} must be a list of rationals")
-    return [parse_rational(v) for v in values]
+    return tuple([spellings[v] if type(v) is str else parse_rational(v) for v in values])
 
 
 # -- complexes ---------------------------------------------------------------
@@ -122,7 +136,7 @@ def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
         _require(isinstance(raw, dict), "'vertex_labels' must be an object")
         labels = {}
         for key, val in raw.items():
-            labels[_int_key(key, "'vertex_labels'")] = tuple(_int_list(val, "vertex label"))
+            labels[_canonical_int(key, "'vertex_labels' key")] = tuple(_int_list(val, "vertex label"))
         _require(set(labels) == set(K.vertices), "vertex_labels must cover exactly the vertices")
     return K, labels
 
@@ -148,7 +162,7 @@ def family_to_doc(F: ConvexFamily) -> dict:
     return {"ambient": F.ambient, "bodies": bodies}
 
 
-def _body_from_doc(entry, ambient: int) -> tuple[int, HPolytope]:
+def _body_from_doc(entry, ambient: int, spellings: _Spellings) -> tuple[int, HPolytope]:
     _require(isinstance(entry, dict), "body entry must be an object")
     _require("label" in entry, "body entry needs a 'label'")
     label = _int_field(entry["label"], "'label'")
@@ -157,18 +171,18 @@ def _body_from_doc(entry, ambient: int) -> tuple[int, HPolytope]:
     if kinds[0] == "box":
         box = entry["box"]
         _require(isinstance(box, dict) and "lo" in box and "hi" in box, "'box' needs 'lo' and 'hi'")
-        lo = _rational_list(box["lo"], "box 'lo'")
-        hi = _rational_list(box["hi"], "box 'hi'")
+        lo = _rational_list(box["lo"], "box 'lo'", spellings)
+        hi = _rational_list(box["hi"], "box 'hi'", spellings)
         _require(len(lo) == ambient and len(hi) == ambient, "box corner length must equal ambient")
         return label, HPolytope.box(lo, hi)
     hp = entry["hpoly"]
     _require(isinstance(hp, dict) and "A" in hp and "b" in hp, "'hpoly' needs 'A' and 'b'")
     _require(isinstance(hp["A"], list), "hpoly 'A' must be a list of rows")
-    A = [_rational_list(row, "hpoly row") for row in hp["A"]]
-    b = _rational_list(hp["b"], "hpoly 'b'")
+    A = tuple([_rational_list(row, "hpoly row", spellings) for row in hp["A"]])
+    b = _rational_list(hp["b"], "hpoly 'b'", spellings)
     _require(all(len(row) == ambient for row in A), "hpoly rows must have ambient many columns")
     _require(len(A) == len(b), "hpoly 'A' and 'b' lengths disagree")
-    return label, HPolytope.from_rows(A, b, ambient=ambient)
+    return label, HPolytope(ambient, A, b)  # checked and exact already: no `from_rows` pass
 
 
 def family_from_doc(doc) -> ConvexFamily:
@@ -180,7 +194,8 @@ def family_from_doc(doc) -> ConvexFamily:
         "'ambient' must be a positive integer",
     )
     _require("bodies" in doc and isinstance(doc["bodies"], list), "family document needs a 'bodies' list")
-    bodies = [_body_from_doc(entry, ambient) for entry in doc["bodies"]]
+    spellings = _Spellings()
+    bodies = [_body_from_doc(entry, ambient, spellings) for entry in doc["bodies"]]
     try:
         return ConvexFamily.of(ambient, bodies)
     except ValueError as exc:

@@ -1015,3 +1015,22 @@ def test_a_corruption_face_outside_the_subdivision_exits_1(tmp_path, capsys, dat
     assert code == 1
     assert "corruption face (0, 999) is not a face of the subdivision" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["+0", "٠", " 0", "0_0", "00"])
+def test_a_corruption_face_label_in_another_spelling_exits_1(tmp_path, capsys, spelling):
+    # int() reads each of these as 0, and "0,3" does corrupt p([0, 3])
+    fam, path = write(tmp_path / "fam.json", PATH_FAMILY), write(tmp_path / "path.json", PATH)
+    out = tmp_path / "cert.json"
+
+    def corrupt(label):
+        argv = ["certificate", fam, path, "-d", "1", "--corrupt-witness"]
+        return main([*argv, f"{label},3:-1000,-1000", "--corrupt-stage", "witness", "-o", str(out)])
+
+    assert corrupt("0") == 2
+    out.unlink()
+    capsys.readouterr()
+    assert corrupt(spelling) == 1
+    captured = capsys.readouterr()
+    assert f"corruption face label {spelling!r} is not a canonical integer" in captured.err
+    assert captured.out == "" and not out.exists()

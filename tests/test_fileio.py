@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nervecert import ConvexFamily, HPolytope, ParseError, barycentric_subdivision, complex_from_facets
+from nervecert import fileio
 from nervecert.fileio import (
     complex_from_doc,
     complex_to_doc,
@@ -30,6 +33,7 @@ def test_rational_codec():
     assert parse_rational(5) == Fraction(5)
     assert format_rational(Fraction(3, 2)) == "3/2"
     assert format_rational(Fraction(-4, 2)) == "-2"
+    assert [format_rational(v) for v in (Fraction(7), 7, -3, 0)] == ["7", "7", "-3", "0"]
     assert parse_rational(format_rational(Fraction(-355, 113))) == Fraction(-355, 113)
 
 
@@ -100,6 +104,47 @@ rational_text = st.lists(
 @example("-355/113")
 def test_parse_rational_matches_the_two_pass_parser(text):
     assert _outcome(parse_rational, text) == _outcome(slow_parse_rational, text)
+
+
+def test_format_rational_takes_no_float():
+    with pytest.raises(TypeError):
+        format_rational(0.5)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_family_from_doc_decodes_each_spelling_once(monkeypatch):
+    doc = json.loads((DATA / "missing_face_d2_seed11.json").read_text())["family"]
+    expected = family_from_doc(doc)
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return parse_rational(value)
+
+    monkeypatch.setattr(fileio, "parse_rational", counting)
+    assert family_from_doc(doc) == expected
+    assert len(calls) == len(set(calls)) == 83  # the document holds 520 rational strings
+    assert family_from_doc(doc) == expected  # the memo does not outlive the call
+    assert len(calls) == 2 * 83
+
+
+def _one_row_family(*values) -> dict:
+    return {"ambient": len(values), "bodies": [{"label": 0, "hpoly": {"A": [list(values)], "b": ["1"]}}]}
+
+
+@pytest.mark.parametrize("first, bad", [("1", "+1"), ("1", "01"), ("1", " 1"), ("1", True), (1, True)])
+def test_a_memoized_value_in_another_spelling_is_rejected(first, bad):
+    # True == 1 and hash(True) == hash(1): a memo keyed on values would pass it
+    with pytest.raises(ParseError, match=re.escape(repr(bad))):
+        family_from_doc(_one_row_family(first, bad))
+
+
+def test_a_json_integer_after_its_spelling_still_decodes():
+    F = family_from_doc(_one_row_family("1", 1))
+    assert F.body(0).A == ((Fraction(1), Fraction(1)),)
+    assert all(type(v) is Fraction for v in F.body(0).A[0])
 
 
 def test_complex_round_trip():

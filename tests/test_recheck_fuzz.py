@@ -23,7 +23,9 @@ from test_cli import EDGE, PATH, PATH_FAMILY, TRIANGLE_FAMILY
 
 DELETE = object()
 REPEAT = object()  # a copy of a sibling value: a repeated parameter under 'params'
-HOSTILE = [None, True, False, 1.5, -1, 10**30, "", "1/0", [], {}, DELETE, REPEAT]
+# "+1", "01" and "0/1" respell values every family document already holds
+# ("1" and "0"), so a single edit plants a second spelling of a decoded value
+HOSTILE = [None, True, False, 1.5, -1, 10**30, "", "1/0", "+1", "01", "0/1", [], {}, DELETE, REPEAT]
 
 
 def _cli_cert(directory, name, *argv) -> dict:
