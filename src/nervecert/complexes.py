@@ -138,30 +138,40 @@ class SimplicialComplex:
 class PairIndex(NamedTuple):
     """The d-faces of a complex and their unordered vertex-disjoint pairs.
 
-    ``vertex_bits`` gives each vertex its own power of two; ``faces`` is
-    sorted and ``masks`` holds each face's vertex bitmask; ``ids`` lists the
-    disjoint pairs as positions (i, j), i < j, in canonical order, and
-    ``pairs`` the same pairs as faces.
+    ``faces`` is sorted; ``holders`` gives each vertex the bitset of the
+    faces that contain it, face i at bit m-1-i of m, so that the top bit is
+    the lowest id; ``ids`` lists the disjoint pairs as positions (i, j),
+    i < j, in canonical order, and ``pairs`` the same pairs as faces.
     """
 
-    vertex_bits: dict[int, int]
     faces: list[Face]
-    masks: list[int]
+    holders: dict[int, int]
     ids: list[tuple[int, int]]
     pairs: tuple[tuple[Face, Face], ...]
 
+    def disjoint(self, vertices, start: int = 0) -> list[int]:
+        """The ids from ``start`` up of the faces that avoid ``vertices``, ascending."""
+        m = len(self.faces)
+        free = (1 << m - start) - 1
+        for v in vertices:
+            free &= ~self.holders[v]
+        out = []
+        while free:
+            top = free.bit_length()
+            out.append(m - top)
+            free ^= 1 << top - 1
+        return out
+
     @classmethod
     def build(cls, K: SimplicialComplex, d: int) -> PairIndex:
-        bits = {v: 1 << i for i, v in enumerate(sorted(K.vertices))}
         faces = K.faces_of_dim(d)
-        masks = [sum([bits[v] for v in f]) for f in faces]
-        ids = [
-            (i, j)
-            for i, mask in enumerate(masks)
-            for j in range(i + 1, len(faces))
-            if not mask & masks[j]
-        ]
-        return cls(bits, faces, masks, ids, tuple([(faces[i], faces[j]) for i, j in ids]))
+        holders = dict.fromkeys(K.vertices, 0)
+        for bit, f in enumerate(reversed(faces)):
+            for v in f:
+                holders[v] |= 1 << bit
+        index = cls(faces, holders, [], ())
+        ids = [(i, j) for i, f in enumerate(faces) for j in index.disjoint(f, i + 1)]
+        return index._replace(ids=ids, pairs=tuple([(faces[i], faces[j]) for i, j in ids]))
 
 
 def complex_from_facets(facets) -> SimplicialComplex:

@@ -14,15 +14,18 @@ uses orientation signs instead of a linear solve, moment-curve crossing
 parity reduces to a parameter-interleaving count, the crossing cocycle
 goes through one exact barycentric solve per pair (the engine the
 interleaving rule replaced), coboundary rows are read off the definition
-column by column, GF(2) systems go through the dense Gauss-Jordan pass
-the echelon solver replaced, the remote-face lemma is stated face by
-face with `is_remote` over subdivided faces, the remote-face audit scans
-every piece pair of every remote pair under a given hull predicate
-(Fourier-Motzkin keeps it off the simplex), the inscribed ball goes
-through one two-phase solve per lexicographic stage (the solves the
-one-tableau driver replaced), and a body's box bound goes through one
-two-phase solve per coordinate and side (the solves the one-tableau box
-replaced).
+column by column, the disjoint d-face pairs are every pair tested (the
+scan the holder bitsets replaced), GF(2) systems go through the dense
+Gauss-Jordan pass the echelon solver replaced (over rows, where the
+engine eliminates by column), the rank of a system whose rows have at
+most two ones is counted by union-find over a graph, the remote-face
+lemma is stated face by face with `is_remote` over subdivided faces, the
+remote-face audit scans every piece pair of every remote pair under a
+given hull predicate (Fourier-Motzkin keeps it off the simplex), the
+inscribed ball goes through one two-phase solve per lexicographic stage
+(the solves the one-tableau driver replaced), and a body's box bound goes
+through one two-phase solve per coordinate and side (the solves the
+one-tableau box replaced).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from nervecert.complexes import (
 from nervecert.convex import HPolytope, Point, crossing
 from nervecert.errors import EmptyPolytopeError, GenericityError, UnboundedPolytopeError
 from nervecert.linprog import INFEASIBLE, ONE, OPTIMAL, UNBOUNDED, ZERO, solve_lp
-from nervecert.obstruction import ObstructionCertificate
+from nervecert.obstruction import GF2Matrix, ObstructionCertificate
 from nervecert.witness import image_of_face
 
 
@@ -412,6 +415,73 @@ def brute_force_coboundary_rows(facets, d: int):
     return tuple(row_keys), tuple(columns), tuple(rows)
 
 
+def scanned_pair_ids(K, d: int) -> list[tuple[int, int]]:
+    """Positions (i, j), i < j, of the vertex-disjoint d-faces, every pair tested."""
+    faces = K.faces_of_dim(d)
+    return [
+        (i, j)
+        for i, f in enumerate(faces)
+        for j in range(i + 1, len(faces))
+        if not set(f) & set(faces[j])
+    ]
+
+
+def matrix_from_rows(columns, rows) -> GF2Matrix:
+    """The `GF2Matrix` whose row i is ``rows[i]``, column j at bit n-1-j.
+
+    The engine keeps no row view; this transposes into its column layout
+    (row i at bit n_rows - i of each column).  `matrix_rows` inverts it.
+    """
+    n, n_rows = len(columns), len(rows)
+    if not (n and n_rows):
+        return GF2Matrix(tuple(columns), n_rows, (0,) * n)
+    text = [format(r, f"0{n}b") for r in rows]
+    cols = tuple(int("".join(col), 2) << 1 for col in zip(*text))
+    return GF2Matrix(tuple(columns), n_rows, cols)
+
+
+def matrix_rows(M: GF2Matrix) -> tuple[int, ...]:
+    """The rows of M, column j at bit n-1-j of each (the `Cochain2` layout)."""
+    if not (M.n_cols and M.n_rows):
+        return (0,) * M.n_rows
+    text = [format(c >> 1, f"0{M.n_rows}b") for c in M.cols]
+    return tuple(int("".join(row), 2) for row in zip(*text))
+
+
+def union_find_rank(M: GF2Matrix) -> int:
+    """GF(2) rank of a system whose rows have at most two ones, by union-find.
+
+    The columns are vertices, plus one ground vertex; a row with two ones is
+    an edge between its two columns and a row with one is an edge to ground.
+    Such a system is the incidence matrix of that graph with the ground
+    column dropped.  Every row of the full incidence matrix has two ones, so
+    the ground column is the sum of the others and dropping it keeps the
+    rank: the number of vertices less the number of components.
+    """
+    n = M.n_cols
+    parent = list(range(n + 1))  # vertex n is ground
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n + 1
+    for row in matrix_rows(M):
+        if row.bit_count() > 2:
+            raise ValueError(f"row of weight {row.bit_count()}: union-find needs at most 2")
+        if not row:
+            continue
+        top = row.bit_length() - 1  # vertices are bit positions
+        rest = row ^ 1 << top
+        a, b = root(top), root(rest.bit_length() - 1 if rest else n)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return n + 1 - components
+
+
 def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
@@ -426,7 +496,8 @@ def dense_gauss_jordan_gf2(M, v):
         raise ValueError("cochain index disagrees with the matrix columns")
     # Gauss-Jordan with combination tracking; pivots[col] = (row, combo).
     pivots: dict[int, tuple[int, int]] = {}
-    for idx, row in enumerate(M.rows):
+    rows = matrix_rows(M)
+    for idx, row in enumerate(rows):
         r, c = row, 1 << idx
         for col in sorted(pivots):
             if (r >> col) & 1:
@@ -449,7 +520,7 @@ def dense_gauss_jordan_gf2(M, v):
             combo ^= pc
     if target == 0:
         acc = 0
-        for i, row in enumerate(M.rows):
+        for i, row in enumerate(rows):
             if (combo >> i) & 1:
                 acc ^= row
         if acc != v.bits:
@@ -461,7 +532,7 @@ def dense_gauss_jordan_gf2(M, v):
     for col, (pr, _) in pivots.items():
         if (pr >> free_col) & 1:
             witness |= 1 << col
-    for row in M.rows:
+    for row in rows:
         if (row & witness).bit_count() & 1:
             raise AssertionError("infeasibility witness is not orthogonal to the rows")
     if not (v.bits & witness).bit_count() & 1:

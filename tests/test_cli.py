@@ -900,6 +900,30 @@ def test_vk_d3_certificate_is_pinned_and_rechecks(tmp_path, capsys):
     assert code == 0 and stdout.startswith("confirmed"), stdout
 
 
+# `vk -d d` on Delta_{2d+2}^(d), the paper's case, with the default
+# parameters: (d, rank, sha256).  Nearly every coboundary row is dependent
+# (rows outnumber pairs d + 1 to 1), so these pin the certificate that the
+# elimination over rows wrote where an elimination organized otherwise
+# would reduce most differently.
+VK_SKELETON_DIGESTS = [
+    (4, 1385, "6c647fd6c52b019142e31f9d526033a9203b5837d26c1e2bf7d3b3fb561a6af4"),
+    (5, 6005, "0483881097fc5ec1b852381779410a1b32205a39e0da04a35455e32d5369710f"),
+]
+
+
+@pytest.mark.parametrize("d, rank, digest", VK_SKELETON_DIGESTS)
+def test_vk_on_the_paper_skeleton_is_pinned_and_rechecks(tmp_path, capsys, d, rank, digest):
+    out = tmp_path / "vk.json"
+    facets = [list(f) for f in combinations(range(2 * d + 3), d + 1)]
+    K = write(tmp_path / "K.json", {"facets": facets})
+    assert run(capsys, "vk", K, "-d", str(d), "-o", str(out))[0] == 3
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    doc = load(out)
+    assert (doc["rank"], doc["vanishes"]) == (rank, False)
+    code, stdout = run(capsys, "recheck", str(out))
+    assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
 # body 0 stops short of body 2, so sd of the edge misses its face (0, 2)
 GAP_FAMILY = {
     "ambient": 2,

@@ -25,6 +25,7 @@ from oracles import (
     label_filter_subcomplex,
     quadratic_facets,
     remote_lemma_quadruples,
+    scanned_pair_ids,
 )
 
 
@@ -254,6 +255,25 @@ def test_disjoint_pairs_match_the_definition(facets, d):
     assert disjoint_simplex_pairs(K, d) == [
         (g, h) for i, g in enumerate(dfaces) for h in dfaces[i + 1:] if not set(g) & set(h)
     ]
+
+
+def test_pair_ids_match_the_quadratic_scan():
+    # the holder bitsets against every pair tested, in every dimension, on
+    # the seeded complexes and on wider ones over 12 vertices
+    rng = random.Random(41)
+    wide = [
+        complex_from_facets([rng.sample(range(12), rng.randint(2, 5)) for _ in range(rng.randint(3, 8))])
+        for _ in range(12)
+    ]
+    for K in random_complexes(seed=37, count=12) + wide + [skeleton_complex(8, 3)]:
+        for d in range(K.dim + 1):
+            index = K.pair_index(d)
+            assert index.ids == scanned_pair_ids(K, d)
+            assert index.pairs == tuple((index.faces[i], index.faces[j]) for i, j in index.ids)
+            for f in K.faces:
+                assert index.disjoint(f) == [
+                    i for i, g in enumerate(index.faces) if not set(f) & set(g)
+                ]
 
 
 def test_label_filter_subcomplex_counts():

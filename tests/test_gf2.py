@@ -30,7 +30,13 @@ from nervecert import (
     reverse_columns,
     skeleton_complex,
 )
-from oracles import brute_force_coboundary_rows, dense_gauss_jordan_gf2
+from oracles import (
+    brute_force_coboundary_rows,
+    dense_gauss_jordan_gf2,
+    matrix_from_rows,
+    matrix_rows,
+    union_find_rank,
+)
 
 
 def k4():
@@ -89,7 +95,7 @@ def solve_by_column(M: GF2Matrix, v: Cochain2):
     and the certificate's cochain and witness come back through it.
     """
     n = M.n_cols
-    engine_M = GF2Matrix(M.columns, tuple(reverse_columns(r, n) for r in M.rows))
+    engine_M = matrix_from_rows(M.columns, [reverse_columns(r, n) for r in matrix_rows(M)])
     cert = gf2_solve(engine_M, Cochain2(v.index, reverse_columns(v.bits, n)))
     witness = None if cert.witness is None else reverse_columns(cert.witness, n)
     cocycle = Cochain2(v.index, reverse_columns(cert.cocycle.bits, n))
@@ -119,7 +125,7 @@ def gf2_systems(draw):
     else:
         target = draw(vec)
     columns = tuple(((2 * j,), (2 * j + 1,)) for j in range(n_cols))
-    return GF2Matrix(columns, tuple(rows)), Cochain2(columns, target)
+    return matrix_from_rows(columns, rows), Cochain2(columns, target)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -131,25 +137,28 @@ def test_echelon_solver_matches_dense_gauss_jordan(system):
     assert outcome.vanishes == reference.vanishes
     assert outcome == reference  # rank and combination, or rank and witness
     span = {0}
-    for row in M.rows:
+    for row in matrix_rows(M):
         span |= {x ^ row for x in span}
     assert 1 << outcome.rank == len(span)
     assert rank == outcome.rank
 
 
-def sparse_gf2_system(rng: random.Random) -> tuple[GF2Matrix, Cochain2]:
+def sparse_gf2_system(rng: random.Random, tall: bool = False) -> tuple[GF2Matrix, Cochain2]:
     """A sparse system over 30-200 columns, shaped like the coboundary rows.
 
     Rows are 2-bit "chains" (two nearby columns, as on the torus, where
     reducing one row walks a long chain of pivots), 5-bit rows (as on a
     skeleton), duplicates of earlier rows and sums of two to four earlier
-    rows.  The target is a sum of rows half the time, else a sparse or a
-    dense vector.
+    rows.  A tall system has 4n to 8n rows, all chains, the shape of
+    Delta_{2d+2}^(d), where rows outnumber columns and nearly all of them
+    are dependent.  The target is a sum of rows half the time, else a
+    sparse or a dense vector.
     """
     n_cols = rng.randint(30, 200)
     rows: list[int] = []
-    for _ in range(rng.randint(n_cols // 2, 3 * n_cols)):
-        kind = rng.choice(["chain", "chain", "five", "duplicate", "dependent"])
+    low, high = (4 * n_cols, 8 * n_cols) if tall else (n_cols // 2, 3 * n_cols)
+    for _ in range(rng.randint(low, high)):
+        kind = "chain" if tall else rng.choice(["chain", "chain", "five", "duplicate", "dependent"])
         if kind == "duplicate" and rows:
             rows.append(rng.choice(rows))
         elif kind == "dependent" and len(rows) >= 2:
@@ -173,7 +182,7 @@ def sparse_gf2_system(rng: random.Random) -> tuple[GF2Matrix, Cochain2]:
     else:
         target = rng.getrandbits(n_cols)
     columns = tuple(((2 * j,), (2 * j + 1,)) for j in range(n_cols))
-    return GF2Matrix(columns, tuple(rows)), Cochain2(columns, target)
+    return matrix_from_rows(columns, rows), Cochain2(columns, target)
 
 
 def check_against_dense_gauss_jordan(M: GF2Matrix, v: Cochain2):
@@ -189,19 +198,28 @@ def test_sparse_systems_match_dense_gauss_jordan(seed):
     check_against_dense_gauss_jordan(*sparse_gf2_system(random.Random(seed)))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_tall_sparse_systems_match_dense_gauss_jordan(seed):
+    check_against_dense_gauss_jordan(*sparse_gf2_system(random.Random(seed), tall=True))
+
+
 def test_the_sparse_system_property_reaches_both_branches():
     # The same generator, seeded: the cochain must come out a coboundary
     # (a row combination) and outside the row space (a witness) often
     # enough, and some systems must reach full column rank, where the
-    # elimination stops before the last rows (72, 48 and 11 of 120).
+    # elimination stops before the last rows (72, 48 and 11 of 120).  Then
+    # 40 tall systems must reach both branches too.
     rng = random.Random(13)
     seen = Counter()
-    for _ in range(120):
-        M, v = sparse_gf2_system(rng)
+    for tall in [False] * 120 + [True] * 40:
+        M, v = sparse_gf2_system(rng, tall)
         outcome = check_against_dense_gauss_jordan(M, v)
-        seen["vanishes" if outcome.vanishes else "nonvanishing"] += 1
+        shape = "tall " if tall else ""
+        seen[shape + ("vanishes" if outcome.vanishes else "nonvanishing")] += 1
         seen["full rank"] += outcome.rank == M.n_cols
-    for what in ("vanishes", "nonvanishing", "full rank"):
+        seen["tall"] += tall and M.n_rows >= 4 * M.n_cols
+    for what in ("vanishes", "nonvanishing", "full rank", "tall", "tall vanishes", "tall nonvanishing"):
         assert seen[what] >= 10, seen
 
 
@@ -248,5 +266,29 @@ def test_coboundary_rows_match_the_definition(name, K, d):
     # the oracle's rows come in canonical (rho, tau) key order
     _keys, columns, rows = brute_force_coboundary_rows(K.facets(), d)
     n = M.n_cols
-    assert (M.columns, tuple(reverse_columns(r, n) for r in M.rows)) == (columns, rows)
+    assert (M.columns, tuple(reverse_columns(r, n) for r in matrix_rows(M))) == (columns, rows)
     assert M.columns is intersection_cocycle(K, d, moment_curve_placement(K, d)).index
+
+
+@pytest.mark.parametrize(
+    "name, K, d, rank",
+    [
+        ("Delta_4^(1)", skeleton_complex(4, 1), 1, 14),
+        ("Delta_6^(2)", skeleton_complex(6, 2), 2, 69),
+        ("Delta_8^(3)", skeleton_complex(8, 3), 3, 314),
+        ("Delta_10^(4)", skeleton_complex(10, 4), 4, 1385),
+        ("torus4", torus(4), 2, 304),
+        ("torus6", torus(6), 2, 2124),
+    ],
+)
+def test_rank_matches_union_find(name, K, d, rank):
+    # Every row of these systems has at most two ones: two on 2d + 3
+    # vertices (the parity argument of the van Kampen-Flores oracle), and on
+    # a surface each edge lies in at most two triangles.  The solve with
+    # the zero cochain never stops early, so it counts the rank in its own
+    # pass, in forward order; gf2_rank feeds the columns last pair first.
+    M = coboundary_matrix(K, d)
+    cocycle = intersection_cocycle(K, d, moment_curve_placement(K, d))
+    zero = Cochain2(M.columns, 0)
+    assert union_find_rank(M) == rank
+    assert gf2_rank(M) == gf2_solve(M, cocycle).rank == gf2_solve(M, zero).rank == rank
