@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
@@ -243,7 +244,7 @@ def _first_violated(rows, p: Point) -> int | None:
     D = lcm(*(x.denominator for x in p))
     nums = [x.numerator * (D // x.denominator) for x in p]
     for i, (row, bi) in enumerate(rows):
-        if sum(a * v for a, v in zip(row, nums)) * bi.denominator > bi.numerator * D:
+        if sum(map(mul, row, nums)) * bi.denominator > bi.numerator * D:
             return i
     return None
 
@@ -252,25 +253,26 @@ def _slack_dictionary(rows, m: int, extra, free: int) -> Dictionary:
     """The dictionary of a_i.x + e_i z + s_i = b_i over reduced rows, slacks basic.
 
     Variables: x_0..x_{m-1}, then z (id m) with coefficient ``extra[i]`` in
-    row i, then the slack s_i (id m + 1 + i); those below ``free`` are free.
-    Row i is scaled by the denominator of b_i, which makes it integral (a_i
-    is primitive) and primitive, with that denominator as its diagonal.
+    row i, then the slack scaled by den_i, the denominator of b_i (id
+    m + 1 + i); those below ``free`` are free.  Row i times den_i is
+    integral (a_i is primitive) with its slack at coefficient 1, so det = 1.
+    No caller reads a slack, and a positive column scale changes no sign
+    and no ratio order, so the pivots are those of the unscaled slacks.
     """
-    out, diag = [], []
+    out = []
     for (row, bi), e in zip(rows, extra):
         den = bi.denominator
         out.append([den * a for a in row] + [den * e, bi.numerator])
-        diag.append(den)
-    return Dictionary(out, diag, list(range(m + 1, m + 1 + len(rows))), list(range(m + 1)), free)
+    return Dictionary(out, 1, list(range(m + 1, m + 1 + len(rows))), list(range(m + 1)), free)
 
 
 def _feasibility_dictionary(P: HPolytope) -> Dictionary | None:
     """A feasible start for phase 1 over P's reduced rows, or None for a zero row.
 
-    The free x, then one artificial t >= 0 (id m), then the slacks.  t
-    enters with coefficient -1 only the rows with b_i < 0, so one pivot of t
-    into the row with the least b_i makes every slack nonnegative.  P is
-    empty iff the least t is nonzero; at t = 0 the feasible set is P.
+    The free x, then one artificial t >= 0 (id m), then the scaled slacks.
+    t enters only the rows with b_i < 0, at -1 before scaling, so one pivot
+    of t into the row with the least b_i makes every slack nonnegative.  P
+    is empty iff the least t is nonzero; at t = 0 the feasible set is P.
     """
     rows = P.reduced_rows
     if rows is None:

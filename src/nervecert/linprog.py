@@ -6,17 +6,20 @@ tolerances exist anywhere.  Also houses the exact Gauss solver used for
 square crossing systems.
 
 The simplex runs on an integer `Dictionary`, which stores only the
-nonbasic columns and one positive diagonal per row; row i stands for
-``diag[i] * x[basis[i]] + sum_c rows[i][c] * x[cols[c]] = rows[i][-1]``.
+nonbasic columns and one shared positive determinant ``det``; row i stands
+for ``det * x[basis[i]] + sum_c rows[i][c] * x[cols[c]] = rows[i][-1]``.
 Variables with ids below ``free`` are free and never split; the others are
-nonnegative.  A pivot is fraction-free (Edmonds 1967; Bareiss 1968): a
-pivot row with a negative pivot is negated, every other row becomes
-``p * row - f * pivot_row``, the entering column takes the leaving
-variable, and each row is divided by the gcd of its entries and its
-diagonal.  Each row stays a positive multiple of the row a rational
-dictionary would hold, so signs, ratio comparisons (by cross-multiplying)
-and zero tests are those of rational pivoting, and a value is
-``Fraction(rhs, diag)``.
+nonnegative.  A pivot is integer-preserving (Edmonds 1967; Bareiss 1968):
+a pivot row with a negative pivot p is negated, every other row becomes
+``(p * row - f * pivot_row) // det``, the entering column takes the leaving
+variable, and p is the new ``det``.  The division is exact: started at
+``det == 1``, a dictionary holds adj(B) M for its basis B of the starting
+integer matrix M, so every entry is a minor of M.  A pushed cost row is
+the row an augmented M would carry, and deleting columns deletes columns
+of M, so neither needs a gcd.  Each row is ``det`` times the row a
+rational dictionary would hold, so signs, ratio comparisons (by
+cross-multiplying) and zero tests are those of rational pivoting, and a
+value is ``Fraction(rhs, det)``.
 
 Bland's rule goes by variable id.  The least id with an improving reduced
 cost enters: a negative one, or for a free variable any nonzero one (it
@@ -93,25 +96,20 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [v // g for v in row]
 
 
-def _reduced(row: list[int], d: int) -> tuple[list[int], int]:
-    """A dictionary row and its diagonal, divided by the gcd of them all."""
-    g = gcd(d, *row)
-    return ([v // g for v in row], d // g) if g > 1 else (row, d)
-
-
 @dataclass(slots=True)
 class Dictionary:
     """An integer simplex dictionary; the module docstring says what a row means.
 
     ``rows`` holds the constraint rows and, while a cost is minimized, its
-    reduced-cost row last; ``diag`` has one positive entry per row,
-    ``basis`` one variable per constraint row, and ``cols`` the variable of
-    each stored column.  A cost row has the negated cost as its basic
-    variable, so the cost is ``-row[-1] / diag`` at the current basis.
+    reduced-cost row last; ``det`` is the coefficient of every row's basic
+    variable (there is no per-row diagonal), ``basis`` has one variable per
+    constraint row, and ``cols`` the variable of each stored column.  A cost
+    row has the negated cost as its basic variable, so the cost is
+    ``-row[-1] / det`` at the current basis.
     """
 
     rows: list[list[int]]
-    diag: list[int]
+    det: int
     basis: list[int]
     cols: list[int]
     free: int = 0
@@ -121,24 +119,25 @@ class Dictionary:
         if v not in self.basis:
             return ZERO
         i = self.basis.index(v)
-        return Fraction(self.rows[i][-1], self.diag[i])
+        return Fraction(self.rows[i][-1], self.det)
 
 
 def pivot(D: Dictionary, r: int, j: int) -> None:
-    """Fraction-free exchange of basis[r] with cols[j]."""
-    rows, diag = D.rows, D.diag
+    """Integer-preserving exchange of basis[r] with cols[j]."""
+    rows, det = D.rows, D.det
     prow = rows[r]
-    p, d = prow[j], diag[r]
+    p, d = prow[j], det
     if p < 0:
-        prow, p, d = [-v for v in prow], -p, -d
+        prow, p, d = [-v for v in prow], -p, -det
     for i, row in enumerate(rows):
         f = row[j]
         if f and i != r:
-            new = [p * a - f * b for a, b in zip(row, prow)]
-            new[j] = -f * d
-            rows[i], diag[i] = _reduced(new, p * diag[i])
+            rows[i] = new = [(p * a - f * b) // det for a, b in zip(row, prow)]
+            new[j] = -f * d // det
+        elif not f and p != det:
+            rows[i] = [p * a // det for a in row]
     prow[j] = d
-    rows[r], diag[r] = prow, p
+    rows[r], D.det = prow, p
     D.basis[r], D.cols[j] = D.cols[j], D.basis[r]
 
 
@@ -179,17 +178,12 @@ def _run_simplex(D: Dictionary) -> bool:
 
 
 def _push_cost(D: Dictionary, cost: dict[int, int]) -> None:
-    """Append the reduced-cost row of ``cost`` against the basis, and its diagonal."""
-    rows, diag = D.rows, D.diag
-    basic = [(i, c) for i, v in enumerate(D.basis) if (c := cost.get(v))]
-    scale = lcm(*(diag[i] for i, _ in basic))
-    obj = [scale * cost.get(v, 0) for v in D.cols] + [0]
-    for i, c in basic:
-        f = c * (scale // diag[i])
-        obj = [a - f * t for a, t in zip(obj, rows[i])]
-    obj, scale = _reduced(obj, scale)
-    rows.append(obj)
-    diag.append(scale)
+    """Append ``det`` times the reduced-cost row of ``cost`` against the basis."""
+    obj = [D.det * cost.get(v, 0) for v in D.cols] + [0]
+    for i, v in enumerate(D.basis):
+        if c := cost.get(v):
+            obj = [a - c * t for a, t in zip(obj, D.rows[i])]
+    D.rows.append(obj)
 
 
 def _optimal_face(D: Dictionary) -> None:
@@ -200,14 +194,12 @@ def _optimal_face(D: Dictionary) -> None:
     columns at zero.
     """
     obj = D.rows.pop()
-    D.diag.pop()
     keep = [j for j in range(len(D.cols)) if not obj[j]]
     if len(keep) == len(D.cols):
         return
     D.cols = [D.cols[j] for j in keep]
     keep.append(-1)
-    for i, row in enumerate(D.rows):
-        D.rows[i], D.diag[i] = _reduced([row[j] for j in keep], D.diag[i])
+    D.rows = [[row[j] for j in keep] for row in D.rows]
 
 
 def lex_stages(D: Dictionary, costs: list[dict[int, int]]):
@@ -251,7 +243,7 @@ def face_minimum(D: Dictionary, c: dict[int, int]) -> Fraction | None:
     """
     _push_cost(D, c)
     bounded = _run_simplex(D)
-    least = Fraction(-D.rows.pop()[-1], D.diag.pop())
+    least = Fraction(-D.rows.pop()[-1], D.det)
     return least if bounded else None
 
 
@@ -289,7 +281,7 @@ def solve_lp(
     # Variables: per original variable one or two standard ones, one slack
     # per inequality, then one artificial per row, basic in its row.  One
     # common scale turns every row into integers, so slacks and artificials
-    # carry it.
+    # carry it, and the dictionary starts at det = 1.
     split: list[tuple[int, int]] = []  # (variable, sign)
     for j in range(n):
         split.append((j, 1))
@@ -298,14 +290,12 @@ def solve_lp(
     rows, scale = _integer_rows(row + [b] for row, b in zip(A_ub + A_eq, b_ub + b_eq))
     m, nslack = len(rows), len(A_ub)
     n_std = len(split) + nslack
-    D = Dictionary([], [], list(range(n_std, n_std + m)), list(range(n_std)))
+    D = Dictionary([], 1, list(range(n_std, n_std + m)), list(range(n_std)))
     for i, row in enumerate(rows):
         std = [row[j] * s for j, s in split] + [0] * nslack + [row[-1]]
         if i < nslack:
             std[len(split) + i] = scale
-        std, d = _reduced([-v for v in std] if row[-1] < 0 else std, scale)
-        D.rows.append(std)
-        D.diag.append(d)
+        D.rows.append([-v for v in std] if row[-1] < 0 else std)
 
     # Phase 1's face is the feasible set: every artificial is zero on it, so
     # the artificials it keeps (basic at level zero, or priced zero) and any

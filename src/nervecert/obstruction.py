@@ -112,9 +112,16 @@ class Placement:
 
 
 def _interleave(g: list[int], h: list[int]) -> int:
-    """1 iff the sorted, disjoint rank lists g and h alternate when merged."""
-    starts = sorted(g + h)[::2]  # every other vertex, from the lowest
-    return int(starts == g or starts == h)
+    """1 iff the sorted, disjoint, nonnegative rank lists g and h, of one
+    length, alternate: with g the one that starts lower, h[k-1] < g[k] < h[k]."""
+    if h[0] < g[0]:
+        g, h = h, g
+    prev = -1
+    for a, b in zip(g, h):
+        if not prev < a < b:
+            return 0
+        prev = b
+    return 1
 
 
 def moment_curve_placement(K: SimplicialComplex, d: int, params=None) -> Placement:

@@ -25,7 +25,9 @@ given hull predicate (Fourier-Motzkin keeps it off the simplex), the
 inscribed ball goes through one two-phase solve per lexicographic stage
 (the solves the one-tableau driver replaced), and a body's box bound goes
 through one two-phase solve per coordinate and side (the solves the
-one-tableau box replaced).
+one-tableau box replaced), and each integer pivot is checked against the
+same pivot of a rational reference dictionary, by Fractions with no
+integer division.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import nervecert.convex
+import nervecert.linprog
 from nervecert.complexes import (
     barycentric_subdivision,
     canonical_faces,
@@ -297,6 +301,51 @@ def fm_hulls_intersect(a_pts, b_pts) -> bool:
         rows.append([-ONE if i == k else ZERO for i in range(len(free))])
         rhs.append(ZERO)
     return fm_feasible(rows, rhs)
+
+
+def rational_pivot(rows, r: int, j: int) -> list[list[Fraction]]:
+    """The rows of a rational dictionary after exchanging basis[r] with cols[j].
+
+    Row i stands for ``x[basis[i]] + sum_c rows[i][c] * x[cols[c]] = rows[i][-1]``:
+    the pivot row is divided by its pivot a, and every other row loses f
+    times it, its entry in column j becoming -f / a.
+    """
+    a = rows[r][j]
+    prow = [v / a for v in rows[r]]
+    prow[j] = 1 / a
+    out = []
+    for i, row in enumerate(rows):
+        if i == r:
+            out.append(prow)
+            continue
+        f = row[j]
+        new = [v - f * w for v, w in zip(row, prow)]
+        new[j] = -f / a
+        out.append(new)
+    return out
+
+
+def checked_pivots(monkeypatch) -> list[tuple[int, int]]:
+    """Check every integer pivot against `rational_pivot`; returns the pivots seen.
+
+    Patches ``pivot`` in `linprog` and in `convex`, which imports it by
+    name.  Before each pivot the integer rows are divided by ``det`` into a
+    rational reference; after it, each row must be the new ``det`` times
+    the reference row, entry for entry, so no floor division ever rounded.
+    """
+    real = nervecert.linprog.pivot
+    seen: list[tuple[int, int]] = []
+
+    def checked(D, r, j):
+        reference = rational_pivot([[Fraction(v, D.det) for v in row] for row in D.rows], r, j)
+        real(D, r, j)
+        seen.append((r, j))
+        assert D.det > 0
+        assert D.rows == [[D.det * v for v in row] for row in reference], (r, j)
+
+    monkeypatch.setattr(nervecert.linprog, "pivot", checked)
+    monkeypatch.setattr(nervecert.convex, "pivot", checked)
+    return seen
 
 
 def staged_inscribed_ball(P: HPolytope) -> tuple[Fraction, Point]:

@@ -284,7 +284,7 @@ def test_lex_stages_match_fixed_re_solves():
     # as the dictionary of the feasible basis (s1, s2, x), nonbasic y and s3:
     # stage 1's face is the cut, stage 2 picks its x-least end.
     D = Dictionary(
-        [[-1, 1, 1], [1, 0, 2], [1, -1, 1]], [1, 1, 1], [2, 3, 0], [1, 4]
+        [[-1, 1, 1], [1, 0, 2], [1, -1, 1]], 1, [2, 3, 0], [1, 4]
     )
     stages = lex_stages(D, [{0: 1, 1: 1}, {0: 1}])
     assert next(stages) == OPTIMAL and D.value(0) + D.value(1) == 1
@@ -299,5 +299,5 @@ def test_lex_stages_report_an_unbounded_stage_and_stop():
     # The ray x = y >= 0, as the row x - y = 0 with x basic: a zero first
     # stage keeps all of it, min -y runs off along it, and the third stage
     # never runs.
-    stages = list(lex_stages(Dictionary([[-1, 0]], [1], [0], [1]), [{}, {1: -1}, {0: 1}]))
+    stages = list(lex_stages(Dictionary([[-1, 0]], 1, [0], [1]), [{}, {1: -1}, {0: 1}]))
     assert stages == [OPTIMAL, UNBOUNDED]

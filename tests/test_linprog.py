@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import nervecert.linprog
@@ -19,7 +19,7 @@ from nervecert.linprog import (
     lex_stages,
     solve_lp,
 )
-from oracles import fm_feasible
+from oracles import checked_pivots, fm_feasible
 
 
 def test_basic_maximization():
@@ -246,8 +246,9 @@ def test_beale_cycling_lp_terminates_at_its_optimum(monkeypatch, slacks_first):
     # reach it with the slacks numbered after the decision variables or before.
     decision, slack = ([3, 4, 5, 6], [0, 1, 2]) if slacks_first else ([0, 1, 2, 3], [4, 5, 6])
     D = Dictionary(
-        [[25, -6000, -4, 900, 0], [25, -4500, -1, 150, 0], [0, 0, 1, 0, 1]],
-        [100, 50, 1],
+        [[1250, -300000, -200, 45000, 0], [2500, -450000, -100, 15000, 0],
+         [0, 0, 5000, 0, 5000]],
+        5000,
         list(slack),
         list(decision),
     )
@@ -331,6 +332,24 @@ def test_lp_status_and_optimum_agree_with_fourier_motzkin(lp):
         assert not fm_feasible(rows + [better], rhs + [margin])
     if res.status == UNBOUNDED:
         assert fm_feasible(rows + [better], rhs + [-(10**6)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lp_instances())
+def test_every_pivot_of_the_random_lps_is_exact(lp):
+    # The LPs above; `checked_pivots` asserts after each integer pivot that
+    # it equals Fraction pivoting.
+    with pytest.MonkeyPatch.context() as patch:
+        pivots = checked_pivots(patch)
+        solve_lp(**lp)
+    event(f"pivoted: {bool(pivots)}")
+
+
+@pytest.mark.parametrize("kwargs, expected", PINNED)
+def test_every_pivot_of_the_pinned_lps_is_exact(monkeypatch, kwargs, expected):
+    pivots = checked_pivots(monkeypatch)
+    assert solve_lp(**kwargs).x == tuple(Fraction(v) for v in expected)
+    assert pivots
 
 
 @st.composite

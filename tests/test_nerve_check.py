@@ -33,6 +33,7 @@ from nervecert import (
     SimplicialComplex,
     UnboundedPolytopeError,
     complex_from_facets,
+    inscribed_ball,
     nerve_exhaustive,
     nerve_matches,
     verify_witness_membership,
@@ -41,7 +42,7 @@ from nervecert import (
 from nervecert.complexes import barycentric_subdivision
 from nervecert.fileio import family_from_doc
 from conftest import clustered_family, random_family
-from oracles import staged_inscribed_ball
+from oracles import checked_pivots, staged_inscribed_ball
 
 DATA = Path(__file__).parent / "data"
 
@@ -280,3 +281,19 @@ def test_the_walk_pivots_on_rows_of_the_nonbasic_columns(monkeypatch, name, pivo
     assert mismatched == name.startswith("missing_face")
     assert len(calls) == pivots
     assert max(widths) <= F.ambient + 2
+
+
+def test_every_pivot_of_a_mismatched_walk_is_exact(monkeypatch):
+    # The walk's radius stages, box bounds and pair phase 1s up to its
+    # missing face, then every body's whole ball, coordinate stages too,
+    # each pivot checked against Fraction pivoting.
+    F, K = sd_of("missing_face_d2_seed11.json")
+    pivots = checked_pivots(monkeypatch)
+    with pytest.raises(NerveMismatchError):
+        witness_points(F, K)
+    assert len(pivots) == 307
+    for label in F.labels():
+        ball = staged_inscribed_ball(F.body(label))
+        walked = len(pivots)
+        assert inscribed_ball(F.body(label)) == ball
+        assert len(pivots) > walked
