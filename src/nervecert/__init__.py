@@ -50,7 +50,6 @@ from .obstruction import (
     intersection_cocycle,
     moment_curve_placement,
     obstruction_vanishes,
-    reverse_columns,
 )
 from .witness import (
     WitnessMap,

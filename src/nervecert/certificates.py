@@ -20,6 +20,7 @@ from .fileio import (
     _require,
     complex_from_doc,
     complex_to_doc,
+    facet_dim,
     family_from_doc,
     family_to_doc,
     format_point,
@@ -31,11 +32,11 @@ from .nerve import ConvexFamily, NerveMatch, check_labels
 from .obstruction import (
     ObstructionCertificate,
     Placement,
+    check_placement_dim,
     coboundary_matrix,
     gf2_rank,
     intersection_cocycle,
     moment_curve_placement,
-    reverse_columns,
 )
 
 NERVE_MISMATCH = "NERVE_MISMATCH"
@@ -171,22 +172,18 @@ def vkf_demo_cert(
 def obstruction_report_cert(
     K: SimplicialComplex, d: int, placement: Placement, cert: ObstructionCertificate
 ) -> dict:
-    n_pairs = len(cert.cocycle.index)
     return {
         "kind": OBSTRUCTION_REPORT,
         "vanishes": cert.vanishes,
         "complex": complex_to_doc(K),
         "d": d,
         "params": _params_to_doc(placement),
-        "cocycle": _bits_to_hex(reverse_columns(cert.cocycle.bits, n_pairs)),
-        "n_pairs": n_pairs,
+        "cocycle": _bits_to_hex(cert.cocycle.bits),
+        "n_pairs": len(cert.cocycle.index),
         "rank": cert.rank,
         "n_rows": cert.n_rows,
         "combination": None if cert.combination is None else _bits_to_hex(cert.combination),
-        "witness": (
-            None if cert.witness is None
-            else _bits_to_hex(reverse_columns(cert.witness, n_pairs))
-        ),
+        "witness": None if cert.witness is None else _bits_to_hex(cert.witness),
     }
 
 
@@ -281,6 +278,7 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
         return False, "simplices share a vertex"
     if len(gamma) != d + 1 or len(delta) != d + 1:
         return False, "simplices do not have dimension d"
+    check_placement_dim(facet_dim(doc["complex"]), d)  # before the closure: 2^n faces per facet
     K, _ = complex_from_doc(doc["complex"])
     if not (K.has_face(gamma) and K.has_face(delta)):
         return False, "pair is not a pair of complex faces"
@@ -302,9 +300,10 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
 
 
 def _recheck_obstruction(doc) -> tuple[bool, str]:
-    K, _ = complex_from_doc(doc["complex"])
     d = _int_field(doc["d"], "'d'")
     _require(d >= 1, "'d' must be a positive integer")
+    check_placement_dim(facet_dim(doc["complex"]), d)  # before the closure: 2^n faces per facet
+    K, _ = complex_from_doc(doc["complex"])
     n_pairs = _int_field(doc["n_pairs"], "'n_pairs'")
     n_rows = _int_field(doc["n_rows"], "'n_rows'")
     rank = _int_field(doc["rank"], "'rank'")
@@ -325,17 +324,14 @@ def _recheck_obstruction(doc) -> tuple[bool, str]:
     cocycle = intersection_cocycle(K, d, placement)
     if len(cocycle.index) != n_pairs:
         return False, "pair index size disagrees"
-    if reverse_columns(cocycle.bits, n_pairs) != stated_cocycle:
+    if cocycle.bits != stated_cocycle:
         return False, "recomputed cocycle disagrees"
     M = coboundary_matrix(K, d)
     if M.n_rows != n_rows:
         return False, "coboundary row count disagrees"
     if proof >> size:
         raise ParseError(f"'{used}' has a bit at or above {what} = {size}")
-    if vanishes:
-        combination, witness = proof, None
-    else:
-        combination, witness = None, reverse_columns(proof, n_pairs)
+    combination, witness = (proof, None) if vanishes else (None, proof)
     cert = ObstructionCertificate(vanishes, cocycle, rank, n_rows, combination, witness)
     if not cert.verify(M):
         return False, "certificate fails against the rebuilt system"

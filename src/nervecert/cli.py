@@ -50,6 +50,7 @@ from .fileio import (
     complex_from_doc,
     complex_to_doc,
     document_to_text,
+    facet_dim,
     family_from_doc,
     load_document,
     parse_point,
@@ -57,7 +58,7 @@ from .fileio import (
     sd_to_doc,
 )
 from .nerve import nerve_helly
-from .obstruction import moment_curve_placement, obstruction_vanishes
+from .obstruction import check_placement_dim, moment_curve_placement, obstruction_vanishes
 from .witness import (
     assemble_witness_map,
     verify_remote_disjointness,
@@ -150,7 +151,9 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_vk(args) -> int:
-    K, _ = complex_from_doc(load_document(args.complex))
+    doc = load_document(args.complex)
+    check_placement_dim(facet_dim(doc), args.d)  # before the closure: 2^n faces per facet
+    K, _ = complex_from_doc(doc)
     placement = moment_curve_placement(K, args.d, _parse_params(args.params))
     cert = obstruction_vanishes(K, args.d, placement)
     weight = cert.cocycle.weight
@@ -163,14 +166,16 @@ def cmd_vk(args) -> int:
 
 def cmd_certificate(args) -> int:
     F = family_from_doc(load_document(args.family))
-    L, _ = complex_from_doc(load_document(args.complex))
+    L_doc = load_document(args.complex)
+    dim = facet_dim(L_doc)  # checked before the closure is built
     d = args.d
     if d < 1:
         raise ParseError("d must be at least 1")
-    if L.dim != d:
-        raise ParseError(f"source complex has dimension {L.dim}, expected {d}")
+    if dim != d:
+        raise ParseError(f"source complex has dimension {dim}, expected {d}")
     if F.ambient != 2 * d:
         raise ParseError(f"family ambient is {F.ambient}, expected 2d = {2 * d}")
+    L, _ = complex_from_doc(L_doc)
     K = barycentric_subdivision(L).complex
     face = pt = stage = None
     if args.corrupt_witness:

@@ -32,8 +32,9 @@ unique, so none of it depends on the pivot path.
   coordinate stages as a call; the nerve walk runs them only once every
   face has passed.
 
-`solve_lp` serves only `hulls_intersect`, whose inputs are point sets
-(V-hulls), not H-systems.
+Point sets (V-hulls) share one weight system (`_hull_system`):
+`hulls_intersect` hands it to `solve_lp`, and `crossing`, for two
+d-simplices in R^2d, to `gauss_solve`.
 """
 
 from __future__ import annotations
@@ -266,6 +267,18 @@ def _slack_dictionary(rows, m: int, extra, free: int) -> Dictionary:
     return Dictionary(out, 1, list(range(m + 1, m + 1 + len(rows))), list(range(m + 1)), free)
 
 
+def _started(D: Dictionary, j: int) -> Dictionary:
+    """D after a pivot of column j into the first row of least rhs / |entry| where entry != 0."""
+    best = None
+    for i, row in enumerate(D.rows):
+        e = abs(row[j])
+        if e and (best is None or row[-1] * best_e < best_rhs * e):
+            best, best_e, best_rhs = i, e, row[-1]
+    if best is not None:
+        pivot(D, best, j)
+    return D
+
+
 def _feasibility_dictionary(P: HPolytope) -> Dictionary | None:
     """A feasible start for phase 1 over P's reduced rows, or None for a zero row.
 
@@ -278,12 +291,7 @@ def _feasibility_dictionary(P: HPolytope) -> Dictionary | None:
     if rows is None:
         return None
     m = P.ambient
-    D = _slack_dictionary(rows, m, [-1 if bi < 0 else 0 for _, bi in rows], m)
-    if rows:
-        low = min(range(len(rows)), key=lambda i: rows[i][1])
-        if rows[low][1] < 0:
-            pivot(D, low, m)
-    return D
+    return _started(_slack_dictionary(rows, m, [-1 if bi < 0 else 0 for _, bi in rows], m), m)
 
 
 def polytope_is_empty(P: HPolytope) -> bool:
@@ -343,16 +351,7 @@ def inscribed_radius(P: HPolytope) -> tuple[Fraction, Callable[[], Point]]:
     rows = P.reduced_rows
     if rows is None:
         raise EmptyPolytopeError("polytope is empty")
-    D = _slack_dictionary(rows, m, [sum(map(abs, row)) for row, _ in rows], m + 1)
-    if rows:
-        # row i reads (den_i a_i).x + (den_i ||a_i||_1) r <= num_i: compare
-        # b_i / ||a_i||_1 by cross-multiplying, the first least row winning
-        ints = D.rows
-        tight = 0
-        for i in range(1, len(ints)):
-            if ints[i][-1] * ints[tight][m] < ints[tight][-1] * ints[i][m]:
-                tight = i
-        pivot(D, tight, m)
+    D = _started(_slack_dictionary(rows, m, [sum(map(abs, row)) for row, _ in rows], m + 1), m)
     stages = lex_stages(D, [{m: -1}] + [{j: 1} for j in range(m)])
     if next(stages) == UNBOUNDED:
         raise UnboundedPolytopeError("inscribed radius is unbounded")
@@ -386,38 +385,33 @@ def canonical_point(P: HPolytope) -> Point:
     return inscribed_ball(P)[1]
 
 
+def _hull_system(a_pts, b_pts, a_name: str, b_name: str, both: str):
+    """Checked points a, b, and the rows and rhs of P lam - Q mu = 0, sum lam = sum mu = 1."""
+    a = _check_points(a_pts, a_name)
+    b = _check_points(b_pts, b_name)
+    m = len(a[0])
+    if len(b[0]) != m:
+        raise DimensionMismatchError(f"{both} live in different ambient dimensions")
+    rows = [[p[k] for p in a] + [-q[k] for q in b] for k in range(m)]
+    rows.append([ONE] * len(a) + [ZERO] * len(b))
+    rows.append([ZERO] * len(a) + [ONE] * len(b))
+    return a, b, rows, [ZERO] * m + [ONE, ONE]
+
+
 def _check_points(pts, name: str) -> list[Point]:
     pts = [make_point(p) for p in pts]
     if not pts:
         raise ValueError(f"{name} needs at least one point")
-    ambient = len(pts[0])
-    for p in pts:
-        if len(p) != ambient:
-            raise DimensionMismatchError(f"{name} mixes ambient dimensions")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise DimensionMismatchError(f"{name} mixes ambient dimensions")
     return pts
 
 
 def hulls_intersect(a_pts, b_pts) -> bool:
     """Exact test conv(a_pts) n conv(b_pts) != {} via LP feasibility."""
-    a = _check_points(a_pts, "first hull")
-    b = _check_points(b_pts, "second hull")
-    if len(a[0]) != len(b[0]):
-        raise DimensionMismatchError("hulls live in different ambient dimensions")
-    m = len(a[0])
-    na, nb = len(a), len(b)
-    A_eq = []
-    b_eq = []
-    for k in range(m):
-        A_eq.append([p[k] for p in a] + [-q[k] for q in b])
-        b_eq.append(ZERO)
-    A_eq.append([ONE] * na + [ZERO] * nb)
-    b_eq.append(ONE)
-    A_eq.append([ZERO] * na + [ONE] * nb)
-    b_eq.append(ONE)
-    res = solve_lp(
-        [ZERO] * (na + nb), A_eq=A_eq, b_eq=b_eq, nonneg=[True] * (na + nb)
-    )
-    return res.status == OPTIMAL
+    _, _, rows, rhs = _hull_system(a_pts, b_pts, "first hull", "second hull", "hulls")
+    n = len(rows[0])
+    return solve_lp([ZERO] * n, A_eq=rows, b_eq=rhs, nonneg=[True] * n).status == OPTIMAL
 
 
 @dataclass(frozen=True)
@@ -436,11 +430,8 @@ def crossing(sigma_pts, tau_pts) -> Crossing:
     as do disjoint affine hulls.  Degenerate data (overlapping hulls of the
     wrong dimension, or a boundary intersection) raises GenericityError.
     """
-    s = _check_points(sigma_pts, "sigma")
-    t = _check_points(tau_pts, "tau")
+    s, t, M, rhs = _hull_system(sigma_pts, tau_pts, "sigma", "tau", "simplices")
     ambient = len(s[0])
-    if len(t[0]) != ambient:
-        raise DimensionMismatchError("simplices live in different ambient dimensions")
     if ambient % 2 != 0 or ambient == 0:
         raise DimensionMismatchError(f"ambient dimension must be 2d, got {ambient}")
     d = ambient // 2
@@ -448,16 +439,6 @@ def crossing(sigma_pts, tau_pts) -> Crossing:
         raise DimensionMismatchError(
             f"need d+1 = {d + 1} points per simplex, got {len(s)} and {len(t)}"
         )
-    ns, nt = len(s), len(t)
-    M = []
-    rhs = []
-    for k in range(ambient):
-        M.append([p[k] for p in s] + [-q[k] for q in t])
-        rhs.append(ZERO)
-    M.append([ONE] * ns + [ZERO] * nt)
-    rhs.append(ONE)
-    M.append([ZERO] * ns + [ONE] * nt)
-    rhs.append(ONE)
     kind, z = gauss_solve(M, rhs)
     if kind == "inconsistent":
         return Crossing(0, None)
@@ -470,9 +451,7 @@ def crossing(sigma_pts, tau_pts) -> Crossing:
             "intersection lies on a simplex boundary; perturb the placement and retry"
         )
     if all(v > 0 for v in z):
-        point = tuple(
-            sum((z[i] * s[i][k] for i in range(ns)), ZERO) for k in range(ambient)
-        )
+        point = tuple(sum((w * p[k] for w, p in zip(z, s)), ZERO) for k in range(ambient))
         return Crossing(1, point)
     return Crossing(0, None)
 

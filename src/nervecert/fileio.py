@@ -121,13 +121,26 @@ def complex_to_doc(
     return doc
 
 
-def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
+def _facets(doc) -> list:
     _require(isinstance(doc, dict), "complex document must be an object")
     _require("facets" in doc, "complex document needs a 'facets' list")
-    facets = doc["facets"]
-    _require(isinstance(facets, list), "'facets' must be a list")
+    _require(isinstance(doc["facets"], list), "'facets' must be a list")
+    return doc["facets"]
+
+
+def facet_dim(doc) -> int:
+    """The largest facet's size less one, before any of the 2^n faces is built.
+
+    That is the dimension of a well-formed document; `complex_from_doc` checks the labels.
+    """
+    facets = _facets(doc)
+    _require(all(isinstance(f, list) for f in facets), "facet must be a list")
+    return max(map(len, facets), default=0) - 1
+
+
+def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
     try:
-        K = complex_from_facets([_int_list(f, "facet") for f in facets])
+        K = complex_from_facets([_int_list(f, "facet") for f in _facets(doc)])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     labels = None

@@ -9,15 +9,16 @@ closes larger faces combinatorially (`helly_closed`) -- in R^m a family has
 a common point exactly when every m+1 of its members do.  A pair is first
 tried by its exact bounding boxes (`convex.boxes_disjoint`), which settle
 most disjoint pairs without a pair LP.  A body's bounds are computed only
-as the scan reads them, on the feasibility dictionary that already decided
-the body's own vertex, since a one-body face system is the body itself
+as the scan reads them, on its feasibility dictionary: here the one that
+decided its own vertex, since a one-body face system is the body itself
 (`subfamily_polytope`).  The walk costs about the nerve's faces times the
 bodies, so the body count is not capped.
 
 The certificate pipeline does not enumerate: `witness.witness_points`
 walks the claimed complex and stops at the first mismatch.  A candidate
 outside the claim gets the same test as here; a claimed face is decided by
-the radius stage of its inscribed ball.
+the radius stage of its inscribed ball.  A body's vertex is such a face, so
+there the body's first bound read builds it a second dictionary.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ exact barycentric solve in `convex.crossing` returns.
 
 Unordered-pair indexing bakes the swap symmetry of the deleted product into
 the data; bit vectors are plain ints, so elimination is ordinary integer
-xor.  Every GF(2) vector over the pair index (the cocycle and the witness)
-keeps column j at bit n-1-j.  Only `reverse_columns` knows this layout;
-certificate documents keep column j at bit j and convert through it.  The
-pair index is found once per complex and dimension
+xor.  The cocycle and the witness keep pair j at bit j, as certificate
+documents do; they are only read column by column.  Only the combination,
+over rows, is turned round (`reverse_columns`), since the column ints hold
+the rows in reverse.  The pair index is found once per complex and dimension
 (`SimplicialComplex.pair_index`); the cocycle and the coboundary system
 both read it by face position, and both carry its one tuple of pairs.
 
@@ -124,18 +124,21 @@ def _interleave(g: list[int], h: list[int]) -> int:
     return 1
 
 
+def check_placement_dim(dim: int, d: int) -> None:
+    """Refuse d < 1, or a complex of dimension above d, before it is placed."""
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    if dim > d:
+        raise ValueError(f"complex has dimension {dim}, placement expects dimension <= {d}")
+
+
 def moment_curve_placement(K: SimplicialComplex, d: int, params=None) -> Placement:
     """Place each vertex at (t, t^2, ..., t^2d); parameters must be distinct.
 
     ``params`` is a mapping vertex -> rational or a sequence aligned with the
     sorted vertex list; the default is 1..n.
     """
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    if K.dim > d:
-        raise ValueError(
-            f"complex has dimension {K.dim}, placement expects dimension <= {d}"
-        )
+    check_placement_dim(K.dim, d)
     verts = sorted(K.vertices)
     if params is None:
         assigned = {v: Fraction(i + 1) for i, v in enumerate(verts)}
@@ -159,8 +162,8 @@ def moment_curve_placement(K: SimplicialComplex, d: int, params=None) -> Placeme
 def reverse_columns(bits: int, n: int) -> int:
     """Swap column j between bit j and bit n-1-j of an n-column vector.
 
-    An involution: it maps a document's vector (column j at bit j) to the
-    engine's (column j at bit n-1-j) and back.  ``bits`` must be below 2**n.
+    An involution: it maps the combination from the column ints' row order
+    (row i at bit n-1-i) to the document's (row i at bit i) and back.
     """
     if bits >> n:
         raise ValueError(f"vector has a bit at or above its {n} columns")
@@ -171,7 +174,7 @@ def reverse_columns(bits: int, n: int) -> int:
 class Cochain2:
     """A mod-2 vector over the canonically ordered disjoint d-pair index.
 
-    Column j is bit n-1-j of ``bits`` (module docstring).
+    Column j is bit j of ``bits``, as in the certificate documents.
     """
 
     index: tuple[PairKey, ...]
@@ -213,11 +216,10 @@ def intersection_cocycle(K: SimplicialComplex, d: int, placement: Placement) -> 
     pair_index = K.pair_index(d)
     rank = placement.ranks
     ranks = [sorted(rank[v] for v in f) for f in pair_index.faces]
-    top = len(pair_index.ids) - 1
     bits = 0
     for pos, (i, j) in enumerate(pair_index.ids):
         if _interleave(ranks[i], ranks[j]):
-            bits |= 1 << (top - pos)
+            bits |= 1 << pos
     return Cochain2(pair_index.pairs, bits)
 
 
@@ -293,12 +295,12 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> ObstructionCertificate:
     Bit 0 of each column carries v at that column, and the columns are
     eliminated in order (module docstring): the combination is
     back-substituted over the pivots, or the witness, like v with column j
-    at bit n-1-j, is rebuilt from them and the rank comes from `gf2_rank`.
+    at bit j, is rebuilt from them and the rank comes from `gf2_rank`.
     """
     if v.index != M.columns:
         raise ValueError("cochain index disagrees with the matrix columns")
     n = M.n_cols
-    cols = [c | 1 if b == "1" else c for c, b in zip(M.cols, format(v.bits, f"0{n}b"))]
+    cols = [c | 1 if b == "1" else c for c, b in zip(M.cols, reversed(format(v.bits, f"0{n}b")))]
     pivots, sources, free = _echelon(cols)
     if free is None:
         # A pivot's key is its top bit, so in ascending key order (the last
@@ -320,11 +322,11 @@ def gf2_solve(M: GF2Matrix, v: Cochain2) -> ObstructionCertificate:
         key = r.bit_length() - 1
         r ^= pivots[key]
         odd.add(key)
-    witness = 1 << n - 1 - free
+    witness = 1 << free
     for key, idx in zip(reversed(pivots), reversed(sources)):
         if key not in odd:
             continue
-        witness |= 1 << n - 1 - idx
+        witness |= 1 << idx
         r = cols[idx] ^ pivots[key]
         while r:
             top = r.bit_length() - 1
@@ -357,12 +359,12 @@ class ObstructionCertificate:
             if self.combination >> M.n_rows:
                 return False
             x = reverse_columns(self.combination, M.n_rows) << 1
-            bits = format(self.cocycle.bits, f"0{n}b")
+            bits = reversed(format(self.cocycle.bits, f"0{n}b"))
             return all((c & x).bit_count() & 1 == (b == "1") for c, b in zip(M.cols, bits))
         if self.witness >> n:
             return False
         acc = 0
-        for c in compress(M.cols, map("1".__eq__, format(self.witness, f"0{n}b"))):
+        for c in compress(M.cols, map("1".__eq__, reversed(format(self.witness, f"0{n}b")))):
             acc ^= c
         return not acc and bool((self.cocycle.bits & self.witness).bit_count() & 1)
 

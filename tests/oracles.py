@@ -476,7 +476,7 @@ def scanned_pair_ids(K, d: int) -> list[tuple[int, int]]:
 
 
 def matrix_from_rows(columns, rows) -> GF2Matrix:
-    """The `GF2Matrix` whose row i is ``rows[i]``, column j at bit n-1-j.
+    """The `GF2Matrix` whose row i is ``rows[i]``, column j at bit j.
 
     The engine keeps no row view; this transposes into its column layout
     (row i at bit n_rows - i of each column).  `matrix_rows` inverts it.
@@ -484,17 +484,17 @@ def matrix_from_rows(columns, rows) -> GF2Matrix:
     n, n_rows = len(columns), len(rows)
     if not (n and n_rows):
         return GF2Matrix(tuple(columns), n_rows, (0,) * n)
-    text = [format(r, f"0{n}b") for r in rows]
+    text = [format(r, f"0{n}b")[::-1] for r in rows]
     cols = tuple(int("".join(col), 2) << 1 for col in zip(*text))
     return GF2Matrix(tuple(columns), n_rows, cols)
 
 
 def matrix_rows(M: GF2Matrix) -> tuple[int, ...]:
-    """The rows of M, column j at bit n-1-j of each (the `Cochain2` layout)."""
+    """The rows of M, column j at bit j of each (the `Cochain2` layout)."""
     if not (M.n_cols and M.n_rows):
         return (0,) * M.n_rows
     text = [format(c >> 1, f"0{M.n_rows}b") for c in M.cols]
-    return tuple(int("".join(row), 2) for row in zip(*text))
+    return tuple(int("".join(reversed(row)), 2) for row in zip(*text))
 
 
 def union_find_rank(M: GF2Matrix) -> int:

@@ -838,6 +838,51 @@ def test_module_entry_point_runs_vk(tmp_path, capsys):
     assert b"vanishes" in proc.stdout
 
 
+HUGE_COMPLEX = {"facets": [list(range(40))]}  # 2^40 faces in its closure
+PLACEMENT_REFUSAL = "complex has dimension 39, placement expects dimension <= 1"
+
+
+def _vk_huge(tmp_path, capsys) -> list[str]:
+    return ["vk", write(tmp_path / "huge.json", HUGE_COMPLEX), "-d", "1"]
+
+
+def _certificate_huge(tmp_path, capsys) -> list[str]:
+    fam = write(tmp_path / "fam.json", PATH_FAMILY)
+    return ["certificate", fam, write(tmp_path / "huge.json", HUGE_COMPLEX), "-d", "1"]
+
+
+def _recheck_huge(make, inner: bool = False):
+    def argv(tmp_path, capsys) -> list[str]:
+        doc = make(tmp_path, capsys)
+        (doc["obstruction"] if inner else doc)["complex"] = HUGE_COMPLEX
+        return ["recheck", write(tmp_path / "huge.json", doc)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_vk_huge, PLACEMENT_REFUSAL),
+        (_certificate_huge, "source complex has dimension 39, expected 1"),
+        (_recheck_huge(_vk_k5_cert), PLACEMENT_REFUSAL),
+        (_recheck_huge(_consistency_cert, inner=True), PLACEMENT_REFUSAL),
+        (_recheck_huge(_demo_cert), PLACEMENT_REFUSAL),
+    ],
+    ids=["vk", "certificate", "recheck-obstruction", "recheck-consistency", "recheck-vkf"],
+)
+def test_an_over_dimensional_facet_is_refused_before_its_closure(tmp_path, capsys, make, message):
+    # Each command that knows d compares the facet sizes with d + 1 before
+    # it builds a face, and prints what a small over-dimensional complex gets.
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(nervecert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nervecert", *make(tmp_path, capsys)],
+        capture_output=True, text=True, timeout=5,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
+        cwd=str(tmp_path),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_stdout_runs_are_byte_identical(tmp_path, capsys):
     fam = write(tmp_path / "fam.json", PATH_FAMILY)
     path = write(tmp_path / "path.json", PATH)
@@ -920,6 +965,45 @@ def test_vk_on_the_paper_skeleton_is_pinned_and_rechecks(tmp_path, capsys, d, ra
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     doc = load(out)
     assert (doc["rank"], doc["vanishes"]) == (rank, False)
+    code, stdout = run(capsys, "recheck", str(out))
+    assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+# `vkf-demo`, one exact crossing solve each: (arguments, first stdout line,
+# certificate sha256 as written before `crossing` shared its hull system
+# with `hulls_intersect`).
+VKF_PINNED = {
+    "d1": (
+        ["-d", "1"], "VKF_CERTIFICATE: [1, 3] and [2, 4] cross at (5/2, 7)",
+        "0040d68d11c48b67b9090c6fa12b694e27c888edb0f81ff2a473e3ebe2e12360",
+    ),
+    "d2": (
+        ["-d", "2"], "VKF_CERTIFICATE: [1, 3, 5] and [2, 4, 6] cross at (7/2, 27/2, 56, 246)",
+        "ab473a0a9e90dee5f072bc7e2312900738c49e83e720e3fa11768501e3f79ba0",
+    ),
+    "d3": (
+        ["-d", "3"],
+        "VKF_CERTIFICATE: [1, 3, 5, 7] and [2, 4, 6, 8] cross at "
+        "(9/2, 22, 459/4, 631, 3627, 21652)",
+        "f15daa2d98392ddadf6da73e7ac7a2f1154eca0c01881a596baea0c8b8ba1bff",
+    ),
+    "d2-params": (
+        ["-d", "2", "--params", "3,1/2,7,2,5,11/3,4"],
+        "VKF_CERTIFICATE: [1, 2, 5] and [3, 4, 6] cross at "
+        "(877/272, 379/34, 11149/272, 5467/34)",
+        "795e1c733e0f7180e917d7b5c1f71025e1af59bc37199b0abc67e21826ad0058",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VKF_PINNED))
+def test_vkf_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
+    args, first_line, digest = VKF_PINNED[name]
+    out = tmp_path / "vkf.json"
+    code, stdout = run(capsys, "vkf-demo", *args, "-o", str(out))
+    assert code == 3
+    assert stdout.splitlines()[0] == first_line
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     code, stdout = run(capsys, "recheck", str(out))
     assert code == 0 and stdout.startswith("confirmed"), stdout
 

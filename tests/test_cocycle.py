@@ -19,7 +19,6 @@ from nervecert import (
     complex_from_facets,
     intersection_cocycle,
     moment_curve_placement,
-    reverse_columns,
     skeleton_complex,
 )
 from nervecert.cli import main
@@ -58,8 +57,7 @@ def placed_subcomplexes(draw):
 def test_interleaving_cocycle_matches_the_gauss_solves(case):
     K, d, placement = case
     cocycle = intersection_cocycle(K, d, placement)
-    bits = reverse_columns(cocycle.bits, len(cocycle.index))  # column j at bit j
-    assert bits == gauss_crossing_cocycle_bits(K, d, placement)
+    assert cocycle.bits == gauss_crossing_cocycle_bits(K, d, placement)
 
 
 # (complex, d, params, number of pairs, cocycle as hex), captured from the
@@ -79,7 +77,7 @@ def test_pinned_cocycles(name):
     K, d, params, n_pairs, bits = PINNED[name]
     cocycle = intersection_cocycle(K, d, moment_curve_placement(K, d, params))
     assert len(cocycle.index) == n_pairs
-    assert format(reverse_columns(cocycle.bits, n_pairs), "x") == bits
+    assert format(cocycle.bits, "x") == bits
 
 
 def test_vkf_demo_refuses_an_interleaving_pair_the_solve_does_not_cross(monkeypatch):

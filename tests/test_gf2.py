@@ -2,16 +2,14 @@
 
 Both are checked against the oracles in ``oracles.py``: the dense
 Gauss-Jordan pass the echelon solver replaced, and coboundary rows read off
-the definition.  The oracles keep column j at bit j, as certificate
-documents do; the engine keeps it at bit n-1-j, so every vector crosses
-between the two through `reverse_columns`.
+the definition.  The oracles, the engine's cochains and witnesses, and the
+certificate documents all keep column j at bit j.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -27,9 +25,9 @@ from nervecert import (
     gf2_solve,
     intersection_cocycle,
     moment_curve_placement,
-    reverse_columns,
     skeleton_complex,
 )
+from nervecert.obstruction import reverse_columns
 from oracles import (
     brute_force_coboundary_rows,
     dense_gauss_jordan_gf2,
@@ -89,17 +87,8 @@ def test_reverse_columns_refuses_a_bit_past_the_columns(bits, n):
 
 
 def solve_by_column(M: GF2Matrix, v: Cochain2):
-    """gf2_solve and gf2_rank of a system with column j at bit j.
-
-    The rows and the cochain go into the engine through `reverse_columns`,
-    and the certificate's cochain and witness come back through it.
-    """
-    n = M.n_cols
-    engine_M = matrix_from_rows(M.columns, [reverse_columns(r, n) for r in matrix_rows(M)])
-    cert = gf2_solve(engine_M, Cochain2(v.index, reverse_columns(v.bits, n)))
-    witness = None if cert.witness is None else reverse_columns(cert.witness, n)
-    cocycle = Cochain2(v.index, reverse_columns(cert.cocycle.bits, n))
-    return replace(cert, cocycle=cocycle, witness=witness), gf2_rank(engine_M)
+    """gf2_solve and gf2_rank of one system."""
+    return gf2_solve(M, v), gf2_rank(M)
 
 
 @st.composite
@@ -224,10 +213,13 @@ def test_the_sparse_system_property_reaches_both_branches():
 
 
 # (complex, d, params, vanishes, rank, combination or witness as hex),
-# captured from the dense solver
+# captured from the dense solver.  The all-ones witnesses read the same in
+# either bit order; K6's (weight 15 of 45 pairs) does not, so it pins
+# column j at bit j.
 PINNED = {
     "D26": (skeleton_complex(6, 2), 2, None, False, 69, "3fffffffffffffffff"),
     "K5": (skeleton_complex(4, 1), 1, None, False, 14, "7fff"),
+    "K6": (skeleton_complex(5, 1), 1, None, False, 35, "12402cb2cb"),
     "K33": (k33(), 1, None, False, 17, "3ffff"),
     "torus4": (torus(4), 2, None, True, 304, "0"),
     "torus4-shuffled": (
@@ -245,8 +237,7 @@ def test_pinned_solutions_and_witnesses(name):
     outcome = gf2_solve(coboundary_matrix(K, d), cocycle)
     assert outcome.vanishes is vanishes
     assert outcome.rank == rank
-    n = len(cocycle.index)
-    bits = outcome.combination if vanishes else reverse_columns(outcome.witness, n)
+    bits = outcome.combination if vanishes else outcome.witness
     assert format(bits, "x") == proof
 
 
@@ -265,8 +256,7 @@ def test_coboundary_rows_match_the_definition(name, K, d):
     assert M.n_rows > 0
     # the oracle's rows come in canonical (rho, tau) key order
     _keys, columns, rows = brute_force_coboundary_rows(K.facets(), d)
-    n = M.n_cols
-    assert (M.columns, tuple(reverse_columns(r, n) for r in matrix_rows(M))) == (columns, rows)
+    assert (M.columns, matrix_rows(M)) == (columns, rows)
     assert M.columns is intersection_cocycle(K, d, moment_curve_placement(K, d)).index
 
 

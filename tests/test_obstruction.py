@@ -18,7 +18,6 @@ from nervecert import (
     intersection_cocycle,
     moment_curve_placement,
     obstruction_vanishes,
-    reverse_columns,
     skeleton_complex,
 )
 from oracles import brute_force_coboundary_rows, matrix_rows, moment_interleaving_parity
@@ -35,15 +34,9 @@ def k33():
     return complex_from_facets([[i, j] for i in range(3) for j in range(3, 6)])
 
 
-def column_bits(cochain) -> int:
-    """The cochain with column j at bit j, as a certificate document holds it."""
-    return reverse_columns(cochain.bits, len(cochain.index))
-
-
 def support(cochain) -> list:
     """The pairs whose bit is set, in index order."""
-    bits = column_bits(cochain)
-    return [pair for i, pair in enumerate(cochain.index) if bits >> i & 1]
+    return [pair for i, pair in enumerate(cochain.index) if cochain.bits >> i & 1]
 
 
 def test_placement_points_sit_on_the_moment_curve():
@@ -75,9 +68,8 @@ def test_k5_cocycle_is_the_interleaving_pattern():
         for a, b, c, d in combinations(range(5), 4)
     }
     assert set(support(coc)) == expected
-    bits = column_bits(coc)
     for i, (gamma, delta) in enumerate(coc.index):
-        assert bits >> i & 1 == moment_interleaving_parity(
+        assert coc.bits >> i & 1 == moment_interleaving_parity(
             [g + 1 for g in gamma], [h + 1 for h in delta]
         )
 
@@ -101,9 +93,8 @@ def test_d2_cocycle_counts_interleaved_triples():
     pl = moment_curve_placement(D26, 2)
     coc = intersection_cocycle(D26, 2, pl)
     assert len(coc.index) == 70
-    bits = column_bits(coc)
     for i, (gamma, delta) in enumerate(coc.index):
-        assert bits >> i & 1 == moment_interleaving_parity(gamma, delta)
+        assert coc.bits >> i & 1 == moment_interleaving_parity(gamma, delta)
     # one interleaved split per 6-subset of the 7 parameters
     assert coc.weight == 7
 
@@ -125,7 +116,7 @@ def test_k4_row_construction_detail():
     M = coboundary_matrix(K, 1)
     keys, _, _ = brute_force_coboundary_rows(K.facets(), 1)
     row = matrix_rows(M)[keys.index(((1,), (2, 4)))]
-    assert reverse_columns(row, M.n_cols) == 1 << M.columns.index(((1, 3), (2, 4)))
+    assert row == 1 << M.columns.index(((1, 3), (2, 4)))
 
 
 def test_gf2_solver_against_brute_force_on_k4():

@@ -1,0 +1,55 @@
+"""The benchmark's workloads still write the same certificate bytes.
+
+`bench/run.py` prints one digest per workload: a sha256 over each job's
+name, a NUL byte and the sha256 of its certificate, in job order.  This
+test loads `bench/workloads.py` by path, runs seed 11's jobs once each
+through the CLI and compares that digest with the one recorded in
+`BENCH_25.json`, so a change to the certificate bytes of any workload shows
+in the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import sys
+
+import pytest
+
+from nervecert.cli import main
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+# seed 11, as recorded in BENCH_25.json
+DIGESTS = {
+    "mutants": "3dbd6c13d46484a62a3c7e326448267c1ac727776ae06302700c3270dbdd430b",
+    "pipeline_d1": "1a7c5cff65e212498213c6a2f7e19ef0cfe1e61478f8b75fecb58d98db0e938b",
+    "pipeline_d2": "07264b6f8c125e12b784d7b940c9b777ecf74b9c012c53af857cd60a67f93891",
+    "vk_d2": "162090e7d2d77869c078386c631a0dec40720b5b01b26233ba60f5fd8f1dcfb6",
+}
+
+
+def _load_workloads():
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, os.path.join(BENCH_DIR, "workloads.py"))
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", list(DIGESTS))
+def test_workload_certificates_match_the_recorded_digest(tmp_path, workload):
+    workloads = _load_workloads()
+    hashes = hashlib.sha256()
+    for job, argv, cert in workloads.write_jobs(workloads.WORKLOADS[workload](11), tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code == job.expect["exit"], job.name
+        with open(cert, "rb") as fh:
+            hashes.update(job.name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    assert hashes.hexdigest() == DIGESTS[workload]
