@@ -20,7 +20,6 @@ from .fileio import (
     _require,
     complex_from_doc,
     complex_to_doc,
-    facet_dim,
     family_from_doc,
     family_to_doc,
     format_point,
@@ -45,15 +44,6 @@ LEMMA_VIOLATION = "LEMMA_VIOLATION"
 VKF_CERTIFICATE = "VKF_CERTIFICATE"
 OBSTRUCTION_REPORT = "OBSTRUCTION_REPORT"
 CONSISTENCY_FAILURE = "CONSISTENCY_FAILURE"
-
-KINDS = (
-    NERVE_MISMATCH,
-    WITNESS_VIOLATION,
-    LEMMA_VIOLATION,
-    VKF_CERTIFICATE,
-    OBSTRUCTION_REPORT,
-    CONSISTENCY_FAILURE,
-)
 
 
 # the only form _bits_to_hex writes: lowercase, no prefix, no leading zeros
@@ -278,8 +268,8 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
         return False, "simplices share a vertex"
     if len(gamma) != d + 1 or len(delta) != d + 1:
         return False, "simplices do not have dimension d"
-    check_placement_dim(facet_dim(doc["complex"]), d)  # before the closure: 2^n faces per facet
     K, _ = complex_from_doc(doc["complex"])
+    check_placement_dim(K.dim, d)
     if not (K.has_face(gamma) and K.has_face(delta)):
         return False, "pair is not a pair of complex faces"
     placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
@@ -302,8 +292,8 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
 def _recheck_obstruction(doc) -> tuple[bool, str]:
     d = _int_field(doc["d"], "'d'")
     _require(d >= 1, "'d' must be a positive integer")
-    check_placement_dim(facet_dim(doc["complex"]), d)  # before the closure: 2^n faces per facet
     K, _ = complex_from_doc(doc["complex"])
+    check_placement_dim(K.dim, d)
     n_pairs = _int_field(doc["n_pairs"], "'n_pairs'")
     n_rows = _int_field(doc["n_rows"], "'n_rows'")
     rank = _int_field(doc["rank"], "'rank'")

@@ -50,7 +50,6 @@ from .fileio import (
     complex_from_doc,
     complex_to_doc,
     document_to_text,
-    facet_dim,
     family_from_doc,
     load_document,
     parse_point,
@@ -58,7 +57,7 @@ from .fileio import (
     sd_to_doc,
 )
 from .nerve import nerve_helly
-from .obstruction import check_placement_dim, moment_curve_placement, obstruction_vanishes
+from .obstruction import moment_curve_placement, obstruction_vanishes
 from .witness import (
     assemble_witness_map,
     verify_remote_disjointness,
@@ -84,8 +83,8 @@ _CERT_EXIT = {
 
 def _finish(line: str, doc: dict, out: str | None) -> int:
     """Print the summary line, write the document, return the exit code it implies."""
-    print(line)
     text = document_to_text(doc)
+    print(line)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -151,9 +150,7 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_vk(args) -> int:
-    doc = load_document(args.complex)
-    check_placement_dim(facet_dim(doc), args.d)  # before the closure: 2^n faces per facet
-    K, _ = complex_from_doc(doc)
+    K, _ = complex_from_doc(load_document(args.complex))
     placement = moment_curve_placement(K, args.d, _parse_params(args.params))
     cert = obstruction_vanishes(K, args.d, placement)
     weight = cert.cocycle.weight
@@ -166,16 +163,14 @@ def cmd_vk(args) -> int:
 
 def cmd_certificate(args) -> int:
     F = family_from_doc(load_document(args.family))
-    L_doc = load_document(args.complex)
-    dim = facet_dim(L_doc)  # checked before the closure is built
+    L, _ = complex_from_doc(load_document(args.complex))
     d = args.d
     if d < 1:
         raise ParseError("d must be at least 1")
-    if dim != d:
-        raise ParseError(f"source complex has dimension {dim}, expected {d}")
+    if L.dim != d:
+        raise ParseError(f"source complex has dimension {L.dim}, expected {d}")
     if F.ambient != 2 * d:
         raise ParseError(f"family ambient is {F.ambient}, expected 2d = {2 * d}")
-    L, _ = complex_from_doc(L_doc)
     K = barycentric_subdivision(L).complex
     face = pt = stage = None
     if args.corrupt_witness:

@@ -1,9 +1,10 @@
 """Abstract simplicial complexes with exact, deterministic enumeration.
 
 Faces are strictly increasing tuples of nonnegative integer vertex ids.
-Complexes are stored downward closed: every constructor either closes its
-input or is closed by construction.  Barycentric subdivision keeps an
-explicit bijection between the new vertices and the faces of the complex it
+A complex is held by its maximal faces alone, so its dimension is known
+before any of the 2^n faces of an n-vertex facet is built; the face set is
+built when it is first read.  Barycentric subdivision keeps an explicit
+bijection between the new vertices and the faces of the complex it
 subdivides, because later stages need lookups in both directions.
 """
 
@@ -42,14 +43,6 @@ def canonical_faces(faces) -> list[Face]:
     return sorted(faces, key=lambda f: (len(f), f))
 
 
-def downward_closure(faces) -> frozenset[Face]:
-    closed: set[Face] = set()
-    for f in faces:
-        for size in range(1, len(f) + 1):
-            closed.update(combinations(f, size))
-    return frozenset(closed)
-
-
 def maximal_chains(top: Face):
     """Maximal chains of the faces of ``top``: drop one vertex per step, in permutation order."""
     for perm in permutations(top):
@@ -63,21 +56,51 @@ def maximal_chains(top: Face):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A finite abstract simplicial complex: vertex ids plus a downward-closed face set."""
+    """A finite abstract simplicial complex, held by its maximal faces.
 
-    vertices: frozenset[int]
-    faces: frozenset[Face]
+    ``maximal`` lists them in canonical order, so two complexes are equal
+    exactly when their face sets are.  Dimension, vertices, face membership
+    and edges are read off the maximal faces; the face set, 2^n faces per
+    maximal face of n vertices, is built only when ``faces`` is read.
+    """
+
+    maximal: tuple[Face, ...]
 
     @classmethod
     def from_faces(cls, faces) -> "SimplicialComplex":
-        """Build the downward closure of arbitrary faces."""
-        closed = downward_closure(make_face(f) for f in faces)
-        return cls(frozenset(v for f in closed for v in f), closed)
+        """The complex the given faces generate: kept largest first, unless a kept one contains it."""
+        kept: list[Face] = []
+        holders: dict[int, int] = {}
+        for f in sorted({make_face(f) for f in faces}, key=len, reverse=True):
+            if not _inside(holders, f):
+                _hold(holders, f, len(kept))
+                kept.append(f)
+        return cls(tuple(canonical_faces(kept)))
 
     @property
     def dim(self) -> int:
         """Dimension of the largest face; -1 for the empty complex."""
-        return max((len(f) for f in self.faces), default=0) - 1
+        return max(map(len, self.maximal), default=0) - 1
+
+    @cached_property
+    def _holders(self) -> dict[int, int]:
+        """Each vertex's bitset of the maximal faces that contain it, face i at bit i."""
+        holders: dict[int, int] = {}
+        for i, f in enumerate(self.maximal):
+            _hold(holders, f, i)
+        return holders
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self._holders)
+
+    @cached_property
+    def faces(self) -> frozenset[Face]:
+        """Every face: the downward closure of the maximal faces."""
+        return frozenset(
+            sub for f in self.maximal for size in range(1, len(f) + 1)
+            for sub in combinations(f, size)
+        )
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim + 1)
@@ -86,26 +109,24 @@ class SimplicialComplex:
         return tuple(counts)
 
     def faces_of_dim(self, k: int) -> list[Face]:
-        return sorted(f for f in self.faces if len(f) == k + 1)
+        """The k-faces, sorted, taken from the maximal faces without the closure."""
+        return sorted({sub for f in self.maximal if len(f) > k for sub in combinations(f, k + 1)})
 
     def has_face(self, f) -> bool:
-        return tuple(f) in self.faces
+        """Whether ``f`` is a strictly increasing vertex tuple inside a maximal face."""
+        f = tuple(f)
+        return bool(f) and all(a < b for a, b in zip(f, f[1:])) and _inside(self._holders, f)
 
     @cached_property
     def edge_set(self) -> frozenset[Face]:
-        return frozenset(f for f in self.faces if len(f) == 2)
+        return frozenset(e for f in self.maximal for e in combinations(f, 2))
 
     def canonical(self) -> list[Face]:
         return canonical_faces(self.faces)
 
     def facets(self) -> list[Face]:
-        """Maximal faces, canonically ordered.
-
-        The face set is downward closed, so a face lies under a larger one
-        exactly when it is a codimension-1 subface of some face.
-        """
-        covered = {f[:i] + f[i + 1:] for f in self.faces for i in range(len(f))}
-        return canonical_faces(self.faces.difference(covered))
+        """Maximal faces, canonically ordered."""
+        return list(self.maximal)
 
     @cached_property
     def _pair_indexes(self) -> dict[int, PairIndex]:
@@ -119,20 +140,23 @@ class SimplicialComplex:
         return index
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ValueError on breakage."""
-        for f in self.faces:
-            if f != make_face(f):
-                raise ValueError(f"non-canonical face {f!r}")
-            for v in f:
-                if v not in self.vertices:
-                    raise ValueError(f"face {f} uses unknown vertex {v}")
-            for size in range(1, len(f)):
-                for sub in combinations(f, size):
-                    if sub not in self.faces:
-                        raise ValueError(f"not downward closed: {sub} missing under {f}")
-        for v in self.vertices:
-            if (v,) not in self.faces:
-                raise ValueError(f"vertex {v} has no singleton face")
+        """Check that ``maximal`` is canonical: distinct maximal faces in order; raises ValueError."""
+        if self != SimplicialComplex.from_faces(self.maximal):
+            raise ValueError(f"not the canonical maximal faces of their complex: {self.maximal!r}")
+
+
+def _hold(holders: dict[int, int], f: Face, i: int) -> None:
+    """Record maximal face number i in its vertices' bitsets."""
+    for v in f:
+        holders[v] = holders.get(v, 0) | 1 << i
+
+
+def _inside(holders: dict[int, int], f: Face) -> bool:
+    """Whether a recorded maximal face contains ``f``: its vertices' bitsets share a bit."""
+    common = -1
+    for v in f:
+        common &= holders.get(v, 0)
+    return common != 0
 
 
 class PairIndex(NamedTuple):
@@ -175,7 +199,7 @@ class PairIndex(NamedTuple):
 
 
 def complex_from_facets(facets) -> SimplicialComplex:
-    """Downward closure of the given facets (duplicate vertices inside one facet are an error)."""
+    """The complex the given facets generate (a repeated vertex inside one facet is an error)."""
     return SimplicialComplex.from_faces(facets)
 
 
@@ -185,11 +209,7 @@ def skeleton_complex(n: int, k: int) -> SimplicialComplex:
         raise ValueError(f"arguments must be nonnegative, got ({n}, {k})")
     if k > n:
         raise ValueError(f"skeleton dimension {k} exceeds simplex dimension {n}")
-    verts = range(n + 1)
-    faces = frozenset(
-        sub for size in range(1, k + 2) for sub in combinations(verts, size)
-    )
-    return SimplicialComplex(frozenset(verts), faces)
+    return SimplicialComplex(tuple(combinations(range(n + 1), k + 1)))
 
 
 @dataclass(eq=False)
@@ -221,7 +241,7 @@ class SdComplex:
                 if not set(small) < set(big):
                     raise ValueError(f"face {f} labels do not form a strict chain")
         rebuilt = barycentric_subdivision(self.base)
-        if rebuilt.complex.faces != self.complex.faces:
+        if rebuilt.complex != self.complex:
             raise ValueError("face set disagrees with the chain enumeration")
 
 
@@ -230,27 +250,28 @@ def barycentric_subdivision(K: SimplicialComplex) -> SdComplex:
 
     New vertex ids are assigned in canonical (dimension, lex) order of the
     faces of ``K``, so the construction is deterministic and the geometric
-    realization is unchanged.  Every chain lies in a maximal chain of a facet,
-    so the faces are the downward closure of those chains' vertex-id sets.
+    realization is unchanged.  The maximal faces are the vertex-id sets of
+    the maximal chains of the facets: every chain lies in one of them, and
+    none lies in another, since its top, a facet, would then lie in the
+    other's top and both would be maximal chains of one facet.
     """
     order = canonical_faces(K.faces)
     vertex_ids = {f: i for i, f in enumerate(order)}
-    faces = downward_closure(
+    maximal = canonical_faces(
         tuple(sorted(vertex_ids[m] for m in chain))
-        for facet in K.facets()
+        for facet in K.maximal
         for chain in maximal_chains(facet)
     )
-    sd = SimplicialComplex(frozenset(vertex_ids.values()), faces)
-    return SdComplex(sd, K, dict(enumerate(order)), vertex_ids)
+    return SdComplex(SimplicialComplex(tuple(maximal)), K, dict(enumerate(order)), vertex_ids)
 
 
 def is_remote(K: SimplicialComplex, alpha, beta) -> bool:
     """True iff the faces share no vertex and no edge of K joins them."""
     a = tuple(alpha)
     b = tuple(beta)
-    if a not in K.faces:
+    if not K.has_face(a):
         raise NotAFaceError(f"{a} is not a face of the complex")
-    if b not in K.faces:
+    if not K.has_face(b):
         raise NotAFaceError(f"{b} is not a face of the complex")
     if set(a) & set(b):
         return False

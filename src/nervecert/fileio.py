@@ -121,26 +121,12 @@ def complex_to_doc(
     return doc
 
 
-def _facets(doc) -> list:
+def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
     _require(isinstance(doc, dict), "complex document must be an object")
     _require("facets" in doc, "complex document needs a 'facets' list")
     _require(isinstance(doc["facets"], list), "'facets' must be a list")
-    return doc["facets"]
-
-
-def facet_dim(doc) -> int:
-    """The largest facet's size less one, before any of the 2^n faces is built.
-
-    That is the dimension of a well-formed document; `complex_from_doc` checks the labels.
-    """
-    facets = _facets(doc)
-    _require(all(isinstance(f, list) for f in facets), "facet must be a list")
-    return max(map(len, facets), default=0) - 1
-
-
-def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
     try:
-        K = complex_from_facets([_int_list(f, "facet") for f in _facets(doc)])
+        K = complex_from_facets([_int_list(f, "facet") for f in doc["facets"]])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     labels = None
@@ -218,7 +204,10 @@ def family_from_doc(doc) -> ConvexFamily:
 # -- text plumbing -----------------------------------------------------------
 
 def document_to_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except RecursionError:
+        raise ParseError("document nests too deeply to write") from None
 
 
 def text_to_document(text: str) -> dict:
@@ -226,6 +215,8 @@ def text_to_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays and objects nest too deeply") from None
     _require(isinstance(doc, dict), "top-level document must be an object")
     return doc
 

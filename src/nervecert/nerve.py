@@ -138,11 +138,11 @@ def walk(F: ConvexFamily, keep: Callable[[Face], bool]) -> SimplicialComplex:
     """
     labels = F.labels()
     level = [(label,) for label in labels if keep((label,))]
-    vertices, faces = frozenset(f[0] for f in level), set(level)
+    faces = list(level)
     while level:
         level = [cand for cand in next_candidates(level, labels) if keep(cand)]
-        faces.update(level)
-    return SimplicialComplex(vertices, frozenset(faces))
+        faces.extend(level)
+    return SimplicialComplex.from_faces(faces)
 
 
 def helly_closed(F: ConvexFamily, face: Face) -> bool:
@@ -171,7 +171,7 @@ def nerve_matches(
     """
     check_labels(F, K)
     nerve = engine(F)
-    if nerve.faces == K.faces:
+    if nerve == K:
         return NerveMatch(NerveMatch.EQUAL, None)
     missing = K.faces - nerve.faces
     extra = nerve.faces - K.faces

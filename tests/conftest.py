@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-import random
+import sys
+
+sys.dont_write_bytecode = True  # before nervecert is imported: leave no __pycache__ under src/
+
+import random  # noqa: E402
 from fractions import Fraction
 
 from nervecert import ConvexFamily, HPolytope, WitnessMap, complex_from_facets, witness_points

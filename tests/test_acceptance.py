@@ -258,7 +258,8 @@ def test_criterion_8_byte_identical_runs(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "nervecert.cli", *argv],
                 capture_output=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir,
+                     "PYTHONDONTWRITEBYTECODE": "1"},
                 cwd=str(tmp_path),
             )
             assert proc.returncode == expected, (argv, proc.returncode, proc.stderr)

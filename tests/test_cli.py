@@ -34,6 +34,17 @@ def load(path) -> dict:
     return json.loads(path.read_text())
 
 
+def run_module(tmp_path, *argv, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m nervecert` in a minimal environment that writes no bytecode."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(nervecert.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "nervecert", *argv],
+        capture_output=True, text=True, cwd=str(tmp_path),
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir, "PYTHONDONTWRITEBYTECODE": "1"},
+        **kwargs,
+    )
+
+
 EDGE = {"facets": [[1, 2]]}
 PATH = {"facets": [[1, 2], [2, 3]]}
 TRIANGLE_FAMILY = {
@@ -827,19 +838,13 @@ def test_recheck_refutes_a_wrong_rank(tmp_path, capsys, rank):
 def test_module_entry_point_runs_vk(tmp_path, capsys):
     k4 = tmp_path / "k4.json"
     run(capsys, "build", "skeleton", "3", "1", "-o", str(k4))
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(nervecert.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nervecert", "vk", str(k4), "-d", "1"],
-        capture_output=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
-        cwd=str(tmp_path),
-    )
+    proc = run_module(tmp_path, "vk", str(k4), "-d", "1")
     assert proc.returncode == 0, proc.stderr
-    assert b"vanishes" in proc.stdout
+    assert "vanishes" in proc.stdout
 
 
 HUGE_COMPLEX = {"facets": [list(range(40))]}  # 2^40 faces in its closure
-PLACEMENT_REFUSAL = "complex has dimension 39, placement expects dimension <= 1"
+PLACEMENT_REFUSAL = (1, "", "error: complex has dimension 39, placement expects dimension <= 1\n")
 
 
 def _vk_huge(tmp_path, capsys) -> list[str]:
@@ -851,36 +856,87 @@ def _certificate_huge(tmp_path, capsys) -> list[str]:
     return ["certificate", fam, write(tmp_path / "huge.json", HUGE_COMPLEX), "-d", "1"]
 
 
-def _recheck_huge(make, inner: bool = False):
+def _extra_face_on_40_intervals(tmp_path, capsys) -> dict:
+    """An extra_face claim [0, 1] over 40 unit intervals, whose labels the huge facet covers."""
+    doc = _extra_face_cert(tmp_path, capsys)
+    doc["family"] = {
+        "ambient": 1,
+        "bodies": [{"label": v, "box": {"lo": ["0"], "hi": ["1"]}} for v in range(40)],
+    }
+    return doc
+
+
+def _recheck_huge(make, *keys):
+    """`recheck` of ``make``'s certificate with HUGE_COMPLEX at the key path ``keys``."""
     def argv(tmp_path, capsys) -> list[str]:
         doc = make(tmp_path, capsys)
-        (doc["obstruction"] if inner else doc)["complex"] = HUGE_COMPLEX
+        inner = doc
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = HUGE_COMPLEX
         return ["recheck", write(tmp_path / "huge.json", doc)]
     return argv
 
 
 @pytest.mark.parametrize(
-    "make, message",
+    "make, expected",
     [
         (_vk_huge, PLACEMENT_REFUSAL),
-        (_certificate_huge, "source complex has dimension 39, expected 1"),
-        (_recheck_huge(_vk_k5_cert), PLACEMENT_REFUSAL),
-        (_recheck_huge(_consistency_cert, inner=True), PLACEMENT_REFUSAL),
-        (_recheck_huge(_demo_cert), PLACEMENT_REFUSAL),
+        (_certificate_huge, (1, "", "error: source complex has dimension 39, expected 1\n")),
+        (_recheck_huge(_vk_k5_cert, "complex"), PLACEMENT_REFUSAL),
+        (_recheck_huge(_consistency_cert, "obstruction", "complex"), PLACEMENT_REFUSAL),
+        (_recheck_huge(_demo_cert, "complex"), PLACEMENT_REFUSAL),
+        (
+            _recheck_huge(_extra_face_on_40_intervals, "complex"),
+            (5, "REFUTED: claimed extra face is a face of the complex\n", ""),
+        ),
+        (
+            _recheck_huge(_lemma_cert, "nerve"),
+            (1, "", "error: 'piece_a' point has 2 coordinates, ambient is 2d = 78\n"),
+        ),
     ],
-    ids=["vk", "certificate", "recheck-obstruction", "recheck-consistency", "recheck-vkf"],
+    ids=[
+        "vk", "certificate", "recheck-obstruction", "recheck-consistency", "recheck-vkf",
+        "recheck-nerve-mismatch", "recheck-lemma",
+    ],
 )
-def test_an_over_dimensional_facet_is_refused_before_its_closure(tmp_path, capsys, make, message):
-    # Each command that knows d compares the facet sizes with d + 1 before
-    # it builds a face, and prints what a small over-dimensional complex gets.
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(nervecert.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nervecert", *make(tmp_path, capsys)],
-        capture_output=True, text=True, timeout=5,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_dir},
-        cwd=str(tmp_path),
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+def test_an_over_dimensional_facet_is_refused_before_its_closure(tmp_path, capsys, make, expected):
+    # A complex is held by its maximal faces, so no command builds the 2^40
+    # faces: those that know d refuse the facet with the message a small
+    # over-dimensional complex gets, and the two kinds that carry no d end on
+    # their own checks, reading membership and dimension off the one facet.
+    proc = run_module(tmp_path, *make(tmp_path, capsys), timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def _nested_arrays(tmp_path, capsys) -> list[str]:
+    return ["recheck", write(tmp_path / "nested.json", "[" * 200_000)]
+
+
+def _deep_base_chain(depth: int):
+    """`build sd` of an edge whose document carries ``depth`` nested 'base' documents."""
+    def argv(tmp_path, capsys) -> list[str]:
+        # spelled out, since `json.dumps` of the chain would itself run out of depth here
+        text = '{"base": ' * depth + '{"facets": [[1, 2]]}' + ', "facets": [[1, 2]]}' * depth
+        path = write(tmp_path / "deep.json", text)
+        return ["build", "sd", path, "-o", str(tmp_path / "out.json")]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_nested_arrays, _deep_base_chain(985), _deep_base_chain(990), _deep_base_chain(5000)],
+    ids=["recheck-arrays", "build-sd-985", "build-sd-990", "build-sd-5000"],
+)
+def test_deeply_nested_json_is_an_error_not_a_traceback(tmp_path, capsys, make):
+    # Near the interpreter's recursion limit either the reader or the writer
+    # of a document runs out of depth; both report it as a bad document.
+    proc = run_module(tmp_path, *make(tmp_path, capsys), timeout=30)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:  # shallow enough for this interpreter
+        return
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "too deeply" in proc.stderr
 
 
 def test_stdout_runs_are_byte_identical(tmp_path, capsys):

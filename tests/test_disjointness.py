@@ -230,7 +230,8 @@ def test_audit_does_not_depend_on_the_hash_seed():
             [sys.executable, "-c", AUDIT_SCRIPT],
             capture_output=True, text=True, check=True, cwd=tests_dir,
             env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": os.pathsep.join([src_dir, tests_dir])},
+                 "PYTHONPATH": os.pathsep.join([src_dir, tests_dir]),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]

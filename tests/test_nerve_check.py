@@ -78,7 +78,7 @@ def claimed_complex(rng: random.Random, N: SimplicialComplex) -> SimplicialCompl
         facets = [f for f in N.facets() if len(f) > 1]  # keep every vertex
         if facets:
             faces.discard(rng.choice(facets))
-    return SimplicialComplex(N.vertices, frozenset(faces))
+    return SimplicialComplex.from_faces(faces)
 
 
 def walk(F, K):
