@@ -58,47 +58,36 @@ def maximal_chains(top: Face):
 class SimplicialComplex:
     """A finite abstract simplicial complex, held by its maximal faces.
 
-    ``maximal`` lists them in canonical order, so two complexes are equal
+    ``_maximal`` lists them in canonical order, so two complexes are equal
     exactly when their face sets are.  Dimension, vertices, face membership
     and edges are read off the maximal faces; the face set, 2^n faces per
     maximal face of n vertices, is built only when ``faces`` is read.
     """
 
-    maximal: tuple[Face, ...]
-
-    @classmethod
-    def from_faces(cls, faces) -> "SimplicialComplex":
-        """The complex the given faces generate: kept largest first, unless a kept one contains it."""
-        kept: list[Face] = []
-        holders: dict[int, int] = {}
-        for f in sorted({make_face(f) for f in faces}, key=len, reverse=True):
-            if not _inside(holders, f):
-                _hold(holders, f, len(kept))
-                kept.append(f)
-        return cls(tuple(canonical_faces(kept)))
+    _maximal: tuple[Face, ...]
 
     @property
     def dim(self) -> int:
         """Dimension of the largest face; -1 for the empty complex."""
-        return max(map(len, self.maximal), default=0) - 1
+        return max(map(len, self._maximal), default=0) - 1
 
     @cached_property
-    def _holders(self) -> dict[int, int]:
-        """Each vertex's bitset of the maximal faces that contain it, face i at bit i."""
-        holders: dict[int, int] = {}
-        for i, f in enumerate(self.maximal):
+    def _holders(self) -> dict[int, set[int]]:
+        """Each vertex's positions in ``_maximal`` of the maximal faces that contain it."""
+        holders: dict[int, set[int]] = {}
+        for i, f in enumerate(self._maximal):
             _hold(holders, f, i)
         return holders
 
     @cached_property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._holders)
+        return frozenset(v for f in self._maximal for v in f)
 
     @cached_property
     def faces(self) -> frozenset[Face]:
         """Every face: the downward closure of the maximal faces."""
         return frozenset(
-            sub for f in self.maximal for size in range(1, len(f) + 1)
+            sub for f in self._maximal for size in range(1, len(f) + 1)
             for sub in combinations(f, size)
         )
 
@@ -110,7 +99,7 @@ class SimplicialComplex:
 
     def faces_of_dim(self, k: int) -> list[Face]:
         """The k-faces, sorted, taken from the maximal faces without the closure."""
-        return sorted({sub for f in self.maximal if len(f) > k for sub in combinations(f, k + 1)})
+        return sorted({sub for f in self._maximal if len(f) > k for sub in combinations(f, k + 1)})
 
     def has_face(self, f) -> bool:
         """Whether ``f`` is a strictly increasing vertex tuple inside a maximal face."""
@@ -119,14 +108,14 @@ class SimplicialComplex:
 
     @cached_property
     def edge_set(self) -> frozenset[Face]:
-        return frozenset(e for f in self.maximal for e in combinations(f, 2))
+        return frozenset(e for f in self._maximal for e in combinations(f, 2))
 
     def canonical(self) -> list[Face]:
         return canonical_faces(self.faces)
 
     def facets(self) -> list[Face]:
-        """Maximal faces, canonically ordered."""
-        return list(self.maximal)
+        """The maximal faces, canonically ordered."""
+        return list(self._maximal)
 
     @cached_property
     def _pair_indexes(self) -> dict[int, PairIndex]:
@@ -140,23 +129,21 @@ class SimplicialComplex:
         return index
 
     def validate(self) -> None:
-        """Check that ``maximal`` is canonical: distinct maximal faces in order; raises ValueError."""
-        if self != SimplicialComplex.from_faces(self.maximal):
-            raise ValueError(f"not the canonical maximal faces of their complex: {self.maximal!r}")
+        """Check that ``_maximal`` is the canonical maximal-face list; raises ValueError."""
+        if self != complex_from_facets(self._maximal):
+            raise ValueError(f"not the canonical maximal faces of their complex: {self._maximal!r}")
 
 
-def _hold(holders: dict[int, int], f: Face, i: int) -> None:
-    """Record maximal face number i in its vertices' bitsets."""
+def _hold(holders: dict[int, set[int]], f: Face, i: int) -> None:
+    """Record maximal face number i in its vertices' position sets."""
     for v in f:
-        holders[v] = holders.get(v, 0) | 1 << i
+        holders.setdefault(v, set()).add(i)
 
 
-def _inside(holders: dict[int, int], f: Face) -> bool:
-    """Whether a recorded maximal face contains ``f``: its vertices' bitsets share a bit."""
-    common = -1
-    for v in f:
-        common &= holders.get(v, 0)
-    return common != 0
+def _inside(holders: dict[int, set[int]], f: Face) -> bool:
+    """Whether a recorded face contains ``f``: its vertices' position sets meet, smallest first."""
+    sets = [holders.get(v, frozenset()) for v in f]
+    return bool(min(sets, key=len).intersection(*sets))
 
 
 class PairIndex(NamedTuple):
@@ -198,9 +185,22 @@ class PairIndex(NamedTuple):
         return index._replace(ids=ids, pairs=tuple([(faces[i], faces[j]) for i, j in ids]))
 
 
-def complex_from_facets(facets) -> SimplicialComplex:
-    """The complex the given facets generate (a repeated vertex inside one facet is an error)."""
-    return SimplicialComplex.from_faces(facets)
+def complex_from_facets(faces) -> SimplicialComplex:
+    """The complex the given faces generate: kept largest first, unless a kept face holds one.
+
+    A face never lies in another of its size, so the largest are kept
+    untested and the smallest, which hold no later face, are not recorded.
+    A repeated vertex inside one face is an error.
+    """
+    faces = sorted({make_face(f) for f in faces}, key=len, reverse=True)
+    kept: list[Face] = []
+    holders: dict[int, set[int]] = {}
+    for f in faces:
+        if len(f) == len(faces[0]) or not _inside(holders, f):
+            if len(f) > len(faces[-1]):
+                _hold(holders, f, len(kept))
+            kept.append(f)
+    return SimplicialComplex(tuple(canonical_faces(kept)))
 
 
 def skeleton_complex(n: int, k: int) -> SimplicialComplex:
@@ -259,7 +259,7 @@ def barycentric_subdivision(K: SimplicialComplex) -> SdComplex:
     vertex_ids = {f: i for i, f in enumerate(order)}
     maximal = canonical_faces(
         tuple(sorted(vertex_ids[m] for m in chain))
-        for facet in K.maximal
+        for facet in K.facets()
         for chain in maximal_chains(facet)
     )
     return SdComplex(SimplicialComplex(tuple(maximal)), K, dict(enumerate(order)), vertex_ids)

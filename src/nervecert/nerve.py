@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, complex_from_facets
 from .convex import HPolytope, boxes_disjoint, polytope_is_empty
 from .errors import DimensionMismatchError, LabelMismatchError
 
@@ -142,7 +142,7 @@ def walk(F: ConvexFamily, keep: Callable[[Face], bool]) -> SimplicialComplex:
     while level:
         level = [cand for cand in next_candidates(level, labels) if keep(cand)]
         faces.extend(level)
-    return SimplicialComplex.from_faces(faces)
+    return complex_from_facets(faces)
 
 
 def helly_closed(F: ConvexFamily, face: Face) -> bool:

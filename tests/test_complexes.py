@@ -71,6 +71,20 @@ def test_facets_match_the_quadratic_definition(facets):
     assert complex_from_facets(K.facets()) == K
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_facet_lists)
+def test_has_face_is_membership_in_the_closure(facets):
+    K = complex_from_facets([sorted(f) for f in facets])
+    ids = sorted(K.vertices | {10})  # 10 is never a vertex
+    for size in range(1, 5):
+        for f in itertools.combinations(ids, size):
+            assert K.has_face(f) == (f in K.faces)
+            if size > 1:
+                assert not K.has_face(f[::-1])
+                assert not K.has_face((f[0],) + f)
+    assert not K.has_face(())
+
+
 def test_facets_keep_lone_vertices_and_mixed_dimensions():
     K = complex_from_facets([[0, 1, 2], [2, 3], [4], [1, 2]])
     assert K.facets() == [(4,), (2, 3), (0, 1, 2)]

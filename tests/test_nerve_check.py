@@ -78,7 +78,7 @@ def claimed_complex(rng: random.Random, N: SimplicialComplex) -> SimplicialCompl
         facets = [f for f in N.facets() if len(f) > 1]  # keep every vertex
         if facets:
             faces.discard(rng.choice(facets))
-    return SimplicialComplex.from_faces(faces)
+    return complex_from_facets(faces)
 
 
 def walk(F, K):
