@@ -19,6 +19,7 @@ import argparse
 import sys
 from functools import cache
 from itertools import combinations
+from math import comb
 
 from .certificates import (
     CONSISTENCY_FAILURE,
@@ -40,6 +41,7 @@ from .complexes import (
     complex_from_facets,
     disjoint_simplex_pairs,
     skeleton_complex,
+    subdivided_f_vector,
 )
 # hulls_intersect stays bound here: bench/test_bench.py checks that the layer
 # trace wraps and restores this binding.
@@ -129,18 +131,19 @@ def cmd_build(args) -> int:
             K = skeleton_complex(n, k)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return _finish(f"skeleton({n},{k}): f-vector {K.f_vector()}", complex_to_doc(K), args.out)
+        f = tuple(comb(n + 1, i + 1) for i in range(k + 1))
+        return _finish(f"skeleton({n},{k}): f-vector {f}", complex_to_doc(K), args.out)
     if args.kind in ("sd", "sd2"):
         if len(args.args) != 1:
             raise ParseError(f"usage: build {args.kind} COMPLEX_FILE")
         doc = load_document(args.args[0])
         K, _ = complex_from_doc(doc)
-        sd = barycentric_subdivision(K)
-        doc = sd_to_doc(sd, base_doc=doc)
-        if args.kind == "sd2":
-            sd = barycentric_subdivision(sd.complex)
+        f = K.f_vector()
+        for _ in range(1 if args.kind == "sd" else 2):
+            sd = barycentric_subdivision(K)
             doc = sd_to_doc(sd, base_doc=doc)
-        return _finish(f"{args.kind}: f-vector {sd.complex.f_vector()}", doc, args.out)
+            K, f = sd.complex, subdivided_f_vector(f)
+        return _finish(f"{args.kind}: f-vector {f}", doc, args.out)
     raise ParseError(f"unknown build kind {args.kind!r}")
 
 

@@ -5,7 +5,8 @@ A complex is held by its maximal faces alone, so its dimension is known
 before any of the 2^n faces of an n-vertex facet is built; the face set is
 built when it is first read.  Barycentric subdivision keeps an explicit
 bijection between the new vertices and the faces of the complex it
-subdivides, because later stages need lookups in both directions.
+subdivides, because later stages need lookups in both directions; its
+f-vector is counted from that complex's (`subdivided_f_vector`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from math import comb
 from typing import NamedTuple
 
 from .errors import NotAFaceError
@@ -263,6 +265,20 @@ def barycentric_subdivision(K: SimplicialComplex) -> SdComplex:
         for chain in maximal_chains(facet)
     )
     return SdComplex(SimplicialComplex(tuple(maximal)), K, dict(enumerate(order)), vertex_ids)
+
+
+def subdivided_f_vector(f: tuple[int, ...]) -> tuple[int, ...]:
+    """The f-vector of sd K, counted from the f-vector ``f`` of K without building a face.
+
+    A k-face of sd K is a chain of k + 1 faces of K.  Sending each vertex of
+    the chain's top to the first step that holds it maps the chains topped
+    by a face of s vertices one to one onto the surjections of those s
+    vertices onto the k + 1 steps, which inclusion-exclusion counts.
+    """
+    def onto(s: int, steps: int) -> int:
+        return sum((-1) ** i * comb(steps, i) * (steps - i) ** s for i in range(steps + 1))
+
+    return tuple(sum(n * onto(s, k + 1) for s, n in enumerate(f, 1)) for k in range(len(f)))
 
 
 def is_remote(K: SimplicialComplex, alpha, beta) -> bool:

@@ -2,17 +2,17 @@
 
 Every nerve question runs on one level walk, `walk`: a level's candidates
 are the sets whose facets were all kept at the level before
-(`next_candidates`), and a predicate decides each in (size, lex) order.
-The exhaustive engine tests every candidate for a common point and is kept
-as a cross-check oracle; the Helly engine tests only up to size m+1 and
-closes larger faces combinatorially (`helly_closed`) -- in R^m a family has
-a common point exactly when every m+1 of its members do.  A pair is first
-tried by its exact bounding boxes (`convex.boxes_disjoint`), which settle
-most disjoint pairs without a pair LP.  A body's bounds are computed only
-as the scan reads them, on its feasibility dictionary: here the one that
-decided its own vertex, since a one-body face system is the body itself
-(`subfamily_polytope`).  The walk costs about the nerve's faces times the
-bodies, so the body count is not capped.
+(`next_candidates`), a predicate decides each in (size, lex) order, and the
+kept faces come back in that order.  The exhaustive engine tests every
+candidate for a common point and is kept as a cross-check oracle; the Helly
+engine's test, `meets`, closes faces past size m+1 combinatorially -- in
+R^m a family has a common point exactly when every m+1 of its members do.
+A pair is first tried by its exact bounding boxes (`convex.boxes_disjoint`),
+which settle most disjoint pairs without a pair LP.  A body's bounds are
+computed only as the scan reads them, on its feasibility dictionary: here
+the one that decided its own vertex, since a one-body face system is the
+body itself (`subfamily_polytope`).  The walk costs about the nerve's faces
+times the bodies, so the body count is not capped.
 
 The certificate pipeline does not enumerate: `witness.witness_points`
 walks the claimed complex and stops at the first mismatch.  A candidate
@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import Face, SimplicialComplex, complex_from_facets
+from .complexes import Face, SimplicialComplex, canonical_faces, complex_from_facets
 from .convex import HPolytope, boxes_disjoint, polytope_is_empty
 from .errors import DimensionMismatchError, LabelMismatchError
 
@@ -129,8 +129,8 @@ def next_candidates(level: list[Face], labels: tuple[int, ...]) -> list[Face]:
     return out
 
 
-def walk(F: ConvexFamily, keep: Callable[[Face], bool]) -> SimplicialComplex:
-    """The complex of the faces ``keep`` accepts, level by level in (size, lex) order.
+def walk(F: ConvexFamily, keep: Callable[[Face], bool]) -> list[Face]:
+    """The faces ``keep`` accepts, level by level in (size, lex) order.
 
     Each level's candidates come from the faces kept at the level before
     (`next_candidates`), so ``keep`` sees every candidate exactly once, in
@@ -142,22 +142,22 @@ def walk(F: ConvexFamily, keep: Callable[[Face], bool]) -> SimplicialComplex:
     while level:
         level = [cand for cand in next_candidates(level, labels) if keep(cand)]
         faces.extend(level)
-    return complex_from_facets(faces)
+    return faces
 
 
-def helly_closed(F: ConvexFamily, face: Face) -> bool:
-    """Helly: a candidate of more than m + 1 bodies, whose facets all meet, meets."""
-    return len(face) > F.ambient + 1
+def meets(F: ConvexFamily, face: Face) -> bool:
+    """Whether a walk candidate's bodies meet: by Helly past m + 1, else `face_has_common_point`."""
+    return len(face) > F.ambient + 1 or face_has_common_point(F, face)
 
 
 def nerve_exhaustive(F: ConvexFamily) -> SimplicialComplex:
     """Nerve by LP-testing every candidate subfamily (supersets of empty ones pruned)."""
-    return walk(F, lambda face: face_has_common_point(F, face))
+    return complex_from_facets(walk(F, lambda face: face_has_common_point(F, face)))
 
 
 def nerve_helly(F: ConvexFamily) -> SimplicialComplex:
     """Nerve with LPs only up to subfamily size m+1; larger faces close combinatorially."""
-    return walk(F, lambda face: helly_closed(F, face) or face_has_common_point(F, face))
+    return complex_from_facets(walk(F, lambda face: meets(F, face)))
 
 
 def nerve_matches(
@@ -175,6 +175,6 @@ def nerve_matches(
         return NerveMatch(NerveMatch.EQUAL, None)
     missing = K.faces - nerve.faces
     extra = nerve.faces - K.faces
-    witness = min(missing | extra, key=lambda f: (len(f), f))
+    witness = canonical_faces(missing | extra)[0]
     verdict = NerveMatch.MISSING if witness in missing else NerveMatch.EXTRA
     return NerveMatch(verdict, witness)

@@ -51,8 +51,7 @@ from .nerve import (
     ConvexFamily,
     NerveMatch,
     check_labels,
-    face_has_common_point,
-    helly_closed,
+    meets,
     walk,
 )
 
@@ -118,8 +117,7 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
       body system's ball (`convex.inscribed_radius`), and an empty system
       is a ``missing_face``;
     - any other candidate is a minimal non-face of K, and it is an
-      ``extra_face`` when its bodies share a point: by Helly
-      (`nerve.helly_closed`), else by the box test and an LP.
+      ``extra_face`` when its bodies share a point (`nerve.meets`).
 
     Faces agree below the level being walked, so every face of K and every
     face of the nerve of that size is a candidate, and the first mismatch
@@ -139,7 +137,7 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
 
     def keep(face: Face) -> bool:
         if face not in K.faces:
-            if helly_closed(F, face) or face_has_common_point(F, face):
+            if meets(F, face):
                 raise _mismatch(NerveMatch.EXTRA, face)
             return False
         try:
@@ -168,7 +166,7 @@ def _mismatch(verdict: str, face: Face) -> NerveMismatchError:
 
 def verify_witness_membership(F: ConvexFamily, witness: dict[Face, Point]) -> MembershipReport:
     """Exact membership audit: p(face) must satisfy every row of every member body."""
-    for face in sorted(witness, key=lambda f: (len(f), f)):
+    for face in canonical_faces(witness):
         p = witness[face]
         for label in face:
             row = F.body(label).violated_row(p)

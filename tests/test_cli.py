@@ -16,8 +16,9 @@ import pytest
 import nervecert
 from nervecert.certificates import consistency_failure_cert, recheck_certificate
 from nervecert.cli import main
-from nervecert.fileio import complex_to_doc, document_to_text, family_from_doc
+from nervecert.fileio import complex_from_doc, complex_to_doc, document_to_text, family_from_doc
 from nervecert.nerve import nerve_exhaustive
+from conftest import random_complexes
 from test_gf2 import torus
 
 
@@ -946,6 +947,38 @@ def test_many_small_facets_are_read_in_linear_memory(tmp_path, capsys, make, exp
     # vertices would need gigabytes here, past the 300 MB address-space cap.
     proc = run_module(tmp_path, *make(tmp_path, capsys), timeout=60, preexec_fn=_cap_address_space)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_build_sd_of_an_eight_label_facet_builds_no_face_set(tmp_path):
+    # sd of one 8-label facet has 40,320 facets and over a million faces; the
+    # f-vector is counted from the facet's, so no face set of sd is built,
+    # which needed more than this 150 MB address-space cap.
+    facet = write(tmp_path / "facet.json", {"facets": [list(range(8))]})
+    out = tmp_path / "sd.json"
+    proc = run_module(
+        tmp_path, "build", "sd", facet, "-o", str(out), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20)),
+    )
+    line = "sd: f-vector (255, 6050, 46620, 166824, 317520, 332640, 181440, 40320)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0abf630b2fbd2440ac7ee4546e11a4fff7b534e480c9bb91d8557b482cb2d11f"
+    )
+
+
+def test_build_prints_the_f_vector_of_the_complex_it_writes(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for n in range(6):
+        for k in range(n + 1):
+            _, stdout = run(capsys, "build", "skeleton", str(n), str(k), "-o", str(out))
+            K, _ = complex_from_doc(load(out))
+            assert stdout == f"skeleton({n},{k}): f-vector {K.f_vector()}\n"
+    for i, K in enumerate(random_complexes(seed=41, count=4)):
+        src = write(tmp_path / f"k{i}.json", complex_to_doc(K))
+        for kind in ("sd", "sd2"):
+            _, stdout = run(capsys, "build", kind, src, "-o", str(out))
+            written, _ = complex_from_doc(load(out))
+            assert stdout == f"{kind}: f-vector {written.f_vector()}\n"
 
 
 def _nested_arrays(tmp_path, capsys) -> list[str]:

@@ -18,6 +18,7 @@ from nervecert import (
     is_remote,
     skeleton_complex,
 )
+from nervecert.complexes import subdivided_f_vector
 from conftest import random_complexes
 from oracles import (
     brute_force_chain_faces,
@@ -176,6 +177,15 @@ def test_double_subdivision_matches_the_chain_oracle():
     tetrahedron = complex_from_facets([[0, 1, 2, 3]])
     sd2 = barycentric_subdivision(barycentric_subdivision(tetrahedron).complex)
     assert sd2.complex.f_vector()[-1] == 24 * 24
+
+
+def test_the_counted_f_vector_of_sd_is_the_closures():
+    skeletons = [skeleton_complex(n, k) for n in range(4) for k in range(n + 1)]
+    for K in random_complexes(seed=37, count=12) + skeletons:
+        sd = barycentric_subdivision(K).complex
+        counted = subdivided_f_vector(K.f_vector())
+        assert counted == sd.f_vector()
+        assert subdivided_f_vector(counted) == barycentric_subdivision(sd).complex.f_vector()
 
 
 def faces_of(alpha) -> list[tuple]:

@@ -18,6 +18,8 @@ from nervecert import (
     nerve_matches,
     polytope_is_empty,
 )
+from nervecert.complexes import canonical_faces
+from nervecert.nerve import meets, walk
 from conftest import clustered_family, random_family
 from oracles import brute_force_nerve
 
@@ -134,6 +136,13 @@ def test_helly_matches_the_brute_force_nerve():
         assert faces == brute_force_nerve(F)
         closed += sum(len(face) > F.ambient + 1 for face in faces)
     assert closed
+
+
+def test_the_walk_returns_the_kept_faces_in_size_lex_order():
+    rng = random.Random(20261020)
+    for _ in range(15):
+        F = random_family(rng, n_max=7, m_max=3, cuts=True)
+        assert walk(F, lambda face: meets(F, face)) == canonical_faces(brute_force_nerve(F))
 
 
 def test_shrinking_a_body_never_adds_faces():

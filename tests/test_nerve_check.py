@@ -252,6 +252,20 @@ def test_a_clean_walk_finishes_each_face_once(monkeypatch):
     assert runs == [F.ambient + 1] * 50
 
 
+def test_a_clean_walk_builds_no_complex(monkeypatch):
+    # witness_points checks K; the faces its walk keeps are K's own, so it
+    # reduces them to no complex
+    import nervecert.nerve
+
+    F, K = sd_of("pipeline_d2_seed11.json")
+
+    def refuse(faces):
+        raise AssertionError("the walk built a complex")
+
+    monkeypatch.setattr(nervecert.nerve, "complex_from_facets", refuse)
+    assert set(witness_points(F, K)) == set(K.faces)
+
+
 @pytest.mark.parametrize(
     "name, pivots",
     [("pipeline_d2_seed11.json", 421), ("missing_face_d2_seed11.json", 307)],
