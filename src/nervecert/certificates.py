@@ -189,7 +189,7 @@ def consistency_failure_cert(obstruction_doc: dict, detail: str) -> dict:
 
 def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
     F = family_from_doc(doc["family"])
-    K, _ = complex_from_doc(doc["complex"])
+    K = complex_from_doc(doc["complex"])
     check_labels(F, K)  # as `certificate` does
     face = _face_field(doc, "witness_face")
     direction = doc.get("direction")
@@ -237,7 +237,7 @@ def _recheck_witness_violation(doc) -> tuple[bool, str]:
 
 
 def _recheck_lemma_violation(doc) -> tuple[bool, str]:
-    K, _ = complex_from_doc(doc["nerve"])
+    K = complex_from_doc(doc["nerve"])
     alpha = _face_field(doc, "alpha")
     beta = _face_field(doc, "beta")
     # the nerve is sd L for a d-complex L, and the family lives in R^2d
@@ -268,7 +268,7 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
         return False, "simplices share a vertex"
     if len(gamma) != d + 1 or len(delta) != d + 1:
         return False, "simplices do not have dimension d"
-    K, _ = complex_from_doc(doc["complex"])
+    K = complex_from_doc(doc["complex"])
     check_placement_dim(K.dim, d)
     if not (K.has_face(gamma) and K.has_face(delta)):
         return False, "pair is not a pair of complex faces"
@@ -292,7 +292,7 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
 def _recheck_obstruction(doc) -> tuple[bool, str]:
     d = _int_field(doc["d"], "'d'")
     _require(d >= 1, "'d' must be a positive integer")
-    K, _ = complex_from_doc(doc["complex"])
+    K = complex_from_doc(doc["complex"])
     check_placement_dim(K.dim, d)
     n_pairs = _int_field(doc["n_pairs"], "'n_pairs'")
     n_rows = _int_field(doc["n_rows"], "'n_rows'")

@@ -2,10 +2,11 @@
 and the end-to-end certificate pipeline.
 
 The pipeline checks the nerve against sd L face by face while it computes
-the canonical witness points, then runs the one membership audit, which
-proves the remote-face lemma, and the obstruction verdict.  The
-`--corrupt-witness` hook places its point before that audit; the stage
-decides whether a violation is reported (`witness`) or goes to the
+the canonical witness points.  Each point is checked once, against its
+face's system, as it is computed; that membership proves the remote-face
+lemma, and the obstruction verdict follows.  The membership audit reads
+only the point of the `--corrupt-witness` hook; the stage decides whether
+a violation is reported (`witness`) or goes, in place of p(face), to the
 hull-test audit (`lemma`).  `VKF_CERTIFICATE` comes only from `vkf-demo`.
 
 Exit codes are a stable contract, kept by `_finish`: 0 ok/vanishes, 1 usage,
@@ -137,7 +138,7 @@ def cmd_build(args) -> int:
         if len(args.args) != 1:
             raise ParseError(f"usage: build {args.kind} COMPLEX_FILE")
         doc = load_document(args.args[0])
-        K, _ = complex_from_doc(doc)
+        K = complex_from_doc(doc)
         f = K.f_vector()
         for _ in range(1 if args.kind == "sd" else 2):
             sd = barycentric_subdivision(K)
@@ -153,7 +154,7 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_vk(args) -> int:
-    K, _ = complex_from_doc(load_document(args.complex))
+    K = complex_from_doc(load_document(args.complex))
     placement = moment_curve_placement(K, args.d, _parse_params(args.params))
     cert = obstruction_vanishes(K, args.d, placement)
     weight = cert.cocycle.weight
@@ -166,7 +167,7 @@ def cmd_vk(args) -> int:
 
 def cmd_certificate(args) -> int:
     F = family_from_doc(load_document(args.family))
-    L, _ = complex_from_doc(load_document(args.complex))
+    L = complex_from_doc(load_document(args.complex))
     d = args.d
     if d < 1:
         raise ParseError("d must be at least 1")
@@ -188,15 +189,14 @@ def cmd_certificate(args) -> int:
         match = exc.match
         line = f"NERVE_MISMATCH: {match.verdict} {list(match.face)}"
         return _finish(line, nerve_mismatch_cert(match, F, K), args.out)
-    if stage is not None:
-        points[face] = pt
-    # every other point passed its centre's check, so only p(face) can fail here
-    v = verify_witness_membership(F, points).violation
+    # each computed point passed its centre's check, so only the hook's is audited
+    v = None if stage is None else verify_witness_membership(F, {face: pt}).violation
     if v is not None:
         if stage != "lemma":
             line = f"WITNESS_VIOLATION: p({list(v.face)}) breaks row {v.row} of body {v.label}"
             return _finish(line, witness_violation_cert(v, F), args.out)
         # membership proves the lemma; the audit only names a hook's violating pair
+        points[face] = pt
         v = verify_remote_disjointness(assemble_witness_map(K, points, F.ambient)).violation
         if v is not None:
             line = (

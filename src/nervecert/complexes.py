@@ -112,9 +112,6 @@ class SimplicialComplex:
     def edge_set(self) -> frozenset[Face]:
         return frozenset(e for f in self._maximal for e in combinations(f, 2))
 
-    def canonical(self) -> list[Face]:
-        return canonical_faces(self.faces)
-
     def facets(self) -> list[Face]:
         """The maximal faces, canonically ordered."""
         return list(self._maximal)
@@ -228,9 +225,6 @@ class SdComplex:
     base: SimplicialComplex
     labels: dict[int, Face]
     vertex_ids: dict[Face, int]
-
-    def vertex_for(self, f: Face) -> int:
-        return self.vertex_ids[tuple(f)]
 
     def validate(self) -> None:
         """Check the chain criterion in both directions (intended for tests)."""

@@ -158,32 +158,24 @@ class HPolytope:
         return self.violated_row(point) is None
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each (row, rhs) times the lcm of its denominators, as ints."""
-        out = []
-        for row, bi in zip(self.A, self.b):
-            scale = lcm(bi.denominator, *(a.denominator for a in row))
-            ints = tuple(a.numerator * (scale // a.denominator) for a in row)
-            out.append((ints, bi.numerator * (scale // bi.denominator)))
-        return tuple(out)
-
-    @cached_property
     def reduced_rows(self) -> tuple[tuple[tuple[int, ...], Fraction], ...] | None:
         """The same set as primitive integer rows, one per direction.
 
-        Each integer row is divided by its gcd, and a direction that repeats
-        keeps only its least right-hand side, in order of first appearance.
-        Zero rows (0 <= b_i) are dropped; None means one of them has
-        b_i < 0, so the polytope is empty.
+        Each row times the lcm of its denominators is divided by its gcd,
+        and a direction that repeats keeps only its least right-hand side,
+        in order of first appearance.  Zero rows (0 <= b_i) are dropped;
+        None means one of them has b_i < 0, so the polytope is empty.
         """
         rows = []
-        for ints, bi in self.integer_rows:
+        for row, bi in zip(self.A, self.b):
+            scale = lcm(*(a.denominator for a in row))
+            ints = [a.numerator * (scale // a.denominator) for a in row]
             g = gcd(*ints)
             if g == 0:
                 if bi < 0:
                     return None
                 continue
-            rows.append((tuple(v // g for v in ints), Fraction(bi, g)))
+            rows.append((tuple(v // g for v in ints), Fraction(bi * scale, g)))
         return _least_per_direction(rows)
 
     @cached_property
@@ -218,13 +210,16 @@ class HPolytope:
         return bounds[j, upper]
 
     def violated_row(self, point) -> int | None:
-        """Index of the first constraint the point breaks, or None."""
+        """Index of the first row i with A_i.p > b_i (the rule `recheck` applies), or None."""
         p = make_point(point)
         if len(p) != self.ambient:
             raise DimensionMismatchError(
                 f"point has {len(p)} coordinates, ambient is {self.ambient}"
             )
-        return _first_violated(self.integer_rows, p)
+        return next(
+            (i for i, (row, bi) in enumerate(zip(self.A, self.b)) if sum(map(mul, row, p)) > bi),
+            None,
+        )
 
 
 def _least_per_direction(rows) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -237,10 +232,13 @@ def _least_per_direction(rows) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
 
 
 def _first_violated(rows, p: Point) -> int | None:
-    """Index of the first (a, b) in ``rows`` with a.p > b: a integral, b an int or a Fraction.
+    """Index of the first reduced row (a, b) with a.p > b, or None: the centre check.
 
     Exact in integers: the point over a common denominator D, each row
-    scaled by the denominator of its b.
+    scaled by the denominator of its b.  A point meets the reduced rows of
+    a stack iff it meets every row of every member: each reduced row is a
+    positive multiple of an original one, and a dropped row is either a
+    zero row with b >= 0 or a repeat of its direction at a larger b.
     """
     D = lcm(*(x.denominator for x in p))
     nums = [x.numerator * (D // x.denominator) for x in p]

@@ -121,7 +121,8 @@ def complex_to_doc(
     return doc
 
 
-def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
+def complex_from_doc(doc) -> SimplicialComplex:
+    """The complex of the document's facets; a vertex-label table is checked, not kept."""
     _require(isinstance(doc, dict), "complex document must be an object")
     _require("facets" in doc, "complex document needs a 'facets' list")
     _require(isinstance(doc["facets"], list), "'facets' must be a list")
@@ -129,15 +130,15 @@ def complex_from_doc(doc) -> tuple[SimplicialComplex, dict[int, Face] | None]:
         K = complex_from_facets([_int_list(f, "facet") for f in doc["facets"]])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    labels = None
-    if "vertex_labels" in doc and doc["vertex_labels"] is not None:
-        raw = doc["vertex_labels"]
+    raw = doc.get("vertex_labels")
+    if raw is not None:
         _require(isinstance(raw, dict), "'vertex_labels' must be an object")
-        labels = {}
+        keys = set()
         for key, val in raw.items():
-            labels[_canonical_int(key, "'vertex_labels' key")] = tuple(_int_list(val, "vertex label"))
-        _require(set(labels) == set(K.vertices), "vertex_labels must cover exactly the vertices")
-    return K, labels
+            keys.add(_canonical_int(key, "'vertex_labels' key"))
+            _int_list(val, "vertex label")
+        _require(keys == set(K.vertices), "vertex_labels must cover exactly the vertices")
+    return K
 
 
 def sd_to_doc(sdK: SdComplex, base_doc: dict | None = None) -> dict:

@@ -7,14 +7,15 @@ face where claim and family disagree is raised as the mismatch.  The check
 needs only the radius stage of each face's ball; the points are finished
 once the whole claim has passed.  Extending linearly over the barycentric
 subdivision gives a map whose key property is the remote-face lemma:
-subdivisions of remote faces have disjoint images.  The membership audit
-proves it.  When p(sigma) lies in C_v for every v in sigma, each piece of
-g(|sd alpha|) (the hull of the points of a maximal chain) lies in the body
-of the chain's bottom vertex, and remote faces have no nerve edge between
-them, so their images lie in disjoint bodies.  The map is represented only
-by its vertex images; the hull-test audit `verify_remote_disjointness`
-scans the pieces of every remote pair and is kept to name the two pieces
-of a map that fails membership.
+subdivisions of remote faces have disjoint images.  Membership proves it,
+and each point's centre check is that membership, made once.  When p(sigma)
+lies in C_v for every v in sigma, each piece of g(|sd alpha|) (the hull of
+the points of a maximal chain) lies in the body of the chain's bottom vertex,
+and remote faces have no nerve edge between them, so their images lie in
+disjoint bodies.  The map is represented only by its vertex images; the
+hull-test audit `verify_remote_disjointness` scans the pieces of every
+remote pair and is kept to name the two pieces of a map that fails
+membership.
 
 The map can also be pushed through a second subdivision: when the nerve is
 itself the subdivision of some source complex, the maximal chains of a
@@ -127,9 +128,10 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
     coordinate stages run in walk order, from where its radius stage
     stopped.  An unbounded face system still proves the face nonempty, so
     the first one in walk order, radius or coordinate, is raised only then.
-    The centre is checked against every row of its system, so nothing is
-    audited here; callers that may corrupt points run
-    `verify_witness_membership` themselves.  No body cap applies.
+    Each centre is checked against the reduced rows of its system, which a
+    point meets iff it meets every row of every member body, so each point
+    is verified once, here; `verify_witness_membership` is for a point
+    placed from outside.  No body cap applies.
     """
     check_labels(F, K)
     # each face of K in walk order, with its centre call or its unbounded radius

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -312,26 +313,41 @@ def test_certificate_enumerates_no_nerve(
 
 
 @pytest.mark.parametrize(
-    "stage, code", [(None, 0), ("witness", 2)], ids=["clean", "witness-stage"]
+    "stage, code",
+    [(None, 0), ("witness", 2), ("lemma", 2)],
+    ids=["clean", "witness-stage", "lemma-stage"],
 )
 def test_certificate_audits_membership_once(tmp_path, capsys, monkeypatch, stage, code):
+    # Each computed point passed its centre's check, so the membership audit
+    # reads the hook's point alone, and a clean run reads no body row at all.
     import nervecert.cli
+    import nervecert.convex
     import nervecert.witness
 
-    real = nervecert.witness.verify_witness_membership
-    calls = []
+    audits, row_reads = [], []
+    real_audit = nervecert.witness.verify_witness_membership
+    real_row = nervecert.convex.HPolytope.violated_row
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def audit(*args, **kwargs):
+        audits.append(args)
+        return real_audit(*args, **kwargs)
+
+    def violated_row(self, point):
+        row_reads.append(point)
+        return real_row(self, point)
 
     for module in (nervecert.witness, nervecert.cli):
-        monkeypatch.setattr(module, "verify_witness_membership", counted)
+        monkeypatch.setattr(module, "verify_witness_membership", audit)
+    monkeypatch.setattr(nervecert.convex.HPolytope, "violated_row", violated_row)
     fam = write(tmp_path / "fam.json", PATH_FAMILY)
     path = write(tmp_path / "path.json", PATH)
     extra = ["--corrupt-witness", "0:37/2,1/2", "--corrupt-stage", stage] if stage else []
     assert run(capsys, "certificate", fam, path, "-d", "1", *extra)[0] == code
-    assert len(calls) == 1
+    if stage is None:
+        assert audits == [] and row_reads == []
+    else:
+        assert len(audits) == 1
+        assert audits[0][1] == {(0,): (Fraction(37, 2), Fraction(1, 2))}
 
 
 @pytest.mark.parametrize(
@@ -971,13 +987,13 @@ def test_build_prints_the_f_vector_of_the_complex_it_writes(tmp_path, capsys):
     for n in range(6):
         for k in range(n + 1):
             _, stdout = run(capsys, "build", "skeleton", str(n), str(k), "-o", str(out))
-            K, _ = complex_from_doc(load(out))
+            K = complex_from_doc(load(out))
             assert stdout == f"skeleton({n},{k}): f-vector {K.f_vector()}\n"
     for i, K in enumerate(random_complexes(seed=41, count=4)):
         src = write(tmp_path / f"k{i}.json", complex_to_doc(K))
         for kind in ("sd", "sd2"):
             _, stdout = run(capsys, "build", kind, src, "-o", str(out))
-            written, _ = complex_from_doc(load(out))
+            written = complex_from_doc(load(out))
             assert stdout == f"{kind}: f-vector {written.f_vector()}\n"
 
 

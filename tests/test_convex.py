@@ -22,6 +22,7 @@ from nervecert import (
     inscribed_ball,
     polytope_is_empty,
 )
+from nervecert.convex import _first_violated
 from conftest import random_box
 from oracles import fm_hulls_intersect, fm_polytope_is_empty, segments_cross_properly
 from test_inscribed_ball import random_hpolytope
@@ -111,6 +112,58 @@ def test_the_merged_rows_property_reaches_every_outcome():
         elif len(merged) < sum(len(part.reduced_rows) for part in parts):
             seen["repeated direction"] += 1
     for outcome in ("one body", "zero row, b < 0", "repeated direction"):
+        assert seen[outcome] >= 20, seen
+
+
+def points_to_try(rng, parts) -> list:
+    """Rational points to try against a stack: random ones, and each member's canonical point.
+
+    A member's canonical point often lies on a row of its own and near the
+    rows of the other members, where a stack that kept the wrong right-hand
+    side of a repeated direction would judge it differently.
+    """
+    m = parts[0].ambient
+    points = [
+        tuple(Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(m))
+        for _ in range(3)
+    ]
+    for P in parts:
+        try:
+            points.append(canonical_point(P))
+        except (EmptyPolytopeError, UnboundedPolytopeError):
+            pass
+    return points
+
+
+def centre_check_agrees(parts, p) -> bool:
+    """Whether p meets every member; asserts the stack's reduced rows say the same."""
+    rows = HPolytope.stack(parts).reduced_rows
+    in_members = all(P.violated_row(p) is None for P in parts)
+    assert (rows is not None and _first_violated(rows, p) is None) == in_members
+    return in_members
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_the_centre_check_is_membership_in_every_member(seed):
+    rng = random.Random(seed)
+    parts = random_stack(rng)
+    for p in points_to_try(rng, parts):
+        centre_check_agrees(parts, p)
+
+
+def test_the_centre_check_property_reaches_every_outcome():
+    # The same generators, seeded: points inside every member, points outside
+    # some member, and points on a stack with a zero row b_i < 0 must all occur.
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(300):
+        parts = random_stack(rng)
+        empty = HPolytope.stack(parts).reduced_rows is None
+        for p in points_to_try(rng, parts):
+            inside = centre_check_agrees(parts, p)
+            seen["zero row, b < 0" if empty else "inside" if inside else "outside"] += 1
+    for outcome in ("inside", "outside", "zero row, b < 0"):
         assert seen[outcome] >= 20, seen
 
 

@@ -150,9 +150,9 @@ def test_a_json_integer_after_its_spelling_still_decodes():
 def test_complex_round_trip():
     K = complex_from_facets([[0, 1, 2], [2, 3], [4]])
     doc = complex_to_doc(K)
-    back, labels = complex_from_doc(doc)
+    back = complex_from_doc(doc)
     assert back.faces == K.faces
-    assert labels is None
+    assert "vertex_labels" not in doc
     assert text_to_document(document_to_text(doc)) == doc
 
 
@@ -160,9 +160,9 @@ def test_subdivision_doc_keeps_labels():
     K = complex_from_facets([[1, 2], [2, 3]])
     sd = barycentric_subdivision(K)
     doc = sd_to_doc(sd, base_doc=complex_to_doc(K))
-    back, labels = complex_from_doc(doc)
+    back = complex_from_doc(doc)
     assert back.faces == sd.complex.faces
-    assert labels == sd.labels
+    assert doc["vertex_labels"] == {str(v): list(f) for v, f in sorted(sd.labels.items())}
     assert doc["base"] == complex_to_doc(K)
 
 
@@ -216,6 +216,10 @@ def test_family_doc_validation(doc):
         {"facets": [[1, 1]]},
         {"facets": [[0]], "vertex_labels": {"1": [0]}},
         {"facets": "nope"},
+        {"facets": [[0]], "vertex_labels": [[0]]},
+        {"facets": [[0]], "vertex_labels": {"00": [0]}},
+        {"facets": [[0]], "vertex_labels": {"0": ["0"]}},
+        {"facets": [[0]], "vertex_labels": {"0": 0}},
     ],
 )
 def test_complex_doc_validation(doc):
