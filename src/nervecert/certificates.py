@@ -101,13 +101,7 @@ def _pieces_to_doc(piece) -> list[list[str]]:
 
 def _pieces_from_doc(raw, what: str, ambient: int):
     _require(isinstance(raw, list) and raw, f"{what} must be a nonempty list of points")
-    piece = [parse_point(p, f"{what} point") for p in raw]
-    for p in piece:
-        _require(
-            len(p) == ambient,
-            f"'{what}' point has {len(p)} coordinates, ambient is 2d = {ambient}",
-        )
-    return piece
+    return [parse_point(p, f"'{what}' point", ambient) for p in raw]
 
 
 # -- builders ----------------------------------------------------------------
@@ -215,11 +209,7 @@ def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
 
 def _recheck_witness_violation(doc) -> tuple[bool, str]:
     F = family_from_doc(doc["family"])
-    point = parse_point(doc["point"], "'point'")
-    _require(
-        len(point) == F.ambient,
-        f"'point' has {len(point)} coordinates, ambient is {F.ambient}",
-    )
+    point = parse_point(doc["point"], "'point'", F.ambient)
     face = _face_field(doc, "face")
     _require(
         set(face) <= set(F.labels()), f"'face' {list(face)} names labels outside the family"
@@ -273,11 +263,7 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
     if not (K.has_face(gamma) and K.has_face(delta)):
         return False, "pair is not a pair of complex faces"
     placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
-    point = parse_point(doc["point"], "'point'")
-    _require(
-        len(point) == 2 * d,
-        f"'point' has {len(point)} coordinates, ambient is 2d = {2 * d}",
-    )
+    point = parse_point(doc["point"], "'point'", 2 * d)
     result = crossing(
         [placement.point(v) for v in gamma],
         [placement.point(v) for v in delta],

@@ -112,11 +112,7 @@ def _parse_corruption(text: str, ambient: int):
     if not sep:
         raise ParseError("corruption spec must look like 'v1,v2:c1,c2'")
     face = tuple(sorted(_canonical_int(v, "corruption face label") for v in head.split(",")))
-    point = parse_point([part.strip() for part in tail.split(",")])
-    if len(point) != ambient:
-        raise ParseError(
-            f"corruption point has {len(point)} coordinates, ambient is {ambient}"
-        )
+    point = parse_point([part.strip() for part in tail.split(",")], "corruption point", ambient)
     return face, point
 
 
@@ -175,6 +171,13 @@ def cmd_certificate(args) -> int:
         raise ParseError(f"source complex has dimension {L.dim}, expected {d}")
     if F.ambient != 2 * d:
         raise ParseError(f"family ambient is {F.ambient}, expected 2d = {2 * d}")
+    # sd L has a vertex per face of L, at least the 2^(d+1) - 1 faces of one
+    # d-face: fewer bodies are refused before L's closure is built
+    n, least = len(F.bodies), 2 ** (d + 1) - 1
+    if least > n:
+        raise ParseError(f"family has {n} bodies, sd L has at least {least} vertices")
+    if len(L.faces) != n:
+        raise ParseError(f"family has {n} bodies, sd L has {len(L.faces)} vertices")
     K = barycentric_subdivision(L).complex
     face = pt = stage = None
     if args.corrupt_witness:

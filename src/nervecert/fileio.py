@@ -3,12 +3,15 @@
 Rationals travel as exact strings ("3/2", "-1/4", "7"), read only in the
 spelling `format_rational` writes, and integer keys only as `str` writes
 them; plain JSON integers are accepted on input, decimals never are.
-Within one family document each distinct rational string is decoded once,
-with the full spelling check; the documents themselves are unchanged.  A
-complex document lists facets plus, for subdivision outputs, the
-vertex-label table (the face each new vertex subdivides) and optionally the
-document of the complex those labels refer to.  Documents are always dumped
-with sorted keys so byte output is deterministic.
+Every list of rationals (a point, a box corner, an hpoly row or its `b`)
+is read by `parse_point`, which checks the length its caller states before
+it decodes an entry.  Within one family document each distinct rational
+string is decoded once, with the full spelling check; the documents
+themselves are unchanged.  A complex document lists facets plus, for
+subdivision outputs, the vertex-label table (the face each new vertex
+subdivides) and optionally the document of the complex those labels refer
+to.  Documents are always dumped with sorted keys so byte output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -49,11 +52,6 @@ def parse_rational(value) -> Fraction:
 def format_rational(q: Fraction) -> str:
     q = frac(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_point(values, what: str = "point") -> Point:
-    _require(isinstance(values, list), f"{what} must be a list of rationals")
-    return tuple([parse_rational(v) for v in values])
 
 
 def format_point(p) -> list[str]:
@@ -101,8 +99,18 @@ class _Spellings(dict):
         return q
 
 
-def _rational_list(values, what: str, spellings: _Spellings) -> tuple[Fraction, ...]:
-    _require(isinstance(values, list), f"{what} must be a list of rationals")
+def parse_point(values, what: str, size: int | None = None, spellings=None) -> Point:
+    """The rationals of the list ``values``, of ``size`` entries if given.
+
+    Strings decode through ``spellings``, a document's memo, or a fresh one.
+    """
+    # raised by hand, not by `_require`: a message is built only on failure
+    if not isinstance(values, list):
+        raise ParseError(f"{what} must be a list of rationals")
+    if size is not None and len(values) != size:
+        raise ParseError(f"{what} has {len(values)} entries, expected {size}")
+    if spellings is None:
+        spellings = _Spellings()
     return tuple([spellings[v] if type(v) is str else parse_rational(v) for v in values])
 
 
@@ -171,17 +179,14 @@ def _body_from_doc(entry, ambient: int, spellings: _Spellings) -> tuple[int, HPo
     if kinds[0] == "box":
         box = entry["box"]
         _require(isinstance(box, dict) and "lo" in box and "hi" in box, "'box' needs 'lo' and 'hi'")
-        lo = _rational_list(box["lo"], "box 'lo'", spellings)
-        hi = _rational_list(box["hi"], "box 'hi'", spellings)
-        _require(len(lo) == ambient and len(hi) == ambient, "box corner length must equal ambient")
+        lo = parse_point(box["lo"], "box 'lo'", ambient, spellings)
+        hi = parse_point(box["hi"], "box 'hi'", ambient, spellings)
         return label, HPolytope.box(lo, hi)
     hp = entry["hpoly"]
     _require(isinstance(hp, dict) and "A" in hp and "b" in hp, "'hpoly' needs 'A' and 'b'")
     _require(isinstance(hp["A"], list), "hpoly 'A' must be a list of rows")
-    A = tuple([_rational_list(row, "hpoly row", spellings) for row in hp["A"]])
-    b = _rational_list(hp["b"], "hpoly 'b'", spellings)
-    _require(all(len(row) == ambient for row in A), "hpoly rows must have ambient many columns")
-    _require(len(A) == len(b), "hpoly 'A' and 'b' lengths disagree")
+    A = tuple([parse_point(row, "hpoly row", ambient, spellings) for row in hp["A"]])
+    b = parse_point(hp["b"], "hpoly 'b'", len(A), spellings)
     return label, HPolytope(ambient, A, b)  # checked and exact already: no `from_rows` pass
 
 

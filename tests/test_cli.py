@@ -17,7 +17,13 @@ import pytest
 import nervecert
 from nervecert.certificates import consistency_failure_cert, recheck_certificate
 from nervecert.cli import main
-from nervecert.fileio import complex_from_doc, complex_to_doc, document_to_text, family_from_doc
+from nervecert.fileio import (
+    complex_from_doc,
+    complex_to_doc,
+    document_to_text,
+    family_from_doc,
+    family_to_doc,
+)
 from nervecert.nerve import nerve_exhaustive
 from conftest import random_complexes
 from test_gf2 import torus
@@ -707,8 +713,47 @@ def test_recheck_rejects_a_witness_point_of_the_wrong_length(tmp_path, capsys, p
     bad = write(tmp_path / "bad.json", doc)
     assert main(["recheck", bad]) == 1
     captured = capsys.readouterr()
-    assert f"'point' has {len(point)} coordinates, ambient is 2" in captured.err
+    assert f"'point' has {len(point)} entries, expected 2" in captured.err
     assert "confirmed" not in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "field, what",
+    [
+        (("box", "lo"), "box 'lo'"),
+        (("box", "hi"), "box 'hi'"),
+        (("hpoly", "A", 0), "hpoly row"),
+        (("hpoly", "b"), "hpoly 'b'"),
+        (None, "corruption point"),
+    ],
+    ids=["box-lo", "box-hi", "hpoly-row", "hpoly-b", "corruption-point"],
+)
+def test_every_list_of_rationals_is_read_at_its_length(tmp_path, capsys, field, what, delta):
+    # One entry short or long: the field and both counts are named, exit 1.
+    if field is None:
+        size = 2
+        point = ",".join(["1/2"] * (size + delta))
+        argv = [
+            "certificate", write(tmp_path / "fam.json", PATH_FAMILY),
+            write(tmp_path / "path.json", PATH), "-d", "1", "--corrupt-witness", f"0:{point}",
+        ]
+    else:
+        family = json.loads(json.dumps(TRIANGLE_FAMILY))
+        if field[0] == "hpoly":
+            family = family_to_doc(family_from_doc(family))
+        inner = family["bodies"][0]
+        for key in field[:-1]:
+            inner = inner[key]
+        values = inner[field[-1]]
+        size = len(values)
+        inner[field[-1]] = (values + values)[: size + delta]
+        argv = ["nerve", write(tmp_path / "fam.json", family)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {what} has {size + delta} entries, expected {size}\n" in captured.err
+    assert captured.out == ""
     assert "Traceback" not in captured.err
 
 
@@ -798,7 +843,7 @@ def test_recheck_rejects_a_crossing_point_of_the_wrong_length(tmp_path, capsys, 
     doc["point"] = point
     assert main(["recheck", write(tmp_path / "bad.json", doc)]) == 1
     captured = capsys.readouterr()
-    assert f"'point' has {len(point)} coordinates, ambient is 2d = 2" in captured.err
+    assert f"'point' has {len(point)} entries, expected 2" in captured.err
     assert "REFUTED" not in captured.out
     assert "Traceback" not in captured.err
 
@@ -874,6 +919,12 @@ def _certificate_huge(tmp_path, capsys) -> list[str]:
     return ["certificate", fam, write(tmp_path / "huge.json", HUGE_COMPLEX), "-d", "1"]
 
 
+def _certificate_huge_at_its_dimension(tmp_path, capsys) -> list[str]:
+    box = {"lo": ["0"] * 78, "hi": ["1"] * 78}
+    fam = write(tmp_path / "fam.json", {"ambient": 78, "bodies": [{"label": 0, "box": box}]})
+    return ["certificate", fam, write(tmp_path / "huge.json", HUGE_COMPLEX), "-d", "39"]
+
+
 def _extra_face_on_40_intervals(tmp_path, capsys) -> dict:
     """An extra_face claim [0, 1] over 40 unit intervals, whose labels the huge facet covers."""
     doc = _extra_face_cert(tmp_path, capsys)
@@ -901,6 +952,10 @@ def _recheck_huge(make, *keys):
     [
         (_vk_huge, PLACEMENT_REFUSAL),
         (_certificate_huge, (1, "", "error: source complex has dimension 39, expected 1\n")),
+        (
+            _certificate_huge_at_its_dimension,
+            (1, "", f"error: family has 1 bodies, sd L has at least {2 ** 40 - 1} vertices\n"),
+        ),
         (_recheck_huge(_vk_k5_cert, "complex"), PLACEMENT_REFUSAL),
         (_recheck_huge(_consistency_cert, "obstruction", "complex"), PLACEMENT_REFUSAL),
         (_recheck_huge(_demo_cert, "complex"), PLACEMENT_REFUSAL),
@@ -910,18 +965,19 @@ def _recheck_huge(make, *keys):
         ),
         (
             _recheck_huge(_lemma_cert, "nerve"),
-            (1, "", "error: 'piece_a' point has 2 coordinates, ambient is 2d = 78\n"),
+            (1, "", "error: 'piece_a' point has 2 entries, expected 78\n"),
         ),
     ],
     ids=[
-        "vk", "certificate", "recheck-obstruction", "recheck-consistency", "recheck-vkf",
+        "vk", "certificate", "certificate-d39", "recheck-obstruction", "recheck-consistency", "recheck-vkf",
         "recheck-nerve-mismatch", "recheck-lemma",
     ],
 )
 def test_an_over_dimensional_facet_is_refused_before_its_closure(tmp_path, capsys, make, expected):
     # A complex is held by its maximal faces, so no command builds the 2^40
     # faces: those that know d refuse the facet with the message a small
-    # over-dimensional complex gets, and the two kinds that carry no d end on
+    # over-dimensional complex gets, `certificate` at d = 39 refuses one body
+    # for sd L's 2^40 - 1 vertices, and the two kinds that carry no d end on
     # their own checks, reading membership and dimension off the one facet.
     proc = run_module(tmp_path, *make(tmp_path, capsys), timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected

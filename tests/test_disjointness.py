@@ -159,10 +159,10 @@ def test_lemma_violation_document_is_pinned(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ({"piece_a": [["5"]], "piece_b": [["5"]]}, "'piece_a' point has 1 coordinates"),
+        ({"piece_a": [["5"]], "piece_b": [["5"]]}, "'piece_a' point has 1 entries, expected 2"),
         (
             {"piece_a": [["5", "1", "0"]], "piece_b": [["5", "1", "0"]]},
-            "'piece_a' point has 3 coordinates",
+            "'piece_a' point has 3 entries, expected 2",
         ),
         ({"piece_a": [["37/2", "1/2"], ["0", "0"]]}, "'piece_a' has 2 points"),
         (
