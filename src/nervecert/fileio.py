@@ -99,18 +99,19 @@ class _Spellings(dict):
         return q
 
 
-def parse_point(values, what: str, size: int | None = None, spellings=None) -> Point:
-    """The rationals of the list ``values``, of ``size`` entries if given.
+def parse_point(values, what: str, size: int, spellings=None) -> Point:
+    """The rationals of the list ``values``, which must have ``size`` entries.
 
-    Strings decode through ``spellings``, a document's memo, or a fresh one.
+    The length is always checked, before any entry is decoded.  Strings
+    decode through ``spellings``, a document's memo, when one is given.
     """
     # raised by hand, not by `_require`: a message is built only on failure
     if not isinstance(values, list):
         raise ParseError(f"{what} must be a list of rationals")
-    if size is not None and len(values) != size:
+    if len(values) != size:
         raise ParseError(f"{what} has {len(values)} entries, expected {size}")
     if spellings is None:
-        spellings = _Spellings()
+        return tuple([parse_rational(v) for v in values])
     return tuple([spellings[v] if type(v) is str else parse_rational(v) for v in values])
 
 

@@ -983,6 +983,24 @@ def test_an_over_dimensional_facet_is_refused_before_its_closure(tmp_path, capsy
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
+@pytest.mark.parametrize(
+    "bodies, count",
+    [
+        (PATH_FAMILY["bodies"][:4], 4),
+        (PATH_FAMILY["bodies"] + [{"label": 5, "box": {"lo": ["0", "0"], "hi": ["1", "1"]}}], 6),
+    ],
+    ids=["one-short", "one-over"],
+)
+def test_certificate_refuses_a_body_count_unlike_the_face_count_of_l(tmp_path, capsys, bodies, count):
+    # PATH has 5 faces, so sd PATH has 5 vertices; both counts clear the
+    # 2^(d+1) - 1 = 3 bound and are refused against the face count instead
+    fam = write(tmp_path / "fam.json", {"ambient": 2, "bodies": bodies})
+    proc = run_module(tmp_path, "certificate", fam, write(tmp_path / "path.json", PATH), "-d", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: family has {count} bodies, sd L has 5 vertices\n"
+    )
+
+
 PATH_EDGES = 200_000  # a path of this many edges is a 3.4 MB complex document
 
 
