@@ -1,4 +1,4 @@
-"""Machine-checkable certificate documents and their re-verification.
+"""Machine-checkable certificates, the pipeline that picks one, and recheck.
 
 Every certificate embeds the data its verdict depends on, so `recheck` can
 re-run the underlying exact predicate from the document alone and either
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 
-from .complexes import SimplicialComplex, is_remote
+from .complexes import SimplicialComplex, barycentric_subdivision, is_remote
 from .convex import crossing, hulls_intersect, polytope_is_empty
-from .errors import ParseError
+from .errors import NerveMismatchError, ParseError
 from .fileio import (
     _canonical_int,
     _int_field,
@@ -36,6 +36,13 @@ from .obstruction import (
     gf2_rank,
     intersection_cocycle,
     moment_curve_placement,
+    obstruction_vanishes,
+)
+from .witness import (
+    assemble_witness_map,
+    verify_remote_disjointness,
+    verify_witness_membership,
+    witness_points,
 )
 
 NERVE_MISMATCH = "NERVE_MISMATCH"
@@ -171,12 +178,77 @@ def obstruction_report_cert(
     }
 
 
-def consistency_failure_cert(obstruction_doc: dict, detail: str) -> dict:
+def consistency_failure_cert(obstruction_doc: dict) -> dict:
     return {
         "kind": CONSISTENCY_FAILURE,
-        "detail": detail,
+        "detail": (
+            "pipeline ran clean on a source with nonvanishing obstruction; "
+            "this indicates a library fault, not a property of the input"
+        ),
         "obstruction": obstruction_doc,
     }
+
+
+# -- pipeline ----------------------------------------------------------------
+
+def run_pipeline(F: ConvexFamily, L: SimplicialComplex, d: int, corruption=None):
+    """Check family F in R^2d against sd L; return (summary line, certificate).
+
+    The nerve is checked against sd L face by face while the canonical
+    witness points are computed, each checked once against its face's
+    system; that membership proves the remote-face lemma, and the
+    obstruction verdict of L follows.  Only the point of the ``corruption``
+    hook, ``(face, point, stage)``, is audited: at stage ``"witness"`` a
+    violation is reported, at ``"lemma"`` the point replaces p(face) and goes
+    to the hull-test audit.  Input that cannot make the claim raises
+    `ParseError`; `VKF_CERTIFICATE` comes only from `vkf-demo`.
+    """
+    if d < 1:
+        raise ParseError("d must be at least 1")
+    if L.dim != d:
+        raise ParseError(f"source complex has dimension {L.dim}, expected {d}")
+    if F.ambient != 2 * d:
+        raise ParseError(f"family ambient is {F.ambient}, expected 2d = {2 * d}")
+    # sd L has a vertex per face of L, at least the 2^(d+1) - 1 faces of one
+    # d-face: fewer bodies are refused before L's closure is built
+    n, least = len(F.bodies), 2 ** (d + 1) - 1
+    if least > n:
+        raise ParseError(f"family has {n} bodies, sd L has at least {least} vertices")
+    if len(L.faces) != n:
+        raise ParseError(f"family has {n} bodies, sd L has {len(L.faces)} vertices")
+    K = barycentric_subdivision(L).complex
+    face, pt, stage = corruption or (None, None, None)
+    if face is not None and face not in K.faces:
+        raise ParseError(f"corruption face {face} is not a face of the subdivision")
+
+    try:  # the nerve check inside witness_points is the only one
+        points = witness_points(F, K)
+    except NerveMismatchError as exc:
+        m = exc.match
+        return f"NERVE_MISMATCH: {m.verdict} {list(m.face)}", nerve_mismatch_cert(m, F, K)
+    # each computed point passed its centre's check, so only the hook's is audited
+    v = None if face is None else verify_witness_membership(F, {face: pt}).violation
+    if v is not None:
+        if stage != "lemma":
+            line = f"WITNESS_VIOLATION: p({list(v.face)}) breaks row {v.row} of body {v.label}"
+            return line, witness_violation_cert(v, F)
+        # membership proves the lemma; the audit only names a hook's violating pair
+        points[face] = pt
+        v = verify_remote_disjointness(assemble_witness_map(K, points, F.ambient)).violation
+        if v is not None:
+            line = (
+                f"LEMMA_VIOLATION: remote pair {list(v.alpha)}, {list(v.beta)} "
+                "has intersecting images"
+            )
+            return line, lemma_violation_cert(v, K)
+
+    placement = moment_curve_placement(L, d)
+    obs = obstruction_vanishes(L, d, placement)
+    obs_doc = obstruction_report_cert(L, d, placement, obs)
+    if obs.vanishes:
+        return "OBSTRUCTION_REPORT: clean run, source obstruction vanishes", obs_doc
+    line = "CONSISTENCY_FAILURE: clean run contradicts the nonvanishing obstruction"
+    return line, consistency_failure_cert(obs_doc)
 
 
 # -- recheck -----------------------------------------------------------------

@@ -1,13 +1,5 @@
 """Command-line surface: builders, nerve computation, obstruction verdicts,
-and the end-to-end certificate pipeline.
-
-The pipeline checks the nerve against sd L face by face while it computes
-the canonical witness points.  Each point is checked once, against its
-face's system, as it is computed; that membership proves the remote-face
-lemma, and the obstruction verdict follows.  The membership audit reads
-only the point of the `--corrupt-witness` hook; the stage decides whether
-a violation is reported (`witness`) or goes, in place of p(face), to the
-hull-test audit (`lemma`).  `VKF_CERTIFICATE` comes only from `vkf-demo`.
+and `certificate`, which wraps `certificates.run_pipeline`.
 
 Exit codes are a stable contract, kept by `_finish`: 0 ok/vanishes, 1 usage,
 parse or validation error, 2 mismatch-class certificates, 3 nonvanishing or
@@ -29,13 +21,10 @@ from .certificates import (
     OBSTRUCTION_REPORT,
     VKF_CERTIFICATE,
     WITNESS_VIOLATION,
-    consistency_failure_cert,
-    lemma_violation_cert,
-    nerve_mismatch_cert,
     obstruction_report_cert,
     recheck_certificate,
+    run_pipeline,
     vkf_demo_cert,
-    witness_violation_cert,
 )
 from .complexes import (
     barycentric_subdivision,
@@ -47,7 +36,7 @@ from .complexes import (
 # hulls_intersect stays bound here: bench/test_bench.py checks that the layer
 # trace wraps and restores this binding.
 from .convex import crossing, hulls_intersect  # noqa: F401
-from .errors import GenericityError, NerveCertError, NerveMismatchError, ParseError
+from .errors import GenericityError, NerveCertError, ParseError
 from .fileio import (
     _canonical_int,
     complex_from_doc,
@@ -61,12 +50,6 @@ from .fileio import (
 )
 from .nerve import nerve_helly
 from .obstruction import moment_curve_placement, obstruction_vanishes
-from .witness import (
-    assemble_witness_map,
-    verify_remote_disjointness,
-    verify_witness_membership,
-    witness_points,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -105,15 +88,6 @@ def _parse_params(text: str | None):
     if text is None:
         return None
     return [parse_rational(part.strip()) for part in text.split(",")]
-
-
-def _parse_corruption(text: str, ambient: int):
-    head, sep, tail = text.partition(":")
-    if not sep:
-        raise ParseError("corruption spec must look like 'v1,v2:c1,c2'")
-    face = tuple(sorted(_canonical_int(v, "corruption face label") for v in head.split(",")))
-    point = parse_point([part.strip() for part in tail.split(",")], "corruption point", ambient)
-    return face, point
 
 
 def cmd_build(args) -> int:
@@ -164,63 +138,15 @@ def cmd_vk(args) -> int:
 def cmd_certificate(args) -> int:
     F = family_from_doc(load_document(args.family))
     L = complex_from_doc(load_document(args.complex))
-    d = args.d
-    if d < 1:
-        raise ParseError("d must be at least 1")
-    if L.dim != d:
-        raise ParseError(f"source complex has dimension {L.dim}, expected {d}")
-    if F.ambient != 2 * d:
-        raise ParseError(f"family ambient is {F.ambient}, expected 2d = {2 * d}")
-    # sd L has a vertex per face of L, at least the 2^(d+1) - 1 faces of one
-    # d-face: fewer bodies are refused before L's closure is built
-    n, least = len(F.bodies), 2 ** (d + 1) - 1
-    if least > n:
-        raise ParseError(f"family has {n} bodies, sd L has at least {least} vertices")
-    if len(L.faces) != n:
-        raise ParseError(f"family has {n} bodies, sd L has {len(L.faces)} vertices")
-    K = barycentric_subdivision(L).complex
-    face = pt = stage = None
-    if args.corrupt_witness:
-        face, pt = _parse_corruption(args.corrupt_witness, F.ambient)
-        if face not in K.faces:
-            raise ParseError(f"corruption face {face} is not a face of the subdivision")
-        stage = args.corrupt_stage
-
-    try:  # the nerve check inside witness_points is the only one
-        points = witness_points(F, K)
-    except NerveMismatchError as exc:
-        match = exc.match
-        line = f"NERVE_MISMATCH: {match.verdict} {list(match.face)}"
-        return _finish(line, nerve_mismatch_cert(match, F, K), args.out)
-    # each computed point passed its centre's check, so only the hook's is audited
-    v = None if stage is None else verify_witness_membership(F, {face: pt}).violation
-    if v is not None:
-        if stage != "lemma":
-            line = f"WITNESS_VIOLATION: p({list(v.face)}) breaks row {v.row} of body {v.label}"
-            return _finish(line, witness_violation_cert(v, F), args.out)
-        # membership proves the lemma; the audit only names a hook's violating pair
-        points[face] = pt
-        v = verify_remote_disjointness(assemble_witness_map(K, points, F.ambient)).violation
-        if v is not None:
-            line = (
-                f"LEMMA_VIOLATION: remote pair {list(v.alpha)}, {list(v.beta)} "
-                "has intersecting images"
-            )
-            return _finish(line, lemma_violation_cert(v, K), args.out)
-
-    placement = moment_curve_placement(L, d)
-    obs = obstruction_vanishes(L, d, placement)
-    obs_doc = obstruction_report_cert(L, d, placement, obs)
-    if obs.vanishes:
-        line = "OBSTRUCTION_REPORT: clean run, source obstruction vanishes"
-        return _finish(line, obs_doc, args.out)
-    doc = consistency_failure_cert(
-        obs_doc,
-        "pipeline ran clean on a source with nonvanishing obstruction; "
-        "this indicates a library fault, not a property of the input",
-    )
-    line = "CONSISTENCY_FAILURE: clean run contradicts the nonvanishing obstruction"
-    return _finish(line, doc, args.out)
+    corruption = None
+    if args.corrupt_witness:  # testing hook 'v1,v2:c1,c2'
+        head, sep, tail = args.corrupt_witness.partition(":")
+        if not sep:
+            raise ParseError("corruption spec must look like 'v1,v2:c1,c2'")
+        face = tuple(sorted(_canonical_int(v, "corruption face label") for v in head.split(",")))
+        pt = parse_point([part.strip() for part in tail.split(",")], "corruption point", F.ambient)
+        corruption = face, pt, args.corrupt_stage
+    return _finish(*run_pipeline(F, L, args.d, corruption), args.out)
 
 
 def cmd_vkf_demo(args) -> int:

@@ -15,8 +15,15 @@ from pathlib import Path
 import pytest
 
 import nervecert
-from nervecert.certificates import consistency_failure_cert, recheck_certificate
+from nervecert.certificates import (
+    consistency_failure_cert,
+    obstruction_report_cert,
+    recheck_certificate,
+    run_pipeline,
+)
 from nervecert.cli import main
+from nervecert.complexes import skeleton_complex
+from nervecert.errors import ParseError
 from nervecert.fileio import (
     complex_from_doc,
     complex_to_doc,
@@ -25,6 +32,7 @@ from nervecert.fileio import (
     family_to_doc,
 )
 from nervecert.nerve import nerve_exhaustive
+from nervecert.obstruction import moment_curve_placement, obstruction_vanishes
 from conftest import random_complexes
 from test_gf2 import torus
 
@@ -326,7 +334,7 @@ def test_certificate_enumerates_no_nerve(
 def test_certificate_audits_membership_once(tmp_path, capsys, monkeypatch, stage, code):
     # Each computed point passed its centre's check, so the membership audit
     # reads the hook's point alone, and a clean run reads no body row at all.
-    import nervecert.cli
+    import nervecert.certificates
     import nervecert.convex
     import nervecert.witness
 
@@ -342,7 +350,7 @@ def test_certificate_audits_membership_once(tmp_path, capsys, monkeypatch, stage
         row_reads.append(point)
         return real_row(self, point)
 
-    for module in (nervecert.witness, nervecert.cli):
+    for module in (nervecert.witness, nervecert.certificates):
         monkeypatch.setattr(module, "verify_witness_membership", audit)
     monkeypatch.setattr(nervecert.convex.HPolytope, "violated_row", violated_row)
     fam = write(tmp_path / "fam.json", PATH_FAMILY)
@@ -386,7 +394,7 @@ def test_certificate_proves_the_lemma_by_containment(
         return wrapper
 
     audit = counted("audit", nervecert.witness.verify_remote_disjointness)
-    for module in (nervecert.witness, nervecert.cli):
+    for module in (nervecert.witness, nervecert.certificates):
         monkeypatch.setattr(module, "verify_remote_disjointness", audit)
     hulls = counted("hulls", nervecert.convex.hulls_intersect)
     for module in (nervecert.convex, nervecert.witness, nervecert.cli, nervecert.certificates):
@@ -434,6 +442,26 @@ def test_certificate_has_no_body_cap(tmp_path, capsys):
     assert run(capsys, "nerve", fam, "-o", str(nerve)) == (0, "nerve: f-vector (61, 60)\n")
     assert run(capsys, "build", "sd", path, "-o", str(sd))[0] == 0
     assert load(nerve)["facets"] == load(sd)["facets"]
+
+
+def test_a_clean_run_on_k5_is_a_consistency_failure(tmp_path, capsys, monkeypatch):
+    # No family in R^2 realizes sd K5, so no genuine run ends clean on it;
+    # with the nerve check stubbed to pass, the obstruction of K5 is the
+    # verdict, and a clean run against it is the library-fault sentinel.
+    import nervecert.certificates
+
+    monkeypatch.setattr(nervecert.certificates, "witness_points", lambda F, K: {})
+    family = {
+        "ambient": 2,
+        "bodies": [{"label": v, "box": {"lo": [str(v), "0"], "hi": [str(v + 1), "1"]}}
+                   for v in range(15)],
+    }
+    line, doc = run_pipeline(family_from_doc(family), skeleton_complex(4, 1), 1)
+    assert line == "CONSISTENCY_FAILURE: clean run contradicts the nonvanishing obstruction"
+    assert recheck_certificate(doc) == (True, "embedded nonvanishing certificate confirmed")
+    fam = write(tmp_path / "fam.json", family)
+    k5 = write(tmp_path / "k5.json", complex_to_doc(skeleton_complex(4, 1)))
+    assert run(capsys, "certificate", fam, k5, "-d", "1") == (5, line + "\n" + document_to_text(doc))
 
 
 def test_certificate_validation_errors(tmp_path, capsys):
@@ -536,7 +564,7 @@ def _vk_k5_cert(tmp_path, capsys) -> dict:
 
 def _consistency_cert(tmp_path, capsys) -> dict:
     """CONSISTENCY_FAILURE around the nonvanishing K5 certificate."""
-    return consistency_failure_cert(_vk_k5_cert(tmp_path, capsys), "planted")
+    return consistency_failure_cert(_vk_k5_cert(tmp_path, capsys))
 
 
 def _demo_cert(tmp_path, capsys) -> dict:
@@ -898,6 +926,79 @@ def test_recheck_refutes_a_wrong_rank(tmp_path, capsys, rank):
     assert "REFUTED: stated rank disagrees" in stdout
 
 
+def _flip_bit_0(key):
+    return _edit(key, lambda text: format(int(text, 16) ^ 1, "x"))
+
+
+def _claim_missing(face):
+    def mutate(doc):
+        doc["direction"], doc["witness_face"] = "missing_face", face
+    return mutate
+
+
+def _shrink_body_0(doc):
+    doc["family"]["bodies"][0]["hpoly"]["b"][0] = "1/2"  # x <= 1/2 misses body 1
+
+
+def _embed_the_k4_report(doc):
+    K4 = skeleton_complex(3, 1)
+    p = moment_curve_placement(K4, 1)
+    doc["obstruction"] = obstruction_report_cert(K4, 1, p, obstruction_vanishes(K4, 1, p))
+
+
+def _flip_inner_cocycle(doc):
+    _flip_bit_0("cocycle")(doc["obstruction"])
+
+
+# One case per REFUTED branch of `recheck`, each a minimal edit of a genuine
+# certificate.  Where an edit also fails a later check, that check names
+# another reason, so deleting any one guard changes a line asserted here.
+REFUTATIONS = [
+    (_extra_face_cert, _claim_missing([0, 1]), "claimed missing face is not a face of the complex"),
+    (_extra_face_cert, _claim_missing([0, 2]), "claimed missing face has a common point after all"),
+    (_extra_face_cert, _set("witness_face", [0, 2]), "claimed extra face is a face of the complex"),
+    (_extra_face_cert, _shrink_body_0, "claimed extra face has no common point after all"),
+    (_corrupt_witness_cert, _set("point", ["1", "1/2"]), "witness point satisfies the named constraint row"),
+    (_lemma_cert, _set("beta", [3]), "named pair is not remote in the nerve"),
+    (_lemma_cert, _set("piece_b", [["24", "1/2"]]), "named pieces do not intersect"),
+    (_demo_cert, _set("gamma", [1, 2]), "simplices share a vertex"),
+    (_demo_cert, _set("gamma", [1, 3, 5]), "simplices do not have dimension d"),
+    (_demo_cert, _set("gamma", [1, 6]), "pair is not a pair of complex faces"),
+    (_demo_cert, _set("delta", [4, 5]), "pair does not cross under the placement"),
+    (_demo_cert, _set("point", ["5/2", "8"]), "intersection point disagrees"),
+    (_vk_cert, _edit("n_pairs", lambda n: n + 1), "pair index size disagrees"),
+    (_vk_k5_cert, _flip_bit_0("cocycle"), "recomputed cocycle disagrees"),
+    (_vk_cert, _edit("n_rows", lambda n: n + 1), "coboundary row count disagrees"),
+    (_vk_k5_cert, _flip_bit_0("witness"), "certificate fails against the rebuilt system"),
+    (_vk_k5_cert, _edit("rank", lambda r: r - 1), "stated rank disagrees with the rebuilt system"),
+    (_consistency_cert, _embed_the_k4_report, "embedded obstruction is not a nonvanishing certificate"),
+    (
+        _consistency_cert, _flip_inner_cocycle,
+        "embedded obstruction failed: recomputed cocycle disagrees",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, mutate, reason",
+    REFUTATIONS,
+    ids=[
+        "missing-not-a-face", "missing-meets", "extra-is-a-face", "extra-empty",
+        "witness-row-holds", "lemma-not-remote", "lemma-pieces-apart",
+        "vkf-shared-vertex", "vkf-wrong-dimension", "vkf-not-faces", "vkf-no-crossing",
+        "vkf-point", "obstruction-n-pairs", "obstruction-cocycle", "obstruction-n-rows",
+        "obstruction-witness", "obstruction-rank", "consistency-vanishing",
+        "consistency-inner-cocycle",
+    ],
+)
+def test_recheck_reaches_every_refutation(tmp_path, capsys, make, mutate, reason):
+    doc = make(tmp_path, capsys)
+    assert recheck_certificate(doc)[0]  # the untouched certificate confirms
+    mutate(doc)
+    code, stdout = run(capsys, "recheck", write(tmp_path / "bad.json", doc))
+    assert (code, stdout) == (5, f"REFUTED: {reason}\n")
+
+
 def test_module_entry_point_runs_vk(tmp_path, capsys):
     k4 = tmp_path / "k4.json"
     run(capsys, "build", "skeleton", "3", "1", "-o", str(k4))
@@ -917,6 +1018,14 @@ def _vk_huge(tmp_path, capsys) -> list[str]:
 def _certificate_huge(tmp_path, capsys) -> list[str]:
     fam = write(tmp_path / "fam.json", PATH_FAMILY)
     return ["certificate", fam, write(tmp_path / "huge.json", HUGE_COMPLEX), "-d", "1"]
+
+
+def _certificate_huge_at_d0(tmp_path, capsys) -> list[str]:
+    return _certificate_huge(tmp_path, capsys)[:-1] + ["0"]
+
+
+def _certificate_huge_in_the_plane(tmp_path, capsys) -> list[str]:
+    return _certificate_huge(tmp_path, capsys)[:-1] + ["39"]
 
 
 def _certificate_huge_at_its_dimension(tmp_path, capsys) -> list[str]:
@@ -952,6 +1061,11 @@ def _recheck_huge(make, *keys):
     [
         (_vk_huge, PLACEMENT_REFUSAL),
         (_certificate_huge, (1, "", "error: source complex has dimension 39, expected 1\n")),
+        (_certificate_huge_at_d0, (1, "", "error: d must be at least 1\n")),
+        (
+            _certificate_huge_in_the_plane,
+            (1, "", "error: family ambient is 2, expected 2d = 78\n"),
+        ),
         (
             _certificate_huge_at_its_dimension,
             (1, "", f"error: family has 1 bodies, sd L has at least {2 ** 40 - 1} vertices\n"),
@@ -969,7 +1083,7 @@ def _recheck_huge(make, *keys):
         ),
     ],
     ids=[
-        "vk", "certificate", "certificate-d39", "recheck-obstruction", "recheck-consistency", "recheck-vkf",
+        "vk", "certificate", "certificate-d0", "certificate-ambient", "certificate-d39", "recheck-obstruction", "recheck-consistency", "recheck-vkf",
         "recheck-nerve-mismatch", "recheck-lemma",
     ],
 )
@@ -981,6 +1095,18 @@ def test_an_over_dimensional_facet_is_refused_before_its_closure(tmp_path, capsy
     # their own checks, reading membership and dimension off the one facet.
     proc = run_module(tmp_path, *make(tmp_path, capsys), timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [(0, "d must be at least 1"), (39, "family ambient is 2, expected 2d = 78")],
+    ids=["d0", "ambient"],
+)
+def test_run_pipeline_raises_the_refusals_certificate_prints(d, message):
+    F, L = family_from_doc(PATH_FAMILY), complex_from_doc(HUGE_COMPLEX)
+    with pytest.raises(ParseError) as refusal:
+        run_pipeline(F, L, d)
+    assert str(refusal.value) == message
 
 
 @pytest.mark.parametrize(

@@ -62,9 +62,7 @@ def certificates(workdir) -> dict[str, dict]:
         ),
         "lemma-violation": _cli_cert(workdir, "lv", *corrupt),
     }
-    docs["consistency-failure"] = consistency_failure_cert(
-        docs["obstruction-nonvanishing"], "planted for the fuzz"
-    )
+    docs["consistency-failure"] = consistency_failure_cert(docs["obstruction-nonvanishing"])
     assert len({doc["kind"] for doc in docs.values()}) == 6
     return docs
 
