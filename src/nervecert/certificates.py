@@ -325,13 +325,12 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
     gamma = _face_field(doc, "gamma")
     delta = _face_field(doc, "delta")
     d = _int_field(doc["d"], "'d'")
-    _require(d >= 1, "'d' must be a positive integer")
+    K = complex_from_doc(doc["complex"])
+    check_placement_dim(K.dim, d)
     if set(gamma) & set(delta):
         return False, "simplices share a vertex"
     if len(gamma) != d + 1 or len(delta) != d + 1:
         return False, "simplices do not have dimension d"
-    K = complex_from_doc(doc["complex"])
-    check_placement_dim(K.dim, d)
     if not (K.has_face(gamma) and K.has_face(delta)):
         return False, "pair is not a pair of complex faces"
     placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
@@ -349,7 +348,6 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
 
 def _recheck_obstruction(doc) -> tuple[bool, str]:
     d = _int_field(doc["d"], "'d'")
-    _require(d >= 1, "'d' must be a positive integer")
     K = complex_from_doc(doc["complex"])
     check_placement_dim(K.dim, d)
     n_pairs = _int_field(doc["n_pairs"], "'n_pairs'")

@@ -92,30 +92,17 @@ def _parse_params(text: str | None):
 
 def cmd_build(args) -> int:
     if args.kind == "skeleton":
-        if len(args.args) != 2:
-            raise ParseError("usage: build skeleton N K")
-        try:
-            n, k = (int(v) for v in args.args)
-        except ValueError:
-            raise ParseError("skeleton arguments must be integers") from None
-        try:
-            K = skeleton_complex(n, k)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        f = tuple(comb(n + 1, i + 1) for i in range(k + 1))
-        return _finish(f"skeleton({n},{k}): f-vector {f}", complex_to_doc(K), args.out)
-    if args.kind in ("sd", "sd2"):
-        if len(args.args) != 1:
-            raise ParseError(f"usage: build {args.kind} COMPLEX_FILE")
-        doc = load_document(args.args[0])
-        K = complex_from_doc(doc)
-        f = K.f_vector()
-        for _ in range(1 if args.kind == "sd" else 2):
-            sd = barycentric_subdivision(K)
-            doc = sd_to_doc(sd, base_doc=doc)
-            K, f = sd.complex, subdivided_f_vector(f)
-        return _finish(f"{args.kind}: f-vector {f}", doc, args.out)
-    raise ParseError(f"unknown build kind {args.kind!r}")
+        K = skeleton_complex(args.n, args.k)
+        f = tuple(comb(args.n + 1, i + 1) for i in range(args.k + 1))
+        return _finish(f"skeleton({args.n},{args.k}): f-vector {f}", complex_to_doc(K), args.out)
+    doc = load_document(args.complex)
+    K = complex_from_doc(doc)
+    f = K.f_vector()
+    for _ in range(1 if args.kind == "sd" else 2):
+        sd = barycentric_subdivision(K)
+        doc = sd_to_doc(sd, base_doc=doc)
+        K, f = sd.complex, subdivided_f_vector(f)
+    return _finish(f"{args.kind}: f-vector {f}", doc, args.out)
 
 
 def cmd_nerve(args) -> int:
@@ -206,9 +193,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="write a complex: skeleton N K | sd FILE | sd2 FILE")
-    p.add_argument("kind", choices=["skeleton", "sd", "sd2"])
-    p.add_argument("args", nargs="*")
     p.add_argument("-o", "--out", help="output path (default: stdout)")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    # -o may also follow the kind; SUPPRESS keeps a -o given before it
+    q = kinds.add_parser("skeleton", help="the k-skeleton of the n-simplex")
+    q.add_argument("n", type=int, metavar="N")
+    q.add_argument("k", type=int, metavar="K")
+    q.add_argument("-o", "--out", default=argparse.SUPPRESS)
+    for kind in ("sd", "sd2"):
+        q = kinds.add_parser(kind, help=f"{kind} of a complex file")
+        q.add_argument("complex", metavar="FILE")
+        q.add_argument("-o", "--out", default=argparse.SUPPRESS)
 
     p = sub.add_parser("nerve", help="compute the nerve of a convex family")
     p.add_argument("family")

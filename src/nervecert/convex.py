@@ -29,8 +29,8 @@ unique, so none of it depends on the pivot path.
   are minimized in turn, each over the optimal face of the ones before,
   from a start that one pivot makes feasible.  The radius stage alone
   decides emptiness, so `inscribed_radius` stops there and hands back the
-  coordinate stages as a call; the nerve walk runs them only once every
-  face has passed.
+  coordinate stages as a call, which alone raises for an unbounded radius
+  or coordinate; the nerve walk runs it only once every face has passed.
 
 Point sets (V-hulls) share one weight system (`_hull_system`):
 `hulls_intersect` hands it to `solve_lp`, and `crossing`, for two
@@ -326,7 +326,7 @@ def boxes_disjoint(P: HPolytope, Q: HPolytope) -> bool:
     return False
 
 
-def inscribed_radius(P: HPolytope) -> tuple[Fraction, Callable[[], Point]]:
+def inscribed_radius(P: HPolytope) -> tuple[Fraction | None, Callable[[], Point]]:
     """The radius of the largest inscribed L-infinity ball, and a call for its centre.
 
     The radius LP maximizes r subject to A x + r * ||a_i||_1 <= b; then the
@@ -339,9 +339,9 @@ def inscribed_radius(P: HPolytope) -> tuple[Fraction, Callable[[], Point]]:
     the row with the least b_i / ||a_i||_1 makes every slack nonnegative.
 
     Only the radius stage runs here, and it reads one value, r.  A zero row
-    with b_i < 0 makes the polytope empty, and so does a negative radius; an
-    unbounded radius raises too.  The returned call runs the coordinate
-    stages from the dictionary and basis where the radius stage stopped,
+    with b_i < 0 makes the polytope empty, and so does a negative radius.
+    An unbounded radius is None, and the returned call raises for it; else
+    the call runs the coordinate stages from where the radius stage stopped,
     raises UnboundedPolytopeError for a coordinate unbounded below, and
     checks the centre against the reduced rows.
     """
@@ -351,13 +351,13 @@ def inscribed_radius(P: HPolytope) -> tuple[Fraction, Callable[[], Point]]:
         raise EmptyPolytopeError("polytope is empty")
     D = _started(_slack_dictionary(rows, m, [sum(map(abs, row)) for row, _ in rows], m + 1), m)
     stages = lex_stages(D, [{m: -1}] + [{j: 1} for j in range(m)])
-    if next(stages) == UNBOUNDED:
-        raise UnboundedPolytopeError("inscribed radius is unbounded")
-    radius = D.value(m)
-    if radius < 0:
+    radius = None if next(stages) == UNBOUNDED else D.value(m)
+    if radius is not None and radius < 0:
         raise EmptyPolytopeError("polytope is empty")
 
     def centre() -> Point:
+        if radius is None:
+            raise UnboundedPolytopeError("inscribed radius is unbounded")
         for j, status in enumerate(stages):
             if status == UNBOUNDED:
                 raise UnboundedPolytopeError(f"coordinate {j} is unbounded below")

@@ -4,9 +4,10 @@ Each nonempty nerve face gets an exact witness point inside the intersection
 of its bodies.  `witness_points` checks a claimed nerve face by face, so the
 claim is verified without enumerating the family's nerve, and the first
 face where claim and family disagree is raised as the mismatch.  The check
-needs only the radius stage of each face's ball; the points are finished
-once the whole claim has passed.  Extending linearly over the barycentric
-subdivision gives a map whose key property is the remote-face lemma:
+needs only the radius stage of each face's ball; the points are finished,
+and the first unbounded face in walk order raised, once the whole claim has
+passed.  Extending linearly over the barycentric subdivision gives a map
+whose key property is the remote-face lemma:
 subdivisions of remote faces have disjoint images.  Membership proves it,
 and each point's centre check is that membership, made once.  When p(sigma)
 lies in C_v for every v in sigma, each piece of g(|sd alpha|) (the hull of
@@ -46,7 +47,6 @@ from .errors import (
     NerveMismatchError,
     NotAFaceError,
     SourceLabelingError,
-    UnboundedPolytopeError,
 )
 from .nerve import (
     ConvexFamily,
@@ -125,17 +125,16 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
     is the least by (size, lex), the one `nerve_matches` names.  It raises
     `NerveMismatchError` carrying that `NerveMatch`, and no coordinate
     stage has run by then.  Once the walk finds no mismatch, each face's
-    coordinate stages run in walk order, from where its radius stage
-    stopped.  An unbounded face system still proves the face nonempty, so
-    the first one in walk order, radius or coordinate, is raised only then.
+    centre call runs in walk order.  An unbounded face is still nonempty,
+    and its call raises, radius or coordinate, so the first one in walk
+    order is raised only then.
     Each centre is checked against the reduced rows of its system, which a
     point meets iff it meets every row of every member body, so each point
     is verified once, here; `verify_witness_membership` is for a point
     placed from outside.  No body cap applies.
     """
     check_labels(F, K)
-    # each face of K in walk order, with its centre call or its unbounded radius
-    passed: list[tuple[Face, Callable[[], Point] | UnboundedPolytopeError]] = []
+    passed: list[tuple[Face, Callable[[], Point]]] = []  # faces of K in walk order
 
     def keep(face: Face) -> bool:
         if face not in K.faces:
@@ -146,17 +145,10 @@ def witness_points(F: ConvexFamily, K: SimplicialComplex) -> dict[Face, Point]:
             passed.append((face, inscribed_radius(F.subfamily_polytope(face))[1]))
         except EmptyPolytopeError:
             raise _mismatch(NerveMatch.MISSING, face) from None
-        except UnboundedPolytopeError as exc:
-            passed.append((face, exc))
         return True
 
     walk(F, keep)
-    points: dict[Face, Point] = {}
-    for face, centre in passed:
-        if isinstance(centre, UnboundedPolytopeError):
-            raise centre
-        points[face] = centre()
-    return points
+    return {face: centre() for face, centre in passed}
 
 
 def _mismatch(verdict: str, face: Face) -> NerveMismatchError:

@@ -32,7 +32,7 @@ from nervecert.fileio import (
     family_to_doc,
 )
 from nervecert.nerve import nerve_exhaustive
-from nervecert.obstruction import moment_curve_placement, obstruction_vanishes
+from nervecert.obstruction import Placement, moment_curve_placement, obstruction_vanishes
 from conftest import random_complexes
 from test_gf2 import torus
 
@@ -149,10 +149,16 @@ def test_nerve_modes_agree(tmp_path, capsys):
         ["certificate", "fam.json", "path.json", "-d", "1", "--corrupt-stage", "x"],
         [],
         ["bogus"],
+        ["build", "skeleton", "2"],
+        ["build", "skeleton", "2", "x"],
+        ["build", "sd"],
+        ["build", "sd", "fam.json", "fam.json"],
+        ["build", "cube", "3"],
     ],
     ids=[
         "missing-family", "removed-mode", "non-integer-d", "bad-choice", "no-command",
-        "unknown-command",
+        "unknown-command", "build-skeleton-one-argument", "build-skeleton-non-integer",
+        "build-sd-without-file", "build-sd-two-files", "build-unknown-kind",
     ],
 )
 def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv):
@@ -230,8 +236,13 @@ def test_summary_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, line, c
 def test_vk_duplicate_params_fail_generically(tmp_path, capsys):
     k4 = tmp_path / "k4.json"
     run(capsys, "build", "skeleton", "3", "1", "-o", str(k4))
-    code, _ = run(capsys, "vk", str(k4), "-d", "1", "--params", "1,2,2,4")
-    assert code == 4
+    assert main(["vk", str(k4), "-d", "1", "--params", "1,2,2,4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "genericity failure: placement parameters must be distinct; reseed and retry\n"
+        "hint: pass --params with fresh distinct rationals\n"
+    )
 
 
 def test_certificate_nerve_mismatch(tmp_path, capsys):
@@ -997,6 +1008,128 @@ def test_recheck_reaches_every_refutation(tmp_path, capsys, make, mutate, reason
     mutate(doc)
     code, stdout = run(capsys, "recheck", write(tmp_path / "bad.json", doc))
     assert (code, stdout) == (5, f"REFUTED: {reason}\n")
+
+
+def _nerve_of(bodies):
+    """`nerve` on a one-body-list family in R^1."""
+    def argv(tmp_path, capsys):
+        return ["nerve", write(tmp_path / "fam.json", {"ambient": 1, "bodies": bodies})]
+    return argv
+
+
+def _recheck_edited(make, mutate):
+    """`recheck` of a genuine certificate after ``mutate``."""
+    def argv(tmp_path, capsys):
+        doc = make(tmp_path, capsys)
+        assert recheck_certificate(doc)[0]  # the untouched certificate confirms
+        mutate(doc)
+        return ["recheck", write(tmp_path / "bad.json", doc)]
+    return argv
+
+
+def _nerve_of_a_list(tmp_path, capsys):
+    return ["nerve", write(tmp_path / "list.json", "[]")]
+
+
+def _nerve_of_a_missing_file(tmp_path, capsys):
+    return ["nerve", str(tmp_path / "missing.json")]
+
+
+def _demo_into_a_missing_directory(tmp_path, capsys):
+    return ["vkf-demo", "-d", "1", "-o", str(tmp_path / "missing" / "demo.json")]
+
+
+def _corruption_without_a_colon(tmp_path, capsys):
+    fam = write(tmp_path / "fam.json", PATH_FAMILY)
+    return ["certificate", fam, write(tmp_path / "path.json", PATH), "-d", "1", "--corrupt-witness", "0"]
+
+
+def _shared_vertex_on_a_malformed_complex(doc):
+    doc["gamma"], doc["delta"], doc["complex"] = [1, 2], [2, 3], []
+
+
+def _argv(*words):
+    return lambda tmp_path, capsys: list(words)
+
+
+# One case per refusal of a malformed document or call that no other test
+# names; each exits 1 with no verdict, and its last line of stderr is its
+# message in full ({tmp} is the test's directory).  In full, since `vkf-demo
+# -d 0` would get a longer message from the placement without its own check.
+DOCUMENT_REFUSALS = [
+    (_nerve_of([{"box": {"lo": ["0"], "hi": ["1"]}}]), "body entry needs a 'label'"),
+    (_nerve_of([{"label": 0, "box": {"lo": ["0"]}}]), "'box' needs 'lo' and 'hi'"),
+    (_nerve_of_a_list, "top-level document must be an object"),
+    (
+        _nerve_of_a_missing_file,
+        "cannot read {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'",
+    ),
+    (
+        _recheck_edited(_vk_cert, _edit("params", lambda p: {"x": "9", **p})),
+        "'params' key 'x' is not a canonical integer",
+    ),
+    (
+        _demo_into_a_missing_directory,
+        "cannot write {tmp}/missing/demo.json: [Errno 2] No such file or directory: "
+        "'{tmp}/missing/demo.json'",
+    ),
+    (_corruption_without_a_colon, "corruption spec must look like 'v1,v2:c1,c2'"),
+    (_argv("vkf-demo", "-d", "0"), "d must be at least 1"),
+    (_recheck_edited(_extra_face_cert, _set("direction", "sideways")), "unknown mismatch direction 'sideways'"),
+    (_recheck_edited(_corrupt_witness_cert, _set("row", 4)), "'row' 4 is out of range"),
+    (_recheck_edited(_corrupt_witness_cert, _set("row", -1)), "'row' -1 is out of range"),
+    (_recheck_edited(_vk_cert, _set("vanishes", "true")), "'vanishes' must be a boolean"),
+    (_recheck_edited(_vk_cert, _set("d", 0)), "d must be at least 1, got 0"),
+    (_recheck_edited(_demo_cert, _set("d", 0)), "d must be at least 1, got 0"),
+    (
+        _recheck_edited(_demo_cert, _shared_vertex_on_a_malformed_complex),
+        "complex document must be an object",
+    ),
+    (_argv("build", "skeleton", "2", "5"), "skeleton dimension 5 exceeds simplex dimension 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    DOCUMENT_REFUSALS,
+    ids=[
+        "body-without-label", "box-without-hi", "top-level-list", "unreadable-path",
+        "non-numeric-params-key", "unwritable-out", "corruption-spec-without-colon",
+        "vkf-demo-d0", "unknown-direction", "row-past-the-end", "row-minus-1",
+        "string-vanishes", "obstruction-d0", "vkf-d0",
+        "vkf-malformed-complex-before-shared-vertex", "build-skeleton-too-deep",
+    ],
+)
+def test_a_malformed_document_or_call_exits_1(tmp_path, capsys, make, message):
+    argv = make(tmp_path, capsys)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == f"error: {message.format(tmp=tmp_path)}"
+    assert not captured.out.startswith(("confirmed", "REFUTED"))
+
+
+def test_recheck_refuses_a_certificate_that_is_not_an_object():
+    # `recheck` reads only objects from a file; an in-process caller may pass anything
+    with pytest.raises(ParseError, match="^certificate must be an object$"):
+        recheck_certificate([])
+
+
+@pytest.mark.parametrize("out_first", [True, False], ids=["out-before-kind", "out-after-kind"])
+def test_build_takes_out_before_or_after_the_kind(tmp_path, capsys, out_first):
+    out = ["-o", str(tmp_path / "k5.json")]
+    kind = ["skeleton", "4", "1"]
+    code, stdout = run(capsys, "build", *(out + kind if out_first else kind + out))
+    assert (code, stdout) == (0, "skeleton(4,1): f-vector (5, 10)\n")
+    assert load(tmp_path / "k5.json") == complex_to_doc(skeleton_complex(4, 1))
+
+
+def test_vkf_demo_refuses_a_placement_without_a_crossing_pair(monkeypatch):
+    # the total crossing parity of the demo complex is odd, so some pair
+    # crosses; a placement whose every pair reads 0 breaks that invariant
+    monkeypatch.setattr(Placement, "crossing_parity", lambda self, gamma, delta: 0)
+    with pytest.raises(AssertionError, match="^no crossing pair found; the parity invariant is broken$"):
+        main(["vkf-demo", "-d", "1"])
 
 
 def test_module_entry_point_runs_vk(tmp_path, capsys):

@@ -179,6 +179,27 @@ def test_an_unbounded_body_without_a_mismatch_raises_unbounded(F, facets, messag
         witness_points(F, complex_from_facets(facets))
 
 
+# In R^2: the strip 0 <= x <= 1 has a ball but no least y; the half-plane
+# x <= 10 has no largest ball.  They meet in the strip, so the nerve is an edge.
+STRIP_2 = HPolytope.from_rows([[1, 0], [-1, 0]], [1, 0], ambient=2)
+HALF_PLANE = HPolytope.from_rows([[1, 0]], [10], ambient=2)
+
+
+@pytest.mark.parametrize(
+    "bodies, message",
+    [
+        ((STRIP_2, HALF_PLANE), "coordinate 1 is unbounded below"),
+        ((HALF_PLANE, STRIP_2), "inscribed radius is unbounded"),
+    ],
+    ids=["coordinate-first", "radius-first"],
+)
+def test_the_first_unbounded_face_in_walk_order_is_raised(bodies, message):
+    # vertex (0,) comes first in walk order, whichever stage runs off there
+    F = ConvexFamily.of(2, enumerate(bodies))
+    with pytest.raises(UnboundedPolytopeError, match=f"^{message}$"):
+        witness_points(F, complex_from_facets([[0, 1]]))
+
+
 @pytest.mark.parametrize(
     "F, facets, verdict, face",
     [

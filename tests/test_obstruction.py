@@ -201,6 +201,17 @@ def test_certificates_reverify_against_the_matrix():
         assert not cert.verify(coboundary_matrix(K5 if K is not K5 else k4(), 1))
 
 
+@pytest.mark.parametrize("K, d", [(k4(), 1), (K5, 1), (D26, 2)], ids=["K4", "K5", "D26"])
+def test_a_certificate_fails_against_a_relabelled_matrix(K, d):
+    # Shifting every label keeps the order, so the relabelled matrix has the
+    # same rows and bits; only its pair index names other faces.
+    shifted = complex_from_facets([[v + 10 for v in facet] for facet in K.facets()])
+    cert = obstruction_vanishes(K, d)
+    M = coboundary_matrix(shifted, d)
+    assert (M.n_rows, M.cols) == (cert.n_rows, coboundary_matrix(K, d).cols)
+    assert not cert.verify(M)
+
+
 def test_certificates_with_a_bit_past_the_system_fail():
     for K, d in [(k4(), 1), (K5, 1)]:
         cert = obstruction_vanishes(K, d)
