@@ -12,7 +12,6 @@ from .complexes import (
     skeleton_complex,
 )
 from .convex import (
-    Crossing,
     HPolytope,
     Point,
     canonical_point,

@@ -1,6 +1,7 @@
-"""Machine-checkable certificates, the pipeline that picks one, and recheck.
+"""Machine-checkable certificates, the calls that make each one, and recheck.
 
-Every certificate embeds the data its verdict depends on, so `recheck` can
+`run_pipeline`, `obstruction_report` and `vkf_demo` make every certificate
+the CLI writes.  Each embeds the data its verdict depends on, so `recheck` can
 re-run the underlying exact predicate from the document alone and either
 confirm or refute it.  Bit vectors are serialized as lowercase hex strings
 with column (or row) j at bit j, rationals as exact strings.
@@ -9,8 +10,15 @@ with column (or row) j at bit j, rationals as exact strings.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
-from .complexes import SimplicialComplex, barycentric_subdivision, is_remote
+from .complexes import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    complex_from_facets,
+    disjoint_simplex_pairs,
+    is_remote,
+)
 from .convex import crossing, hulls_intersect, polytope_is_empty
 from .errors import NerveMismatchError, ParseError
 from .fileio import (
@@ -145,25 +153,11 @@ def lemma_violation_cert(violation, K: SimplicialComplex) -> dict:
     }
 
 
-def vkf_demo_cert(
-    gamma, delta, d: int, placement: Placement, point, K: SimplicialComplex
-) -> dict:
-    return {
-        "kind": VKF_CERTIFICATE,
-        "mode": "demo",
-        "gamma": list(gamma),
-        "delta": list(delta),
-        "d": d,
-        "params": _params_to_doc(placement),
-        "point": format_point(point),
-        "complex": complex_to_doc(K),
-    }
-
-
-def obstruction_report_cert(
-    K: SimplicialComplex, d: int, placement: Placement, cert: ObstructionCertificate
-) -> dict:
-    return {
+def obstruction_report(K, d: int, params=None) -> tuple[ObstructionCertificate, dict]:
+    """Place K on the moment curve, decide its obstruction; (verdict, report)."""
+    placement = moment_curve_placement(K, d, params)
+    cert = obstruction_vanishes(K, d, placement)
+    return cert, {
         "kind": OBSTRUCTION_REPORT,
         "vanishes": cert.vanishes,
         "complex": complex_to_doc(K),
@@ -176,6 +170,40 @@ def obstruction_report_cert(
         "combination": None if cert.combination is None else _bits_to_hex(cert.combination),
         "witness": None if cert.witness is None else _bits_to_hex(cert.witness),
     }
+
+
+def _crossing_point(placement: Placement, gamma, delta):
+    """Where the placed d-faces gamma and delta cross, or None."""
+    return crossing([placement.point(v) for v in gamma], [placement.point(v) for v in delta])
+
+
+def vkf_demo(d: int, params=None) -> tuple[str, dict]:
+    """(summary line, certificate) of the first crossing pair of d-faces of the
+    d-skeleton on 1..2d+3, placed on the moment curve, at its exact point."""
+    if d < 1:
+        raise ParseError("d must be at least 1")
+    K = complex_from_facets(list(combinations(range(1, 2 * d + 4), d + 1)))
+    placement = moment_curve_placement(K, d, params)
+    crossings = (p for p in disjoint_simplex_pairs(K, d) if placement.crossing_parity(*p))
+    pair = next(crossings, None)
+    if pair is None:  # unreachable: the total crossing parity of this complex is odd
+        raise AssertionError("no crossing pair found; the parity invariant is broken")
+    gamma, delta = pair
+    point = _crossing_point(placement, gamma, delta)
+    if point is None:
+        raise AssertionError(f"interleaving pair {list(gamma)}, {list(delta)} does not cross")
+    doc = {
+        "kind": VKF_CERTIFICATE,
+        "mode": "demo",
+        "gamma": list(gamma),
+        "delta": list(delta),
+        "d": d,
+        "params": _params_to_doc(placement),
+        "point": format_point(point),
+        "complex": complex_to_doc(K),
+    }
+    at = ", ".join(doc["point"])
+    return f"VKF_CERTIFICATE: {list(gamma)} and {list(delta)} cross at ({at})", doc
 
 
 def consistency_failure_cert(obstruction_doc: dict) -> dict:
@@ -242,9 +270,7 @@ def run_pipeline(F: ConvexFamily, L: SimplicialComplex, d: int, corruption=None)
             )
             return line, lemma_violation_cert(v, K)
 
-    placement = moment_curve_placement(L, d)
-    obs = obstruction_vanishes(L, d, placement)
-    obs_doc = obstruction_report_cert(L, d, placement, obs)
+    obs, obs_doc = obstruction_report(L, d)
     if obs.vanishes:
         return "OBSTRUCTION_REPORT: clean run, source obstruction vanishes", obs_doc
     line = "CONSISTENCY_FAILURE: clean run contradicts the nonvanishing obstruction"
@@ -335,14 +361,12 @@ def _recheck_vkf(doc) -> tuple[bool, str]:
         return False, "pair is not a pair of complex faces"
     placement = moment_curve_placement(K, d, _params_from_doc(doc["params"]))
     point = parse_point(doc["point"], "'point'", 2 * d)
-    result = crossing(
-        [placement.point(v) for v in gamma],
-        [placement.point(v) for v in delta],
-    )
-    if result.parity != 1:
-        return False, "pair does not cross under the placement"
-    if result.point != point:
-        return False, "intersection point disagrees"
+    found = _crossing_point(placement, gamma, delta)
+    if found is None:
+        return False, f"pair {list(gamma)}, {list(delta)} does not cross under the placement"
+    if found != point:
+        at = ", ".join(format_point(found))
+        return False, f"intersection point disagrees: the pair crosses at ({at})"
     return True, "crossing pair with exact intersection point confirmed"
 
 

@@ -1,5 +1,5 @@
-"""Command-line surface: builders, nerve computation, obstruction verdicts,
-and `certificate`, which wraps `certificates.run_pipeline`.
+"""Command-line surface: builders and nerve computation; `vk`, `vkf-demo` and
+`certificate` only wrap the `certificates` calls that make their documents.
 
 Exit codes are a stable contract, kept by `_finish`: 0 ok/vanishes, 1 usage,
 parse or validation error, 2 mismatch-class certificates, 3 nonvanishing or
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from itertools import combinations
 from math import comb
 
 from .certificates import (
@@ -21,21 +20,15 @@ from .certificates import (
     OBSTRUCTION_REPORT,
     VKF_CERTIFICATE,
     WITNESS_VIOLATION,
-    obstruction_report_cert,
+    obstruction_report,
     recheck_certificate,
     run_pipeline,
-    vkf_demo_cert,
+    vkf_demo,
 )
-from .complexes import (
-    barycentric_subdivision,
-    complex_from_facets,
-    disjoint_simplex_pairs,
-    skeleton_complex,
-    subdivided_f_vector,
-)
+from .complexes import barycentric_subdivision, skeleton_complex, subdivided_f_vector
 # hulls_intersect stays bound here: bench/test_bench.py checks that the layer
 # trace wraps and restores this binding.
-from .convex import crossing, hulls_intersect  # noqa: F401
+from .convex import hulls_intersect  # noqa: F401
 from .errors import GenericityError, NerveCertError, ParseError
 from .fileio import (
     _canonical_int,
@@ -49,7 +42,6 @@ from .fileio import (
     sd_to_doc,
 )
 from .nerve import nerve_helly
-from .obstruction import moment_curve_placement, obstruction_vanishes
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -68,16 +60,17 @@ _CERT_EXIT = {
 
 
 def _finish(line: str, doc: dict, out: str | None) -> int:
-    """Print the summary line, write the document, return the exit code it implies."""
+    """Print the summary line, after writing the document to ``out`` (so a failed
+    write prints no verdict) or before printing it; return the implied exit code."""
     text = document_to_text(doc)
-    print(line)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ParseError(f"cannot write {out}: {exc}") from exc
-    else:
+    print(line)
+    if not out:
         sys.stdout.write(text)
     if doc.get("kind") == OBSTRUCTION_REPORT:
         return EXIT_OK if doc["vanishes"] else EXIT_CONTRADICTION
@@ -112,14 +105,13 @@ def cmd_nerve(args) -> int:
 
 def cmd_vk(args) -> int:
     K = complex_from_doc(load_document(args.complex))
-    placement = moment_curve_placement(K, args.d, _parse_params(args.params))
-    cert = obstruction_vanishes(K, args.d, placement)
+    cert, doc = obstruction_report(K, args.d, _parse_params(args.params))
     weight = cert.cocycle.weight
     line = (
         f"vanishes: cocycle of weight {weight} is a coboundary" if cert.vanishes
         else f"nonvanishing: cocycle of weight {weight} outside the rank-{cert.rank} row space"
     )
-    return _finish(line, obstruction_report_cert(K, args.d, placement, cert), args.out)
+    return _finish(line, doc, args.out)
 
 
 def cmd_certificate(args) -> int:
@@ -137,30 +129,7 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_vkf_demo(args) -> int:
-    d = args.d
-    if d < 1:
-        raise ParseError("d must be at least 1")
-    n_vertices = 2 * d + 3
-    verts = range(1, n_vertices + 1)
-    K = complex_from_facets(list(combinations(verts, d + 1)))
-    placement = moment_curve_placement(K, d, _parse_params(args.params))
-    pair = next(
-        (p for p in disjoint_simplex_pairs(K, d) if placement.crossing_parity(*p)),
-        None,
-    )
-    if pair is None:  # unreachable: the total crossing parity of this complex is odd
-        raise AssertionError("no crossing pair found; the parity invariant is broken")
-    gamma, delta = pair
-    # one exact solve, for the intersection point the certificate names
-    result = crossing(
-        [placement.point(v) for v in gamma], [placement.point(v) for v in delta]
-    )
-    if result.parity != 1:
-        raise AssertionError(f"interleaving pair {list(gamma)}, {list(delta)} does not cross")
-    doc = vkf_demo_cert(gamma, delta, d, placement, result.point, K)
-    point = ", ".join(doc["point"])
-    line = f"VKF_CERTIFICATE: {list(gamma)} and {list(delta)} cross at ({point})"
-    return _finish(line, doc, args.out)
+    return _finish(*vkf_demo(args.d, _parse_params(args.params)), args.out)
 
 
 def cmd_recheck(args) -> int:

@@ -34,7 +34,7 @@ unique, so none of it depends on the pivot path.
 
 Point sets (V-hulls) share one weight system (`_hull_system`):
 `hulls_intersect` hands it to `solve_lp`, and `crossing`, for two
-d-simplices in R^2d, to `gauss_solve`.
+d-simplices in R^2d, to `gauss_solve`, for their crossing point or None.
 """
 
 from __future__ import annotations
@@ -412,20 +412,12 @@ def hulls_intersect(a_pts, b_pts) -> bool:
     return solve_lp([ZERO] * n, A_eq=rows, b_eq=rhs, nonneg=[True] * n).status == OPTIMAL
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """Outcome of a generic crossing query; point is set when parity is 1."""
-
-    parity: int
-    point: Point | None
-
-
-def crossing(sigma_pts, tau_pts) -> Crossing:
+def crossing(sigma_pts, tau_pts) -> Point | None:
     """Solve the square barycentric system for two placed d-simplices in R^2d.
 
-    Parity 1 means the unique common affine point has strictly positive
-    coordinates on both sides; strictly negative coordinates give parity 0,
-    as do disjoint affine hulls.  Degenerate data (overlapping hulls of the
+    The point where they cross is the unique common affine point with strictly
+    positive coordinates on both sides; strictly negative ones give None, as
+    do disjoint affine hulls.  Degenerate data (overlapping hulls of the
     wrong dimension, or a boundary intersection) raises GenericityError.
     """
     s, t, M, rhs = _hull_system(sigma_pts, tau_pts, "sigma", "tau", "simplices")
@@ -439,7 +431,7 @@ def crossing(sigma_pts, tau_pts) -> Crossing:
         )
     kind, z = gauss_solve(M, rhs)
     if kind == "inconsistent":
-        return Crossing(0, None)
+        return None
     if kind == "underdetermined":
         raise GenericityError(
             "affine hulls meet degenerately; perturb the placement and retry"
@@ -449,7 +441,6 @@ def crossing(sigma_pts, tau_pts) -> Crossing:
             "intersection lies on a simplex boundary; perturb the placement and retry"
         )
     if all(v > 0 for v in z):
-        point = tuple(sum((w * p[k] for w, p in zip(z, s)), ZERO) for k in range(ambient))
-        return Crossing(1, point)
-    return Crossing(0, None)
+        return tuple(sum((w * p[k] for w, p in zip(z, s)), ZERO) for k in range(ambient))
+    return None
 

@@ -251,13 +251,13 @@ def gauss_crossing_cocycle_bits(K, d, placement) -> int:
     bits = 0
     for pos, (gamma, delta) in enumerate(index):
         try:
-            parity = crossing(
+            point = crossing(
                 [placement.point(v) for v in gamma],
                 [placement.point(v) for v in delta],
-            ).parity
+            )
         except GenericityError as exc:
             raise GenericityError(f"pair ({gamma}, {delta}): {exc}") from exc
-        if parity:
+        if point is not None:
             bits |= 1 << pos
     return bits
 

@@ -17,9 +17,10 @@ import pytest
 import nervecert
 from nervecert.certificates import (
     consistency_failure_cert,
-    obstruction_report_cert,
+    obstruction_report,
     recheck_certificate,
     run_pipeline,
+    vkf_demo,
 )
 from nervecert.cli import main
 from nervecert.complexes import skeleton_complex
@@ -32,7 +33,7 @@ from nervecert.fileio import (
     family_to_doc,
 )
 from nervecert.nerve import nerve_exhaustive
-from nervecert.obstruction import Placement, moment_curve_placement, obstruction_vanishes
+from nervecert.obstruction import Placement
 from conftest import random_complexes
 from test_gf2 import torus
 
@@ -952,9 +953,7 @@ def _shrink_body_0(doc):
 
 
 def _embed_the_k4_report(doc):
-    K4 = skeleton_complex(3, 1)
-    p = moment_curve_placement(K4, 1)
-    doc["obstruction"] = obstruction_report_cert(K4, 1, p, obstruction_vanishes(K4, 1, p))
+    doc["obstruction"] = obstruction_report(skeleton_complex(3, 1), 1)[1]
 
 
 def _flip_inner_cocycle(doc):
@@ -975,8 +974,11 @@ REFUTATIONS = [
     (_demo_cert, _set("gamma", [1, 2]), "simplices share a vertex"),
     (_demo_cert, _set("gamma", [1, 3, 5]), "simplices do not have dimension d"),
     (_demo_cert, _set("gamma", [1, 6]), "pair is not a pair of complex faces"),
-    (_demo_cert, _set("delta", [4, 5]), "pair does not cross under the placement"),
-    (_demo_cert, _set("point", ["5/2", "8"]), "intersection point disagrees"),
+    (_demo_cert, _set("delta", [4, 5]), "pair [1, 3], [4, 5] does not cross under the placement"),
+    (
+        _demo_cert, _set("point", ["5/2", "8"]),
+        "intersection point disagrees: the pair crosses at (5/2, 7)",
+    ),
     (_vk_cert, _edit("n_pairs", lambda n: n + 1), "pair index size disagrees"),
     (_vk_k5_cert, _flip_bit_0("cocycle"), "recomputed cocycle disagrees"),
     (_vk_cert, _edit("n_rows", lambda n: n + 1), "coboundary row count disagrees"),
@@ -1106,7 +1108,7 @@ def test_a_malformed_document_or_call_exits_1(tmp_path, capsys, make, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1] == f"error: {message.format(tmp=tmp_path)}"
-    assert not captured.out.startswith(("confirmed", "REFUTED"))
+    assert captured.out == ""
 
 
 def test_recheck_refuses_a_certificate_that_is_not_an_object():
@@ -1453,26 +1455,26 @@ def test_vk_on_the_paper_skeleton_is_pinned_and_rechecks(tmp_path, capsys, d, ra
     assert code == 0 and stdout.startswith("confirmed"), stdout
 
 
-# `vkf-demo`, one exact crossing solve each: (arguments, first stdout line,
+# `vkf-demo`, one exact crossing solve each: (d, --params, first stdout line,
 # certificate sha256 as written before `crossing` shared its hull system
 # with `hulls_intersect`).
 VKF_PINNED = {
     "d1": (
-        ["-d", "1"], "VKF_CERTIFICATE: [1, 3] and [2, 4] cross at (5/2, 7)",
+        1, None, "VKF_CERTIFICATE: [1, 3] and [2, 4] cross at (5/2, 7)",
         "0040d68d11c48b67b9090c6fa12b694e27c888edb0f81ff2a473e3ebe2e12360",
     ),
     "d2": (
-        ["-d", "2"], "VKF_CERTIFICATE: [1, 3, 5] and [2, 4, 6] cross at (7/2, 27/2, 56, 246)",
+        2, None, "VKF_CERTIFICATE: [1, 3, 5] and [2, 4, 6] cross at (7/2, 27/2, 56, 246)",
         "ab473a0a9e90dee5f072bc7e2312900738c49e83e720e3fa11768501e3f79ba0",
     ),
     "d3": (
-        ["-d", "3"],
+        3, None,
         "VKF_CERTIFICATE: [1, 3, 5, 7] and [2, 4, 6, 8] cross at "
         "(9/2, 22, 459/4, 631, 3627, 21652)",
         "f15daa2d98392ddadf6da73e7ac7a2f1154eca0c01881a596baea0c8b8ba1bff",
     ),
     "d2-params": (
-        ["-d", "2", "--params", "3,1/2,7,2,5,11/3,4"],
+        2, "3,1/2,7,2,5,11/3,4",
         "VKF_CERTIFICATE: [1, 2, 5] and [3, 4, 6] cross at "
         "(877/272, 379/34, 11149/272, 5467/34)",
         "795e1c733e0f7180e917d7b5c1f71025e1af59bc37199b0abc67e21826ad0058",
@@ -1480,16 +1482,49 @@ VKF_PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", list(VKF_PINNED))
-def test_vkf_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
-    args, first_line, digest = VKF_PINNED[name]
+def _vkf_by_command(tmp_path, capsys, d, params):
     out = tmp_path / "vkf.json"
-    code, stdout = run(capsys, "vkf-demo", *args, "-o", str(out))
+    extra = [] if params is None else ["--params", params]
+    code, stdout = run(capsys, "vkf-demo", "-d", str(d), *extra, "-o", str(out))
     assert code == 3
-    assert stdout.splitlines()[0] == first_line
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return stdout.splitlines()[0], out.read_bytes()
+
+
+def _vkf_in_process(tmp_path, capsys, d, params):
+    line, doc = vkf_demo(d, None if params is None else [Fraction(t) for t in params.split(",")])
+    return line, document_to_text(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [(name, _vkf_by_command) for name in VKF_PINNED]
+    + [(name, _vkf_in_process) for name in VKF_PINNED],
+    ids=list(VKF_PINNED) + [f"{name}-in-process" for name in VKF_PINNED],
+)
+def test_vkf_certificates_are_pinned_and_recheck(tmp_path, capsys, name, make):
+    d, params, first_line, digest = VKF_PINNED[name]
+    line, text = make(tmp_path, capsys, d, params)
+    assert line == first_line
+    assert hashlib.sha256(text).hexdigest() == digest
+    out = tmp_path / "vkf.json"
+    out.write_bytes(text)
     code, stdout = run(capsys, "recheck", str(out))
     assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+def test_vkf_demo_refuses_d_0():
+    with pytest.raises(ParseError, match="^d must be at least 1$"):
+        vkf_demo(0)
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["K4", "K5"])
+def test_obstruction_report_writes_the_bytes_of_vk(tmp_path, capsys, n):
+    K = skeleton_complex(n, 1)
+    out = tmp_path / "vk.json"
+    run(capsys, "vk", write(tmp_path / "K.json", complex_to_doc(K)), "-d", "1", "-o", str(out))
+    cert, doc = obstruction_report(K, 1)
+    assert out.read_text() == document_to_text(doc)
+    assert cert.vanishes == (n == 3)
 
 
 # body 0 stops short of body 2, so sd of the edge misses its face (0, 2)

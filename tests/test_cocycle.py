@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nervecert.cli
+import nervecert.certificates
 from nervecert import (
     complex_from_facets,
     intersection_cocycle,
@@ -22,7 +22,6 @@ from nervecert import (
     skeleton_complex,
 )
 from nervecert.cli import main
-from nervecert.convex import Crossing
 from oracles import gauss_crossing_cocycle_bits
 from test_gf2 import TORUS_PARAMS, torus
 
@@ -81,7 +80,7 @@ def test_pinned_cocycles(name):
 
 
 def test_vkf_demo_refuses_an_interleaving_pair_the_solve_does_not_cross(monkeypatch):
-    monkeypatch.setattr(nervecert.cli, "crossing", lambda a, b: Crossing(0, None))
+    monkeypatch.setattr(nervecert.certificates, "crossing", lambda a, b: None)
     with pytest.raises(AssertionError, match="does not cross"):
         main(["vkf-demo", "-d", "1"])
 

@@ -313,18 +313,16 @@ def test_the_hull_property_reaches_every_outcome(monkeypatch):
 
 def test_crossing_parabola_examples():
     pts = {t: parabola(t) for t in range(1, 6)}
-    hit = crossing([pts[1], pts[3]], [pts[2], pts[4]])
-    assert hit.parity == 1
-    assert hit.point == (Fraction(5, 2), Fraction(7))
-    assert crossing([pts[1], pts[2]], [pts[3], pts[4]]).parity == 0
+    assert crossing([pts[1], pts[3]], [pts[2], pts[4]]) == (Fraction(5, 2), Fraction(7))
+    assert crossing([pts[1], pts[2]], [pts[3], pts[4]]) is None
     # chords {1,4} and {2,3} of the parabola are parallel and disjoint
-    assert crossing([pts[1], pts[4]], [pts[2], pts[3]]).parity == 0
+    assert crossing([pts[1], pts[4]], [pts[2], pts[3]]) is None
 
 
 def test_crossing_parallel_disjoint_after_moving_a_point():
     pts = {t: parabola(t) for t in range(1, 6)}
     moved = (Fraction(3), Fraction(8))  # parallel to the {1,3} chord, off its line
-    assert crossing([pts[1], pts[3]], [pts[2], moved]).parity == 0
+    assert crossing([pts[1], pts[3]], [pts[2], moved]) is None
 
 
 def test_crossing_genericity_failures():
@@ -349,10 +347,10 @@ def test_crossing_agrees_with_orientation_oracle():
     while done < 40:
         pts = [tuple(Fraction(rng.randint(-6, 6)) for _ in range(2)) for _ in range(4)]
         try:
-            parity = crossing(pts[:2], pts[2:]).parity
+            point = crossing(pts[:2], pts[2:])
         except GenericityError:
             continue
-        assert parity == (1 if segments_cross_properly(*pts) else 0)
+        assert (point is not None) == segments_cross_properly(*pts)
         done += 1
 
 
@@ -364,10 +362,10 @@ def test_crossing_agrees_with_hulls_on_generic_data():
         sigma = [parabola(t) for t in ts[:2]]
         tau = [parabola(t) for t in ts[2:]]
         try:
-            parity = crossing(sigma, tau).parity
+            point = crossing(sigma, tau)
         except GenericityError:
             continue
-        assert (parity == 1) == hulls_intersect(sigma, tau)
+        assert (point is not None) == hulls_intersect(sigma, tau)
         done += 1
 
 
@@ -376,4 +374,4 @@ def test_crossing_symmetry():
     for sigma, tau in [((1, 3), (2, 4)), ((1, 2), (3, 4)), ((2, 5), (3, 4))]:
         a = [pts[t] for t in sigma]
         b = [pts[t] for t in tau]
-        assert crossing(a, b).parity == crossing(b, a).parity
+        assert crossing(a, b) == crossing(b, a)
