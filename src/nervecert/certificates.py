@@ -16,7 +16,6 @@ from .complexes import (
     SimplicialComplex,
     barycentric_subdivision,
     complex_from_facets,
-    disjoint_simplex_pairs,
     is_remote,
 )
 from .convex import crossing, hulls_intersect, polytope_is_empty
@@ -177,15 +176,40 @@ def _crossing_point(placement: Placement, gamma, delta):
     return crossing([placement.point(v) for v in gamma], [placement.point(v) for v in delta])
 
 
+def _first_crossing_pair(faces: list, placement: Placement):
+    """The first crossing pair, in `disjoint_simplex_pairs` order, of the
+    sorted ``faces``: every d-face on the 2d+3 placed vertices.  None only
+    if `Placement.crossing_parity` denies the pair this rule finds.
+
+    No pair is listed.  The first face is the least that has an
+    interleaving partner (each of its partners comes after it, or that
+    partner would be less), and the second is its least partner.  In
+    parameter order gamma holds d+1 of the 2d+3 ranks; dropping one of the
+    d+2 others leaves an alternating sequence iff no two of gamma's ranks
+    are adjacent and they do not hold both ends.  The partners are the
+    others but one, and the least drops the largest label it can.
+    """
+    rank = placement.ranks
+    last = len(rank) - 1
+    for gamma in faces:
+        r = sorted([rank[v] for v in gamma])
+        if r[-1] - r[0] < last and all(b - a > 1 for a, b in zip(r, r[1:])):
+            others = [v for v in sorted(rank) if v not in gamma]
+            partners = (tuple(w for w in others if w != v) for v in reversed(others))
+            delta = next((h for h in partners if placement.crossing_parity(gamma, h)), None)
+            return None if delta is None else (gamma, delta)
+    return None
+
+
 def vkf_demo(d: int, params=None) -> tuple[str, dict]:
     """(summary line, certificate) of the first crossing pair of d-faces of the
     d-skeleton on 1..2d+3, placed on the moment curve, at its exact point."""
     if d < 1:
         raise ParseError("d must be at least 1")
-    K = complex_from_facets(list(combinations(range(1, 2 * d + 4), d + 1)))
+    faces = list(combinations(range(1, 2 * d + 4), d + 1))
+    K = complex_from_facets(faces)
     placement = moment_curve_placement(K, d, params)
-    crossings = (p for p in disjoint_simplex_pairs(K, d) if placement.crossing_parity(*p))
-    pair = next(crossings, None)
+    pair = _first_crossing_pair(faces, placement)
     if pair is None:  # unreachable: the total crossing parity of this complex is odd
         raise AssertionError("no crossing pair found; the parity invariant is broken")
     gamma, delta = pair

@@ -3,8 +3,10 @@ bounding boxes, hull intersection, and the exact crossing solve of two
 placed simplices.
 
 Every predicate here is exact; there are no tolerance parameters.  Convex
-sets are H-polytopes {x : Ax <= b} with Fraction entries (boxes are sugar),
-which keeps nerve membership and disjointness verification decidable.
+sets are H-polytopes {x : Ax <= b} with exact entries, `int` where
+integral, else `Fraction` (boxes are sugar), which keeps nerve membership
+and disjointness verification decidable.  A body read from a document
+keeps its integers; `from_rows` and `box` make `Fraction`s.
 
 Every question about an H-system runs on an integer dictionary built
 straight from `HPolytope.reduced_rows`, never through `solve_lp`: the free
@@ -79,8 +81,8 @@ class HPolytope:
     """The solution set {x : Ax <= b}; possibly empty, possibly unbounded."""
 
     ambient: int
-    A: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
+    A: tuple[tuple[int | Fraction, ...], ...]  # int where integral, else Fraction
+    b: tuple[int | Fraction, ...]  # likewise
 
     @classmethod
     def from_rows(cls, A, b, ambient: int | None = None) -> "HPolytope":
@@ -158,24 +160,32 @@ class HPolytope:
         return self.violated_row(point) is None
 
     @cached_property
-    def reduced_rows(self) -> tuple[tuple[tuple[int, ...], Fraction], ...] | None:
+    def reduced_rows(self) -> tuple[tuple[tuple[int, ...], int | Fraction], ...] | None:
         """The same set as primitive integer rows, one per direction.
 
         Each row times the lcm of its denominators is divided by its gcd,
         and a direction that repeats keeps only its least right-hand side,
-        in order of first appearance.  Zero rows (0 <= b_i) are dropped;
-        None means one of them has b_i < 0, so the polytope is empty.
+        in order of first appearance.  An all-`int` row takes no lcm, and a
+        row that is integral and primitive as read keeps its b_i as read,
+        `int` or `Fraction`; every other b_i becomes a `Fraction`.  Zero
+        rows (0 <= b_i) are dropped; None means one of them has b_i < 0, so
+        the polytope is empty.
         """
         rows = []
         for row, bi in zip(self.A, self.b):
-            scale = lcm(*(a.denominator for a in row))
-            ints = [a.numerator * (scale // a.denominator) for a in row]
+            if all([type(a) is int for a in row]):
+                scale, ints = 1, row
+            else:
+                scale = lcm(*(a.denominator for a in row))
+                ints = [a.numerator * (scale // a.denominator) for a in row]
             g = gcd(*ints)
             if g == 0:
                 if bi < 0:
                     return None
-                continue
-            rows.append((tuple(v // g for v in ints), Fraction(bi * scale, g)))
+            elif g == scale == 1:
+                rows.append((tuple(ints), bi))
+            else:
+                rows.append((tuple(v // g for v in ints), Fraction(bi * scale, g)))
         return _least_per_direction(rows)
 
     @cached_property
@@ -222,9 +232,9 @@ class HPolytope:
         )
 
 
-def _least_per_direction(rows) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+def _least_per_direction(rows) -> tuple[tuple[tuple[int, ...], int | Fraction], ...]:
     """(direction, rhs) pairs with each direction once, at its least rhs, in order of first appearance."""
-    least: dict[tuple[int, ...], Fraction] = {}
+    least: dict[tuple[int, ...], int | Fraction] = {}
     for key, rhs in rows:
         if key not in least or rhs < least[key]:
             least[key] = rhs

@@ -2,10 +2,11 @@
 
 Rationals travel as exact strings ("3/2", "-1/4", "7"), read only in the
 spelling `format_rational` writes, and integer keys only as `str` writes
-them; plain JSON integers are accepted on input, decimals never are.
-Every list of rationals (a point, a box corner, an hpoly row or its `b`)
-is read by `parse_point`, which checks the length its caller states before
-it decodes an entry.  Within one family document each distinct rational
+them; plain JSON integers are accepted on input, decimals never are.  A
+value decodes to an `int` where integral, else a `Fraction`.  Every list
+of rationals (a point, a box corner, an hpoly row or its `b`) is read by
+`parse_point`, which checks the length its caller states before it
+decodes an entry.  Within one family document each distinct rational
 string is decoded once, with the full spelling check; the documents
 themselves are unchanged.  A complex document lists facets plus, for
 subdivision outputs, the vertex-label table (the face each new vertex
@@ -30,26 +31,28 @@ from .nerve import ConvexFamily
 _RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
-def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+def parse_rational(value) -> int | Fraction:
+    """The value of a JSON integer or a canonical spelling: an `int` where
+    integral, else a `Fraction` in lowest terms."""
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value)
         if match:
             num, den = match.groups()
             if den is None:
-                return Fraction(int(num))
+                return int(num)
             d = int(den)
             q = Fraction(int(num), d)
             if q.denominator == d != 1:  # lowest terms and not over 1, as format_rational writes
                 return q
         raise ParseError(f"not a canonical rational string: {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     raise ParseError(f"not a rational: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
+    if type(q) is int:
+        return str(q)
     q = frac(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -94,13 +97,14 @@ class _Spellings(dict):
     a spelling that parsed is kept, so a bad one raises every time it is read.
     """
 
-    def __missing__(self, spelling: str) -> Fraction:
+    def __missing__(self, spelling: str) -> int | Fraction:
         q = self[spelling] = parse_rational(spelling)
         return q
 
 
 def parse_point(values, what: str, size: int, spellings=None) -> Point:
-    """The rationals of the list ``values``, which must have ``size`` entries.
+    """The rationals of the list ``values``, which must have ``size`` entries:
+    `int` where integral, else `Fraction`.
 
     The length is always checked, before any entry is decoded.  Strings
     decode through ``spellings``, a document's memo, when one is given.

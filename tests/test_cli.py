@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -23,7 +24,12 @@ from nervecert.certificates import (
     vkf_demo,
 )
 from nervecert.cli import main
-from nervecert.complexes import skeleton_complex
+from nervecert.complexes import (
+    PairIndex,
+    complex_from_facets,
+    disjoint_simplex_pairs,
+    skeleton_complex,
+)
 from nervecert.errors import ParseError
 from nervecert.fileio import (
     complex_from_doc,
@@ -33,7 +39,7 @@ from nervecert.fileio import (
     family_to_doc,
 )
 from nervecert.nerve import nerve_exhaustive
-from nervecert.obstruction import Placement
+from nervecert.obstruction import Placement, moment_curve_placement
 from conftest import random_complexes
 from test_gf2 import torus
 
@@ -1510,6 +1516,32 @@ def test_vkf_certificates_are_pinned_and_recheck(tmp_path, capsys, name, make):
     out.write_bytes(text)
     code, stdout = run(capsys, "recheck", str(out))
     assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+@pytest.mark.parametrize("name", list(VKF_PINNED))
+def test_vkf_demo_builds_no_pair_index(tmp_path, capsys, monkeypatch, name):
+    # the first crossing pair is read off the faces, not off a list of every pair
+    def refuse(cls, K, d):
+        raise AssertionError("vkf_demo listed the disjoint pairs")
+
+    monkeypatch.setattr(PairIndex, "build", classmethod(refuse))
+    d, params, first_line, digest = VKF_PINNED[name]
+    line, text = _vkf_in_process(tmp_path, capsys, d, params)
+    assert line == first_line
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_vkf_demo_takes_the_first_crossing_pair_the_pair_index_lists(d):
+    # under any parameter order, as the search over every disjoint pair would
+    rng = random.Random(d)
+    K = complex_from_facets(combinations(range(1, 2 * d + 4), d + 1))
+    for _ in range(40):
+        params = rng.sample(range(-20, 21), 2 * d + 3)
+        placement = moment_curve_placement(K, d, params)
+        first = next(p for p in disjoint_simplex_pairs(K, d) if placement.crossing_parity(*p))
+        _, doc = vkf_demo(d, params)
+        assert (tuple(doc["gamma"]), tuple(doc["delta"])) == first
 
 
 def test_vkf_demo_refuses_d_0():

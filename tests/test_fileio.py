@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nervecert import ConvexFamily, HPolytope, ParseError, barycentric_subdivision, complex_from_facets
-from nervecert import fileio
+from nervecert import fileio, inscribed_ball, polytope_is_empty
 from nervecert.fileio import (
     complex_from_doc,
     complex_to_doc,
@@ -25,6 +27,8 @@ from nervecert.fileio import (
     sd_to_doc,
     text_to_document,
 )
+from test_convex import random_stack
+from test_inscribed_ball import outcome
 
 
 def test_rational_codec():
@@ -57,24 +61,27 @@ def test_parse_rational_takes_ascii_digits_only(text):
         parse_rational(text)
 
 
-def slow_parse_rational(value: str) -> Fraction:
+def slow_parse_rational(value: str) -> int | Fraction:
     """The canonical grammar read a second way: an ASCII integer with no
     sign but '-', no leading zero and no "-0", over an optional coprime
     denominator of at least 2; validate, then let `Fraction` parse the
-    whole string a second time."""
+    whole string a second time.  An `int` exactly when the denominator is 1."""
     match = re.fullmatch(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?", value)
     if match is None or (
         match[2] is not None and (match[2] == "1" or gcd(int(match[1]), int(match[2])) != 1)
     ):
         raise ParseError(f"not a canonical rational string: {value!r}")
-    return Fraction(value)
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _outcome(parse, text):
+    """The message of a refusal, else the value with its type, so 2 and Fraction(2) differ."""
     try:
-        return parse(text)
+        value = parse(text)
     except ParseError as exc:
         return str(exc)
+    return type(value), value
 
 
 rational_text = st.lists(
@@ -142,9 +149,59 @@ def test_a_memoized_value_in_another_spelling_is_rejected(first, bad):
 
 
 def test_a_json_integer_after_its_spelling_still_decodes():
-    F = family_from_doc(_one_row_family("1", 1))
-    assert F.body(0).A == ((Fraction(1), Fraction(1)),)
-    assert all(type(v) is Fraction for v in F.body(0).A[0])
+    # integers decode to `int`, whether spelled or a JSON integer; only p/q is a Fraction
+    F = family_from_doc(_one_row_family("1", 1, "3/2"))
+    row = F.body(0).A[0]
+    assert row == (1, 1, Fraction(3, 2))
+    assert [type(v) for v in row] == [int, int, Fraction]
+
+
+def _facts(P: HPolytope):
+    """What the dictionaries read off P: reduced rows, emptiness, and the ball."""
+    return P.reduced_rows, polytope_is_empty(P), outcome(inscribed_ball, P)
+
+
+def _decoded_and_built(rng):
+    """`random_stack` bodies built from Fractions, as a family, and that family
+    decoded from its own document, where every integer is an `int`."""
+    parts = random_stack(rng)
+    built = ConvexFamily.of(parts[0].ambient, enumerate(parts))
+    doc = family_to_doc(built)
+    decoded = family_from_doc(doc)
+    assert document_to_text(family_to_doc(decoded)) == document_to_text(doc)
+    labels = built.labels()
+    for face in [(label,) for label in labels] + [labels]:
+        assert _facts(decoded.subfamily_polytope(face)) == _facts(built.subfamily_polytope(face))
+    return decoded
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_a_decoded_family_reads_as_its_fraction_bodies(seed):
+    _decoded_and_built(random.Random(seed))
+
+
+def test_the_decoded_family_property_reaches_every_outcome():
+    # The same generator, seeded: decoded rows must hold primitive integer
+    # rows, integer rows with a common factor, fractional entries, zero rows
+    # with b < 0 and with b >= 0, and directions that repeat.
+    rng = random.Random(35)
+    seen = Counter()
+    for _ in range(300):
+        for _, body in _decoded_and_built(rng).bodies:
+            for row, bi in zip(body.A, body.b):
+                if not all(type(a) is int for a in row):
+                    seen["fractional entry"] += 1
+                elif not any(row):
+                    seen["zero row, b < 0" if bi < 0 else "zero row, b >= 0"] += 1
+                else:
+                    seen["primitive" if gcd(*row) == 1 else "common factor"] += 1
+            rows = body.reduced_rows
+            if rows is not None and len(rows) < sum(1 for row in body.A if any(row)):
+                seen["repeated direction"] += 1
+    for what in ("primitive", "common factor", "fractional entry", "zero row, b < 0",
+                 "zero row, b >= 0", "repeated direction"):
+        assert seen[what] >= 20, seen
 
 
 def test_complex_round_trip():
