@@ -3,8 +3,12 @@
 `run_pipeline`, `obstruction_report` and `vkf_demo` make every certificate
 the CLI writes.  Each embeds the data its verdict depends on, so `recheck` can
 re-run the underlying exact predicate from the document alone and either
-confirm or refute it.  Bit vectors are serialized as lowercase hex strings
-with column (or row) j at bit j, rationals as exact strings.
+confirm or refute it.  A `NERVE_MISMATCH` or `WITNESS_VIOLATION` carries only
+the bodies its recheck reads (the witness face's, or the one named body),
+plus `family_sha256`, the sha256 of the whole family document as
+`document_to_text` writes it, which ties the certificate to its family file.
+Bit vectors are serialized as lowercase hex strings with column (or row) j at
+bit j, rationals as exact strings.
 """
 
 from __future__ import annotations
@@ -12,12 +16,7 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from .complexes import (
-    SimplicialComplex,
-    barycentric_subdivision,
-    complex_from_facets,
-    is_remote,
-)
+from .complexes import SimplicialComplex, barycentric_subdivision, is_remote
 from .convex import crossing, hulls_intersect, polytope_is_empty
 from .errors import NerveMismatchError, ParseError
 from .fileio import (
@@ -27,6 +26,7 @@ from .fileio import (
     _require,
     complex_from_doc,
     complex_to_doc,
+    document_to_text,
     family_from_doc,
     family_to_doc,
     format_point,
@@ -34,7 +34,7 @@ from .fileio import (
     parse_point,
     parse_rational,
 )
-from .nerve import ConvexFamily, NerveMatch, check_labels
+from .nerve import ConvexFamily, NerveMatch
 from .obstruction import (
     ObstructionCertificate,
     Placement,
@@ -62,6 +62,7 @@ CONSISTENCY_FAILURE = "CONSISTENCY_FAILURE"
 
 # the only form _bits_to_hex writes: lowercase, no prefix, no leading zeros
 _HEX_RE = re.compile(r"0|[1-9a-f][0-9a-f]*")
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def _bits_to_hex(bits: int) -> str:
@@ -109,6 +110,34 @@ def _face_field(doc, key: str) -> tuple[int, ...]:
     return face
 
 
+def _family_evidence(F: ConvexFamily, labels) -> dict:
+    """The ``bodies`` of the given labels and the whole family's ``family_sha256``,
+    from one `family_to_doc` of F."""
+    import hashlib  # loads OpenSSL, about 3.5 MB: only these two kinds hash
+
+    doc = family_to_doc(F)
+    wanted = set(labels)
+    return {
+        "bodies": {
+            "ambient": doc["ambient"],
+            "bodies": [entry for entry in doc["bodies"] if entry["label"] in wanted],
+        },
+        "family_sha256": hashlib.sha256(document_to_text(doc).encode()).hexdigest(),
+    }
+
+
+def _bodies_field(doc) -> ConvexFamily:
+    """The embedded ``bodies``, once ``family_sha256`` is seen to be a
+    sha256: 64 lowercase hex digits."""
+    F = family_from_doc(doc["bodies"])
+    sha = doc["family_sha256"]
+    _require(
+        isinstance(sha, str) and _SHA256_RE.fullmatch(sha) is not None,
+        f"'family_sha256' must be 64 lowercase hex digits, got {sha!r}",
+    )
+    return F
+
+
 def _pieces_to_doc(piece) -> list[list[str]]:
     return [format_point(p) for p in piece]
 
@@ -125,7 +154,7 @@ def nerve_mismatch_cert(match: NerveMatch, F: ConvexFamily, K: SimplicialComplex
         "kind": NERVE_MISMATCH,
         "direction": match.verdict,
         "witness_face": list(match.face),
-        "family": family_to_doc(F),
+        **_family_evidence(F, match.face),
         "complex": complex_to_doc(K),
     }
 
@@ -137,7 +166,8 @@ def witness_violation_cert(violation, F: ConvexFamily) -> dict:
         "point": format_point(violation.point),
         "body_label": violation.label,
         "row": violation.row,
-        "family": family_to_doc(F),
+        "labels": list(F.labels()),
+        **_family_evidence(F, [violation.label]),
     }
 
 
@@ -206,8 +236,9 @@ def vkf_demo(d: int, params=None) -> tuple[str, dict]:
     d-skeleton on 1..2d+3, placed on the moment curve, at its exact point."""
     if d < 1:
         raise ParseError("d must be at least 1")
+    # combinations yields every d-face, all maximal, in canonical order
     faces = list(combinations(range(1, 2 * d + 4), d + 1))
-    K = complex_from_facets(faces)
+    K = SimplicialComplex(tuple(faces))
     placement = moment_curve_placement(K, d, params)
     pair = _first_crossing_pair(faces, placement)
     if pair is None:  # unreachable: the total crossing parity of this complex is odd
@@ -304,16 +335,23 @@ def run_pipeline(F: ConvexFamily, L: SimplicialComplex, d: int, corruption=None)
 # -- recheck -----------------------------------------------------------------
 
 def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
-    F = family_from_doc(doc["family"])
+    F = _bodies_field(doc)
     K = complex_from_doc(doc["complex"])
-    check_labels(F, K)  # as `certificate` does
     face = _face_field(doc, "witness_face")
     direction = doc.get("direction")
     if direction not in (NerveMatch.MISSING, NerveMatch.EXTRA):
         raise ParseError(f"unknown mismatch direction {direction!r}")
+    # `certificate` requires the family's labels to be the complex's vertices
+    outside = sorted(set(face) - K.vertices)
     _require(
-        set(face) <= set(F.labels()),
-        f"'witness_face' {list(face)} names labels outside the family",
+        not outside,
+        f"'witness_face' {list(face)} names labels outside the family "
+        f"(the complex's vertices): {outside}",
+    )
+    _require(
+        F.labels() == face,
+        f"'bodies' holds the bodies {list(F.labels())}, "
+        f"expected those of 'witness_face' {list(face)}",
     )
     empty = polytope_is_empty(F.subfamily_polytope(face))
     if direction == NerveMatch.MISSING:
@@ -330,15 +368,19 @@ def _recheck_nerve_mismatch(doc) -> tuple[bool, str]:
 
 
 def _recheck_witness_violation(doc) -> tuple[bool, str]:
-    F = family_from_doc(doc["family"])
+    F = _bodies_field(doc)
     point = parse_point(doc["point"], "'point'", F.ambient)
     face = _face_field(doc, "face")
-    _require(
-        set(face) <= set(F.labels()), f"'face' {list(face)} names labels outside the family"
-    )
+    labels = _face_field(doc, "labels")
+    _require(set(face) <= set(labels), f"'face' {list(face)} names labels outside the family")
     label = _int_field(doc["body_label"], "'body_label'")
-    _require(label in F.labels(), f"'body_label' {label} names no body of the family")
+    _require(label in labels, f"'body_label' {label} names no body of the family")
     _require(label in face, f"'body_label' {label} is not a member of 'face' {list(face)}")
+    _require(
+        F.labels() == (label,),
+        f"'bodies' holds the bodies {list(F.labels())}, "
+        f"expected only that of 'body_label' {label}",
+    )
     body = F.body(label)
     row = _int_field(doc["row"], "'row'")
     _require(0 <= row < body.n_rows, f"'row' {row} is out of range")

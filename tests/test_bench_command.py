@@ -45,3 +45,6 @@ def test_a_traced_benchmark_run_ends_correct(tmp_path):
         tmp_path, "--workload", "mutants", "--seed", "11", "--seconds", "1", "--trace", "1"
     )
     assert set(last["metrics"]) == {metric["name"] for metric in declared["per_layer"]}
+    # a mismatch certificate carries its witness face's bodies, not the family:
+    # a batch's 12 certificates took 131,869 bytes when each embedded its family
+    assert last["metrics"]["certificates.cert_bytes"]["value"] < 40_000

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import nervecert
+from nervecert import certificates
 from nervecert.certificates import (
     consistency_failure_cert,
     obstruction_report,
@@ -37,6 +38,8 @@ from nervecert.fileio import (
     document_to_text,
     family_from_doc,
     family_to_doc,
+    format_rational,
+    parse_rational,
 )
 from nervecert.nerve import nerve_exhaustive
 from nervecert.obstruction import Placement, moment_curve_placement
@@ -610,7 +613,7 @@ def _set_inner(key, value):
 
 
 def _set_first_hpoly_rows(doc):
-    doc["family"]["bodies"][0]["hpoly"]["A"] = [5]
+    doc["bodies"]["bodies"][0]["hpoly"]["A"] = [5]
 
 
 def _repeat_first_param(doc):
@@ -822,7 +825,7 @@ def test_non_ascii_digits_are_not_rationals(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "family, facets, direction, face, labels",
+    "family, facets, direction, face, message",
     [
         # bodies 0 and 1 meet, and the complex shares no label with the family
         (
@@ -830,34 +833,36 @@ def test_non_ascii_digits_are_not_rationals(tmp_path, capsys):
             [[100], [101]],
             "extra_face",
             [0, 1],
-            "[0, 1] != complex vertices [100, 101]",
+            "'witness_face' [0, 1] names labels outside the family (the complex's vertices): [0, 1]",
         ),
-        # bodies 0 and 1 are disjoint, and the complex lacks labels 2, 3 and 4
+        # bodies 0 and 1 are disjoint, and the whole family came along
         (
             PATH_FAMILY,
             [[0, 1]],
             "missing_face",
             [0, 1],
-            "[0, 1, 2, 3, 4] != complex vertices [0, 1]",
+            "'bodies' holds the bodies [0, 1, 2, 3, 4], expected those of 'witness_face' [0, 1]",
         ),
     ],
     ids=["extra-face", "missing-face"],
 )
 def test_recheck_of_a_nerve_mismatch_checks_labels(
-    tmp_path, capsys, family, facets, direction, face, labels
+    tmp_path, capsys, family, facets, direction, face, message
 ):
-    # `certificate` refuses a family whose labels are not the complex's vertices
+    # `certificate` makes the family's labels the complex's vertices and embeds
+    # the face's bodies, so the face must lie in the complex and name the bodies
     doc = {
         "kind": "NERVE_MISMATCH",
         "direction": direction,
         "witness_face": face,
-        "family": family,
+        "bodies": family,
+        "family_sha256": "0" * 64,
         "complex": {"facets": facets},
     }
     bad = write(tmp_path / "bad.json", doc)
     assert main(["recheck", bad]) == 1
     captured = capsys.readouterr()
-    assert f"family labels {labels}" in captured.err
+    assert captured.err.splitlines()[-1] == f"error: {message}"
     assert "confirmed" not in captured.out
 
 
@@ -870,7 +875,8 @@ def test_recheck_of_a_nerve_mismatch_rejects_a_face_outside_the_family(
         "kind": "NERVE_MISMATCH",
         "direction": direction,
         "witness_face": [0, 9],
-        "family": TRIANGLE_FAMILY,
+        "bodies": TRIANGLE_FAMILY,
+        "family_sha256": "0" * 64,
         "complex": {"facets": [[0, 1], [2]]},
     }
     assert main(["recheck", write(tmp_path / "bad.json", doc)]) == 1
@@ -948,14 +954,16 @@ def _flip_bit_0(key):
     return _edit(key, lambda text: format(int(text, 16) ^ 1, "x"))
 
 
-def _claim_missing(face):
+def _claim(direction, face):
+    """Claim ``face`` of TRIANGLE_FAMILY in ``direction``, with the bodies it names."""
     def mutate(doc):
-        doc["direction"], doc["witness_face"] = "missing_face", face
+        doc["direction"], doc["witness_face"] = direction, face
+        doc["bodies"]["bodies"] = [b for b in TRIANGLE_FAMILY["bodies"] if b["label"] in face]
     return mutate
 
 
 def _shrink_body_0(doc):
-    doc["family"]["bodies"][0]["hpoly"]["b"][0] = "1/2"  # x <= 1/2 misses body 1
+    doc["bodies"]["bodies"][0]["hpoly"]["b"][0] = "1/2"  # x <= 1/2 misses body 1
 
 
 def _embed_the_k4_report(doc):
@@ -970,9 +978,9 @@ def _flip_inner_cocycle(doc):
 # certificate.  Where an edit also fails a later check, that check names
 # another reason, so deleting any one guard changes a line asserted here.
 REFUTATIONS = [
-    (_extra_face_cert, _claim_missing([0, 1]), "claimed missing face is not a face of the complex"),
-    (_extra_face_cert, _claim_missing([0, 2]), "claimed missing face has a common point after all"),
-    (_extra_face_cert, _set("witness_face", [0, 2]), "claimed extra face is a face of the complex"),
+    (_extra_face_cert, _claim("missing_face", [0, 1]), "claimed missing face is not a face of the complex"),
+    (_extra_face_cert, _claim("missing_face", [0, 2]), "claimed missing face has a common point after all"),
+    (_extra_face_cert, _claim("extra_face", [0, 2]), "claimed extra face is a face of the complex"),
     (_extra_face_cert, _shrink_body_0, "claimed extra face has no common point after all"),
     (_corrupt_witness_cert, _set("point", ["1", "1/2"]), "witness point satisfies the named constraint row"),
     (_lemma_cert, _set("beta", [3]), "named pair is not remote in the nerve"),
@@ -1060,6 +1068,24 @@ def _argv(*words):
     return lambda tmp_path, capsys: list(words)
 
 
+def _add_body(family, i):
+    def mutate(doc):
+        doc["bodies"]["bodies"].append(family["bodies"][i])
+    return mutate
+
+
+def _drop_last_body(doc):
+    doc["bodies"]["bodies"].pop()
+
+
+def _old_layout(family):
+    """The layout before `bodies`: the whole family, and no sha256."""
+    def mutate(doc):
+        del doc["bodies"], doc["family_sha256"]
+        doc["family"] = family
+    return mutate
+
+
 # One case per refusal of a malformed document or call that no other test
 # names; each exits 1 with no verdict, and its last line of stderr is its
 # message in full ({tmp} is the test's directory).  In full, since `vkf-demo
@@ -1094,6 +1120,50 @@ DOCUMENT_REFUSALS = [
         "complex document must be an object",
     ),
     (_argv("build", "skeleton", "2", "5"), "skeleton dimension 5 exceeds simplex dimension 2"),
+    (
+        _recheck_edited(_extra_face_cert, _add_body(TRIANGLE_FAMILY, 2)),
+        "'bodies' holds the bodies [0, 1, 2], expected those of 'witness_face' [0, 1]",
+    ),
+    (
+        _recheck_edited(_extra_face_cert, _drop_last_body),
+        "'bodies' holds the bodies [0], expected those of 'witness_face' [0, 1]",
+    ),
+    (
+        _recheck_edited(_corrupt_witness_cert, _add_body(PATH_FAMILY, 1)),
+        "'bodies' holds the bodies [0, 1], expected only that of 'body_label' 0",
+    ),
+    (
+        _recheck_edited(_corrupt_witness_cert, _drop_last_body),
+        "'bodies' holds the bodies [], expected only that of 'body_label' 0",
+    ),
+    (
+        _recheck_edited(_extra_face_cert, _set("complex", {"facets": [[0, 2]]})),
+        "'witness_face' [0, 1] names labels outside the family (the complex's vertices): [1]",
+    ),
+    (
+        _recheck_edited(_corrupt_witness_cert, _set("labels", [1, 2, 3, 4])),
+        "'face' [0] names labels outside the family",
+    ),
+    (
+        _recheck_edited(_extra_face_cert, _set("family_sha256", "0" * 63)),
+        f"'family_sha256' must be 64 lowercase hex digits, got '{'0' * 63}'",
+    ),
+    (
+        _recheck_edited(_extra_face_cert, _set("family_sha256", "F" * 64)),
+        f"'family_sha256' must be 64 lowercase hex digits, got '{'F' * 64}'",
+    ),
+    (
+        _recheck_edited(_corrupt_witness_cert, _set("family_sha256", None)),
+        "'family_sha256' must be 64 lowercase hex digits, got None",
+    ),
+    (
+        _recheck_edited(_extra_face_cert, _old_layout(TRIANGLE_FAMILY)),
+        "certificate is missing field 'bodies'",
+    ),
+    (
+        _recheck_edited(_corrupt_witness_cert, _old_layout(PATH_FAMILY)),
+        "certificate is missing field 'bodies'",
+    ),
 ]
 
 
@@ -1106,6 +1176,10 @@ DOCUMENT_REFUSALS = [
         "vkf-demo-d0", "unknown-direction", "row-past-the-end", "row-minus-1",
         "string-vanishes", "obstruction-d0", "vkf-d0",
         "vkf-malformed-complex-before-shared-vertex", "build-skeleton-too-deep",
+        "mismatch-extra-body", "mismatch-missing-body", "witness-extra-body",
+        "witness-no-body", "mismatch-face-outside-the-complex", "witness-face-outside-labels",
+        "short-family-sha256", "uppercase-family-sha256", "null-family-sha256",
+        "old-layout-mismatch", "old-layout-witness",
     ],
 )
 def test_a_malformed_document_or_call_exits_1(tmp_path, capsys, make, message):
@@ -1175,16 +1249,6 @@ def _certificate_huge_at_its_dimension(tmp_path, capsys) -> list[str]:
     return ["certificate", fam, write(tmp_path / "huge.json", HUGE_COMPLEX), "-d", "39"]
 
 
-def _extra_face_on_40_intervals(tmp_path, capsys) -> dict:
-    """An extra_face claim [0, 1] over 40 unit intervals, whose labels the huge facet covers."""
-    doc = _extra_face_cert(tmp_path, capsys)
-    doc["family"] = {
-        "ambient": 1,
-        "bodies": [{"label": v, "box": {"lo": ["0"], "hi": ["1"]}} for v in range(40)],
-    }
-    return doc
-
-
 def _recheck_huge(make, *keys):
     """`recheck` of ``make``'s certificate with HUGE_COMPLEX at the key path ``keys``."""
     def argv(tmp_path, capsys) -> list[str]:
@@ -1215,7 +1279,7 @@ def _recheck_huge(make, *keys):
         (_recheck_huge(_consistency_cert, "obstruction", "complex"), PLACEMENT_REFUSAL),
         (_recheck_huge(_demo_cert, "complex"), PLACEMENT_REFUSAL),
         (
-            _recheck_huge(_extra_face_on_40_intervals, "complex"),
+            _recheck_huge(_extra_face_cert, "complex"),
             (5, "REFUTED: claimed extra face is a face of the complex\n", ""),
         ),
         (
@@ -1544,6 +1608,19 @@ def test_vkf_demo_takes_the_first_crossing_pair_the_pair_index_lists(d):
         assert (tuple(doc["gamma"]), tuple(doc["delta"])) == first
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_vkf_demo_holds_the_complex_complex_from_facets_builds(monkeypatch, d):
+    # `combinations` yields the d-faces in canonical order, all of them
+    # maximal, so vkf_demo holds them as they come
+    placed = []
+    place = certificates.moment_curve_placement
+    monkeypatch.setattr(
+        certificates, "moment_curve_placement", lambda K, *args: placed.append(K) or place(K, *args)
+    )
+    vkf_demo(d)
+    assert placed == [complex_from_facets(combinations(range(1, 2 * d + 4), d + 1))]
+
+
 def test_vkf_demo_refuses_d_0():
     with pytest.raises(ParseError, match="^d must be at least 1$"):
         vkf_demo(0)
@@ -1580,17 +1657,17 @@ CERTIFICATE_PINNED = {
     "missing-face": (
         GAP_FAMILY, EDGE, [], 2,
         "NERVE_MISMATCH: missing_face [0, 2]",
-        "4c1a31a51ea60e25d5a619f2228740a409114e199d8a28e49b743e89e6362c44",
+        "bdb5abc16c016525ffada3d514c295164b35cdb8cb025e67a0a5f9d62c5edce7",
     ),
     "extra-face": (
         TRIANGLE_FAMILY, EDGE, [], 2,
         "NERVE_MISMATCH: extra_face [0, 1]",
-        "882ab3c8efa6a2325a9ce6b23343a8132e5ee64a965412d1257cf144709549a6",
+        "8c9fcad0032a691162fd16b07ea50023662d12eaa53411a3529b145ad6fb5907",
     ),
     "witness": (
         PATH_FAMILY, PATH, ["--corrupt-witness", "0:37/2,1/2", "--corrupt-stage", "witness"], 2,
         "WITNESS_VIOLATION",
-        "c1e4abebe99851c35c17046265fc72f3ee2de2ece6c10511f1b997b44fb68265",
+        "649c418abd65f69b6a2148b5870c32d9dba7a3adf5167c83f449878b07a22867",
     ),
     "lemma": (
         PATH_FAMILY, PATH, ["--corrupt-witness", "0:37/2,1/2"], 2,
@@ -1620,7 +1697,8 @@ DATA = Path(__file__).parent / "data"
 # One `certificate -d 2` document per outcome on a checked-in family and its
 # source complex: (data file, extra arguments, exit code, first stdout line,
 # certificate sha256 as the walk wrote it while it still finished every
-# face's point on the spot).  The missing-face family is the benchmark's
+# face's point on the spot; the missing-face one as it is written with only
+# the witness face's bodies).  The missing-face family is the benchmark's
 # first mutant at seed 11; the lemma hook moves p(0) onto p(3), so the
 # pieces of the remote pair carry points of the walk.
 D2_PINNED = {
@@ -1632,7 +1710,7 @@ D2_PINNED = {
     "missing-face": (
         "missing_face_d2_seed11.json", [], 2,
         "NERVE_MISMATCH: missing_face [0, 6, 12]",
-        "3dd56efd5e33e9dcce1ad55bf43b3b96c4a1d493f68c79a2e75e44514579e81b",
+        "faa91361b05f918148d041f96a3cb6db50fe511e2eb0e569f00dc9d5a5fe83f9",
     ),
     "lemma": (
         "pipeline_d2_seed11.json", ["--corrupt-witness", "0:22159/364,-75/364,1/2,1/2"], 2,
@@ -1657,6 +1735,41 @@ def test_d2_certificates_are_pinned_and_recheck(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     code, stdout = run(capsys, "recheck", str(out))
     assert code == 0 and stdout.startswith("confirmed"), stdout
+
+
+def _double_first_row(body):
+    hp = body["hpoly"]
+    hp["A"][0] = [format_rational(2 * parse_rational(v)) for v in hp["A"][0]]
+    hp["b"][0] = format_rational(2 * parse_rational(hp["b"][0]))
+
+
+def test_a_mismatch_certificate_names_its_family_file_by_sha256(tmp_path, capsys):
+    # The certificate embeds only the witness face's bodies; `family_sha256`
+    # is the sha256 of the family file when that file is written canonically.
+    doc = json.loads((DATA / "missing_face_d2_seed11.json").read_text())
+    family = doc["family"]
+    assert document_to_text(family_to_doc(family_from_doc(family))) == document_to_text(family)
+    complex_path = write(tmp_path / "K.json", {"facets": doc["facets"]})
+
+    def certify(name):
+        fam = tmp_path / f"{name}.json"
+        out = tmp_path / f"{name}.cert.json"
+        write(fam, family)
+        code, stdout = run(capsys, "certificate", str(fam), complex_path, "-d", "2", "-o", str(out))
+        assert code == 2
+        cert = load(out)
+        assert cert["family_sha256"] == hashlib.sha256(fam.read_bytes()).hexdigest()
+        return stdout, cert
+
+    line, cert = certify("fam")
+    face = cert["witness_face"]
+    assert [body["label"] for body in cert["bodies"]["bodies"]] == face == [0, 6, 12]
+    # a body outside the face, respelled as the same set: only the hash moves
+    _double_first_row(next(b for b in family["bodies"] if b["label"] not in face))
+    edited_line, edited = certify("edited")
+    assert edited_line == line
+    assert edited.pop("family_sha256") != cert.pop("family_sha256")
+    assert edited == cert
 
 
 @pytest.mark.parametrize("data", ["pipeline_d2_seed11.json", "missing_face_d2_seed11.json"])

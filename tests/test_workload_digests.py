@@ -4,8 +4,10 @@
 name, a NUL byte and the sha256 of its certificate, in job order.  This
 test loads `bench/workloads.py` by path, runs the jobs of seeds 11 and 12
 once each through the CLI and compares that digest with the one recorded in
-`BENCH_25.json`, so a change to the certificate bytes of any workload shows
-in the tier-1 suite.
+`BENCH_25.json` (`mutants` in `BENCH_36.json`, whose mismatch certificates
+carry only their witness bodies), so a change to the certificate bytes of
+any workload shows in the tier-1 suite.  A certificate's `family_sha256`
+must be the sha256 of the family file its job read.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import sys
 
@@ -23,13 +26,13 @@ from nervecert.cli import main
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
-# (workload, seed) -> digest, as recorded in BENCH_25.json
+# (workload, seed) -> digest, as recorded in BENCH_25.json (mutants: BENCH_36.json)
 DIGESTS = {
-    ("mutants", 11): "3dbd6c13d46484a62a3c7e326448267c1ac727776ae06302700c3270dbdd430b",
+    ("mutants", 11): "b0c968e4e371268fddd0bd7c356fb96da9643d6310cf0ab60e1d4c5c7663eec6",
     ("pipeline_d1", 11): "1a7c5cff65e212498213c6a2f7e19ef0cfe1e61478f8b75fecb58d98db0e938b",
     ("pipeline_d2", 11): "07264b6f8c125e12b784d7b940c9b777ecf74b9c012c53af857cd60a67f93891",
     ("vk_d2", 11): "162090e7d2d77869c078386c631a0dec40720b5b01b26233ba60f5fd8f1dcfb6",
-    ("mutants", 12): "b0c0310be802c32aead340aa7a2a59e0230c475b375f1b0a27ec79bb9f65942d",
+    ("mutants", 12): "1e9145e9a62940d7845cd5e106869276b9978376576de3165e6f404a9554d69b",
     ("pipeline_d1", 12): "e66cd4210ed4c2ca15e98d1b217096982f95bb4b6fde971544201ea31f8cf1df",
     ("pipeline_d2", 12): "07264b6f8c125e12b784d7b940c9b777ecf74b9c012c53af857cd60a67f93891",
     ("vk_d2", 12): "d17e72bd0ec7689e888d1242be3e6504329d2def7fa7da76f31e230776b2aec9",
@@ -58,5 +61,10 @@ def test_workload_certificates_match_the_recorded_digest(tmp_path, workload, see
             code = main(argv)
         assert code == job.expect["exit"], job.name
         with open(cert, "rb") as fh:
-            hashes.update(job.name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+            data = fh.read()
+        hashes.update(job.name.encode() + b"\0" + hashlib.sha256(data).digest())
+        sha = json.loads(data).get("family_sha256")
+        if sha is not None:  # the bench writes each family as the package does
+            with open(argv[1], "rb") as fh:
+                assert sha == hashlib.sha256(fh.read()).hexdigest(), job.name
     assert hashes.hexdigest() == DIGESTS[workload, seed]
